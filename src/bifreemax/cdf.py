@@ -275,9 +275,10 @@ def ecdf_from_samples(points) -> BivariateCDF:
 # ---------------------------------------------------------------------------
 
 def save_uni_json(F: UnivariateCDF, path) -> None:
+    # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same.
     with open(path, "w") as fh:
-        json.dump({"breaks": F.breaks.tolist(), "values": F.values.tolist()}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"breaks": F.breaks.tolist(),
+                             "values": F.values.tolist()}) + "\n")
 
 
 def load_uni_json(path) -> UnivariateCDF:
@@ -291,11 +292,16 @@ def load_uni_json(path) -> UnivariateCDF:
 
 
 def save_bi_json(F: BivariateCDF, path) -> None:
+    # Written row by row through the C encoder, so the whole matrix never
+    # exists as Python floats; the bytes equal json.dump of the dict + "\n".
     with open(path, "w") as fh:
-        json.dump({"x_breaks": F.x_breaks.tolist(),
-                   "y_breaks": F.y_breaks.tolist(),
-                   "cdf": F.cdf.tolist()}, fh)
-        fh.write("\n")
+        fh.write(f'{{"x_breaks": {json.dumps(F.x_breaks.tolist())}, '
+                 f'"y_breaks": {json.dumps(F.y_breaks.tolist())}, "cdf": [')
+        for i, row in enumerate(F.cdf):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(row.tolist()))
+        fh.write("]}\n")
 
 
 def load_bi_json(path) -> BivariateCDF:

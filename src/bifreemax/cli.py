@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# The package makes no BLAS calls, but OpenBLAS starts a spinning thread per
+# core when numpy loads: in a fresh process that is CPU time and run-to-run
+# jitter for nothing.  Only takes effect if numpy is not loaded yet.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -59,7 +65,7 @@ def cmd_uniconv(args) -> int:
     op = free_max_convolve if args.op == "max" else free_min_convolve
     H = op(F, G, args.tol)
     save_uni_json(H, args.out)
-    print(f"wrote {args.out}: {H.breaks.size} breaks, total mass {H.values[-1]!r}")
+    print(f"wrote {args.out}: {H.breaks.size} breaks, total mass {float(H.values[-1])!r}")
     return 0
 
 
@@ -72,7 +78,7 @@ def cmd_biconv(args) -> int:
                     + G.evaluate_grid(H.x_breaks, H.y_breaks)[:, -1] - 1.0)
     marg_ok = np.array_equal(H.cdf[:, -1], h1)
     print(f"wrote {args.out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
-          f"total mass {H.cdf[-1, -1]!r}, "
+          f"total mass {float(H.cdf[-1, -1])!r}, "
           f"marginal check {'OK' if marg_ok else 'FAILED'}")
     psi = psi_ratio(H, args.tol).values
     finite = psi[np.isfinite(psi)]
@@ -85,7 +91,7 @@ def cmd_nfold(args) -> int:
     F = load_bi_json(args.path)
     H = nfold(F, args.n, args.tol)
     save_bi_json(H, args.out)
-    print(f"wrote {args.out}: {args.n}-fold power, total mass {H.cdf[-1, -1]!r}")
+    print(f"wrote {args.out}: {args.n}-fold power, total mass {float(H.cdf[-1, -1])!r}")
     return 0
 
 
@@ -146,9 +152,10 @@ def cmd_plotdata(args) -> int:
     F = load_bi_json(args.path)
     require_valid_bi(F, args.tol)
     with open(args.out, "w") as fh:
-        for i, x in enumerate(F.x_breaks):
-            for j, y in enumerate(F.y_breaks):
-                fh.write(f"{x!r}\t{y!r}\t{F.cdf[i, j]!r}\n")
+        ys = F.y_breaks.tolist()
+        for x, row in zip(F.x_breaks.tolist(), F.cdf):
+            for y, v in zip(ys, row.tolist()):
+                fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
     print(f"wrote {args.out}: {F.x_breaks.size * F.y_breaks.size} rows")
     return 0
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cdf import BivariateCDF
 
@@ -262,6 +261,72 @@ def cauchy_from_atoms(atoms):
     return G
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method.
+
+    A step-for-step port of SciPy's ``brentq.c`` (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4): the same bracket
+    update, interpolation/extrapolation acceptance test, tolerance
+    ``delta = (xtol + rtol*|x|)/2`` and bisection fallback, evaluated in the
+    same order, so the root is bit-identical to SciPy's ``brentq``.
+    Raises ValueError if f(a) and f(b) have the same sign, and
+    LimitConvergenceError after ``maxiter`` iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"f(a) and f(b) must have different signs: "
+                         f"f({xpre!r}) = {fpre!r}, f({xcur!r}) = {fcur!r}")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # make xcur the best estimate, keeping the bracket [xcur, xblk]
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate (secant)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise LimitConvergenceError(
+        f"Brent root finder did not converge in {maxiter} iterations",
+        [xblk, xcur])
+
+
 def bifree_sum_cauchy(law: ProjectionPairLaw, law2: ProjectionPairLaw):
     """Cauchy-transform evaluator of the sum of two bi-free projection pairs.
 
@@ -288,7 +353,7 @@ def bifree_sum_cauchy(law: ProjectionPairLaw, law2: ProjectionPairLaw):
             if hi > 1e30:
                 raise LimitConvergenceError(
                     f"cannot bracket K-inverse at Z = {Z!r}", [])
-        return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+        return _brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
 
     def G(Z, W):
         if not (Z > 2.0 and W > 2.0):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bifreemax
 from bifreemax import BivariateCDF, UnivariateCDF, load_bi_json, save_bi_json, save_uni_json
 from bifreemax.cli import main
 
@@ -212,3 +216,99 @@ class TestSerializationRoundTrip:
             assert np.array_equal(F.cdf, G.cdf)
             assert np.array_equal(F.x_breaks, G.x_breaks)
             assert np.array_equal(F.y_breaks, G.y_breaks)
+
+
+class TestJsonWriterBytes:
+    EDGE = [5e-324, 1e-300, -0.0, 1.0 - 2.0 ** -53, 0.1, 1.0]
+
+    @staticmethod
+    def _json_dump_bytes(obj, path):
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+            fh.write("\n")
+        return path.read_bytes()
+
+    def _grids(self):
+        # the writer does not validate, so any finite values will do
+        rng = np.random.default_rng(64)
+        edge = np.array(self.EDGE)
+        breaks = np.sort(edge)
+        yield BivariateCDF([0.0], [1.0], [[1.0]])
+        yield BivariateCDF([0.0], breaks, edge[None, :])
+        yield BivariateCDF(breaks, [0.0], edge[:, None])
+        yield BivariateCDF(breaks, breaks, np.outer(edge, edge[::-1]))
+        yield BivariateCDF(np.cumsum(rng.uniform(0.1, 1.0, 64)),
+                           np.cumsum(rng.uniform(0.1, 1.0, 64)),
+                           rng.uniform(size=(64, 64)))
+
+    def test_bi_bytes_equal_json_dump(self, tmp_path):
+        for k, F in enumerate(self._grids()):
+            out = tmp_path / f"F{k}.json"
+            save_bi_json(F, out)
+            want = self._json_dump_bytes(
+                {"x_breaks": F.x_breaks.tolist(), "y_breaks": F.y_breaks.tolist(),
+                 "cdf": F.cdf.tolist()}, tmp_path / f"want{k}.json")
+            assert out.read_bytes() == want
+
+    def test_uni_bytes_equal_json_dump(self, tmp_path):
+        for k, values in enumerate(([1.0], self.EDGE)):
+            F = UnivariateCDF(np.arange(len(values), dtype=float), values)
+            out = tmp_path / f"F{k}.json"
+            save_uni_json(F, out)
+            want = self._json_dump_bytes(
+                {"breaks": F.breaks.tolist(), "values": F.values.tolist()},
+                tmp_path / f"want{k}.json")
+            assert out.read_bytes() == want
+
+
+class TestPlainNumbers:
+    def test_no_numpy_reprs_in_output(self, valid_bi, product_bi, tmp_path, capsys):
+        uni = tmp_path / "u.json"
+        save_uni_json(UnivariateCDF([0, 5], [0.7, 1.0]), uni)
+        plot = tmp_path / "plot.tsv"
+        for argv in (["uniconv", str(uni), str(uni), "--out", str(tmp_path / "h.json")],
+                     ["biconv", valid_bi, product_bi, "--out", str(tmp_path / "b.json")],
+                     ["nfold", valid_bi, "2", "--out", str(tmp_path / "n.json")],
+                     ["plotdata", valid_bi, "--out", str(plot)]):
+            assert main(argv) == 0
+        out = capsys.readouterr().out + plot.read_text()
+        assert "np." not in out and "total mass 1.0" in out
+        rows = [line.split("\t") for line in plot.read_text().splitlines()]
+        assert rows[1] == ["0.0", "1.0", "0.6"]
+
+
+def fresh_python(code, **env_changes):
+    """Run ``code`` in a fresh interpreter that imports bifreemax from this tree."""
+    src = str(Path(bifreemax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_numpy_and_stdlib_only():
+    out = fresh_python("import bifreemax.cli, sys; print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))")
+    assert out.strip() == "[]"
+
+
+def test_cli_pins_openblas_to_one_thread_before_numpy_loads():
+    code = ("import os, sys, bifreemax; print('numpy' in sys.modules); "
+            "import bifreemax.cli; print(os.environ['OPENBLAS_NUM_THREADS'])")
+    assert fresh_python(code, OPENBLAS_NUM_THREADS=None).split() == ["False", "1"]
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="4").split() == ["False", "4"]
+
+
+def test_package_names_load_on_first_use():
+    assert sorted(bifreemax.__all__) == sorted(set(bifreemax.__all__))
+    for name in bifreemax.__all__:
+        assert getattr(bifreemax, name) is not None
+        assert name in dir(bifreemax)
+    assert bifreemax.load_bi_json is load_bi_json
+    with pytest.raises(AttributeError):
+        bifreemax.no_such_name

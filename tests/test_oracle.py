@@ -5,6 +5,7 @@ import pytest
 
 from bifreemax import (
     InvalidLawError,
+    LimitConvergenceError,
     ProjectionPairLaw,
     atom_mass_limit,
     bifree_max_convolve,
@@ -20,6 +21,7 @@ from bifreemax import (
     wedge_moment_expression,
     wedge_moment_limit,
 )
+from bifreemax import oracle
 from helpers import random_law
 
 LAW_A = ProjectionPairLaw(0.6, 0.7, 0.5)
@@ -285,3 +287,40 @@ class TestThreeRoutes:
             cell = float(H.cdf[0, 0])
             values = [closed, limit, cell]
             assert max(values) - min(values) <= 1e-6
+
+
+class TestBrentq:
+    # Z spread over (2, inf): close to 2 the root is large, far from it tiny
+    Z_SPREAD = (2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 1e-6, 2.001, 2.5, 3.0, 10.0,
+                1e3, 1e6, 1e12)
+
+    def test_matches_scipy_bit_for_bit_on_k_inverse(self, monkeypatch):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        ours = oracle._brentq
+        pairs = []
+
+        def both(f, a, b, xtol, rtol, maxiter):
+            root = ours(f, a, b, xtol, rtol, maxiter)
+            pairs.append((root, scipy_optimize.brentq(
+                f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+            return root
+
+        monkeypatch.setattr(oracle, "_brentq", both)
+        rng = np.random.default_rng(3)
+        for _ in range(120):
+            G = bifree_sum_cauchy(random_law(rng), random_law(rng))
+            for Z in self.Z_SPREAD:
+                G(Z, 2.0 + 10.0 ** rng.uniform(-12, 12))
+        assert len(pairs) == 120 * len(self.Z_SPREAD) * 2
+        assert [a for a, _ in pairs] == [b for _, b in pairs]
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            oracle._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-300, 8.9e-16, 300)
+
+    def test_maxiter_exhaustion_raises(self):
+        with pytest.raises(LimitConvergenceError, match="did not converge"):
+            oracle._brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, 1e-300, 8.9e-16, 3)
+
+    def test_root_at_bracket_end(self):
+        assert oracle._brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-300, 8.9e-16, 300) == 1.0
