@@ -26,6 +26,7 @@ from .cdf import (
     BivariateCDF,
     affine_transform,
     merge_grids,
+    require_cells,
     require_valid_bi,
     validate_bi,
 )
@@ -160,4 +161,5 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     H = affine_transform(nfold(F, n, eps), norm, eps)
     xs = np.union1d(F.x_breaks, H.x_breaks)
     ys = np.union1d(F.y_breaks, H.y_breaks)
+    require_cells(xs.size, ys.size, "max_stable_residual")
     return float(np.max(np.abs(H.evaluate_grid(xs, ys) - F.evaluate_grid(xs, ys))))

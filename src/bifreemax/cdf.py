@@ -22,6 +22,12 @@ import numpy as np
 #: Default tolerance for validating CDFs built from floating-point data.
 EPS_CDF = 1e-9
 
+#: Locations listed per kind of violation; the rest are summed up in one line.
+MAX_LISTED = 10
+
+#: Largest grid, in cells, an operation may allocate: 256 MiB per float64 array.
+MAX_CELLS = 2 ** 25
+
 
 class CDFError(ValueError):
     """Base class for CDF data errors."""
@@ -145,17 +151,37 @@ class AffineNormalization:
 # Validation
 # ---------------------------------------------------------------------------
 
+def _report_kind(out: list[str], kind: str, mask: np.ndarray, line, worst) -> None:
+    """Append the first MAX_LISTED violations of one kind, in row-major order.
+
+    ``line(*index)`` formats one location of ``mask``.  If more remain, one
+    summary line follows with their exact count and ``worst()``: the largest
+    amount by which a value of this kind passes its bound (every reported
+    amount exceeds eps).  ``worst`` is only called when that line is written.
+    """
+    hits = np.flatnonzero(mask)
+    for k in hits[:MAX_LISTED]:
+        out.append(line(*np.unravel_index(k, mask.shape)))
+    if hits.size > MAX_LISTED:
+        out.append(f"... and {hits.size - MAX_LISTED} more {kind} violations, "
+                   f"worst {float(worst())!r}")
+
+
 def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
-    """Check the distribution-function axioms; returns named violations."""
+    """Check the distribution-function axioms; returns named violations.
+
+    At most MAX_LISTED locations are listed per kind, then a summary line.
+    """
     v = F.values
     out = []
-    bad = np.flatnonzero((v < -eps) | (v > 1.0 + eps))
-    for i in bad:
-        out.append(f"value out of [0,1] at index {i}: {float(v[i])!r}")
-    dec = np.flatnonzero(np.diff(v) < -eps)
-    for i in dec:
-        out.append(f"monotonicity violation at index {i + 1}: "
-                   f"{float(v[i + 1])!r} < {float(v[i])!r}")
+    _report_kind(out, "out-of-[0,1]", (v < -eps) | (v > 1.0 + eps),
+                 lambda i: f"value out of [0,1] at index {i}: {float(v[i])!r}",
+                 lambda: max(v.max() - 1.0, -v.min()))
+    d = np.diff(v)
+    _report_kind(out, "monotonicity", d < -eps,
+                 lambda i: (f"monotonicity violation at index {i + 1}: "
+                            f"{float(v[i + 1])!r} < {float(v[i])!r}"),
+                 lambda: -d.min())
     if abs(v[-1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
     return out
@@ -166,29 +192,43 @@ def validate_bi(F: BivariateCDF, eps: float = EPS_CDF) -> list[str]:
 
     The rectangle inequality is checked on adjacent grid cells only;
     general rectangles are sums of adjacent cells, so adjacency suffices.
+    At most MAX_LISTED locations are listed per kind, then a summary line
+    with the count of the rest and the worst amount.
     """
     c = F.cdf
     out = []
-    bad = np.argwhere((c < -eps) | (c > 1.0 + eps))
-    for i, j in bad:
-        out.append(f"value out of [0,1] at ({i},{j}): {float(c[i, j])!r}")
-    for i, j in np.argwhere(np.diff(c, axis=0) < -eps):
-        out.append(f"monotonicity violation along x at ({i + 1},{j})")
-    for i, j in np.argwhere(np.diff(c, axis=1) < -eps):
-        out.append(f"monotonicity violation along y at ({i},{j + 1})")
+    _report_kind(out, "out-of-[0,1]", (c < -eps) | (c > 1.0 + eps),
+                 lambda i, j: f"value out of [0,1] at ({i},{j}): {float(c[i, j])!r}",
+                 lambda: max(c.max() - 1.0, -c.min()))
+    # Each cells-sized temporary is dropped before the next is made, so the
+    # peak memory of a call does not grow with the number of invariants.
+    d = np.diff(c, axis=0)
+    _report_kind(out, "monotonicity along x", d < -eps,
+                 lambda i, j: f"monotonicity violation along x at ({i + 1},{j})",
+                 lambda: -d.min())
+    del d
+    d = np.diff(c, axis=1)
+    _report_kind(out, "monotonicity along y", d < -eps,
+                 lambda i, j: f"monotonicity violation along y at ({i},{j + 1})",
+                 lambda: -d.min())
+    del d
     if c.shape[0] > 1 and c.shape[1] > 1:
         cell = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
-        for i, j in np.argwhere(cell < -eps):
-            out.append(f"rectangle inequality violation at cell ({i},{j}): "
-                       f"mass {float(cell[i, j])!r}")
+        _report_kind(out, "rectangle inequality", cell < -eps,
+                     lambda i, j: (f"rectangle inequality violation at cell ({i},{j}): "
+                                   f"mass {float(cell[i, j])!r}"),
+                     lambda: -cell.min())
+        del cell
     if abs(c[-1, -1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last,last) = {float(c[-1, -1])!r} != 1")
     m1 = c[:, -1][:, None]
     m2 = c[-1, :][None, :]
-    for i, j in np.argwhere((c > m1 + eps) | (c > m2 + eps)):
-        out.append(f"Frechet upper-bound violation at ({i},{j})")
-    for i, j in np.argwhere(c < m1 + m2 - 1.0 - eps):
-        out.append(f"Frechet lower-bound violation at ({i},{j})")
+    _report_kind(out, "Frechet upper-bound", (c > m1 + eps) | (c > m2 + eps),
+                 lambda i, j: f"Frechet upper-bound violation at ({i},{j})",
+                 lambda: (c - np.minimum(m1, m2)).max())
+    _report_kind(out, "Frechet lower-bound", c < m1 + m2 - 1.0 - eps,
+                 lambda i, j: f"Frechet lower-bound violation at ({i},{j})",
+                 lambda: (m1 + m2 - 1.0 - c).max())
     return out
 
 
@@ -209,6 +249,15 @@ def require_valid_bi(F: BivariateCDF, eps: float = EPS_CDF) -> BivariateCDF:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+def require_cells(nx: int, ny: int, what: str) -> None:
+    """Raise CDFError if an nx x ny grid is over the MAX_CELLS budget."""
+    cells = nx * ny
+    if cells > MAX_CELLS:
+        raise CDFError(f"{what} would need a {nx}x{ny} grid: {cells} cells, "
+                       f"{8 * cells} bytes per float64 array; the budget is "
+                       f"{MAX_CELLS} cells")
+
 
 def marginals(F: BivariateCDF, eps: float = EPS_CDF) -> tuple[UnivariateCDF, UnivariateCDF]:
     """Marginal distribution functions (last column / last row read-off)."""
@@ -235,6 +284,7 @@ def merge_grids(F: BivariateCDF, G: BivariateCDF,
     require_valid_bi(G, eps)
     xb = np.union1d(F.x_breaks, G.x_breaks)
     yb = np.union1d(F.y_breaks, G.y_breaks)
+    require_cells(xb.size, yb.size, "merge_grids")
     return (BivariateCDF(xb, yb, F.evaluate_grid(xb, yb)),
             BivariateCDF(xb, yb, G.evaluate_grid(xb, yb)))
 
@@ -255,18 +305,22 @@ def ecdf_from_samples(points) -> BivariateCDF:
     """Empirical CDF of a non-empty list of (x, y) samples.
 
     Duplicate coordinates collapse into one breakpoint; cell masses are
-    multiples of 1/N.
+    multiples of 1/N.  Raises CDFError if the grid is over MAX_CELLS.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise CDFError("ecdf_from_samples requires at least one sample")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise CDFError("samples must be (x, y) pairs")
-    xs, ys = pts[:, 0], pts[:, 1]
-    xb = np.unique(xs)
-    yb = np.unique(ys)
-    counts = ((xs[None, None, :] <= xb[:, None, None])
-              & (ys[None, None, :] <= yb[None, :, None])).sum(axis=2)
+    # Summed-area table (Crow 1984): count the samples per grid cell, then
+    # take running sums along both axes.
+    xb, xi = np.unique(pts[:, 0], return_inverse=True)
+    yb, yi = np.unique(pts[:, 1], return_inverse=True)
+    require_cells(xb.size, yb.size, "ecdf_from_samples")
+    counts = np.bincount(xi * yb.size + yi, minlength=xb.size * yb.size)
+    counts = counts.reshape(xb.size, yb.size)
+    np.cumsum(counts, axis=0, out=counts)
+    np.cumsum(counts, axis=1, out=counts)
     return BivariateCDF(xb, yb, counts / pts.shape[0])
 
 

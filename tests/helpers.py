@@ -1,4 +1,6 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference implementations for the test suite."""
+
+import re
 
 import numpy as np
 
@@ -43,3 +45,50 @@ def random_law(rng, p_range=(0.05, 0.95)):
     lo = max(0.0, p + q - 1.0)
     hi = min(p, q)
     return ProjectionPairLaw(p, q, rng.uniform(lo, hi))
+
+
+def ecdf_reference(points):
+    """Brute-force empirical CDF: compare every sample with every grid point.
+
+    Cubic in time and memory; the reference for ``ecdf_from_samples`` at
+    small N only.
+    """
+    pts = np.asarray(points, dtype=float)
+    xs, ys = pts[:, 0], pts[:, 1]
+    xb = np.unique(xs)
+    yb = np.unique(ys)
+    counts = ((xs[None, None, :] <= xb[:, None, None])
+              & (ys[None, None, :] <= yb[None, :, None])).sum(axis=2)
+    return BivariateCDF(xb, yb, counts / pts.shape[0])
+
+
+#: Start of each kind's location lines, by the kind named in summary lines.
+VIOLATION_KINDS = {
+    "out-of-[0,1]": "value out of [0,1] at ",
+    "monotonicity": "monotonicity violation at ",
+    "monotonicity along x": "monotonicity violation along x at ",
+    "monotonicity along y": "monotonicity violation along y at ",
+    "rectangle inequality": "rectangle inequality violation at ",
+    "total-mass": "total-mass violation: ",
+    "Frechet upper-bound": "Frechet upper-bound violation at ",
+    "Frechet lower-bound": "Frechet lower-bound violation at ",
+}
+
+_SUMMARY = re.compile(r"\.\.\. and (\d+) more (.+) violations, worst (\S+)")
+
+
+def group_violations(lines):
+    """Split a violation report into ``{kind: (locations, summary)}``.
+
+    ``summary`` is ``(count, worst)`` from the kind's "... and N more" line,
+    or None when the kind has none.
+    """
+    groups = {}
+    for line in lines:
+        m = _SUMMARY.fullmatch(line)
+        if m:
+            groups[m.group(2)] = (groups[m.group(2)][0], (int(m.group(1)), float(m.group(3))))
+            continue
+        kind = next(k for k, start in VIOLATION_KINDS.items() if line.startswith(start))
+        groups.setdefault(kind, ([], None))[0].append(line)
+    return groups

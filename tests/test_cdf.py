@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +10,19 @@ from bifreemax import (
     AffineNormalization,
     BivariateCDF,
     CDFError,
+    InvalidCDFError,
     UnivariateCDF,
     affine_transform,
     ecdf_from_samples,
     marginals,
+    max_stable_residual,
     merge_grids,
     validate_bi,
     validate_uni,
 )
-from helpers import random_bivariate_cdf
+from bifreemax import cdf as cdf_module
+from bifreemax.cdf import EPS_CDF, MAX_LISTED, require_valid_bi
+from helpers import ecdf_reference, group_violations, random_bivariate_cdf
 
 
 class TestValidateUni:
@@ -49,6 +56,120 @@ class TestValidateBi:
         violations = validate_bi(F)
         assert any("Frechet upper-bound" in v or "monotonicity" in v
                    for v in violations)
+
+
+def _assert_bounded(violations, expected):
+    """Each kind in ``expected`` ({kind: (count, worst)}) is listed in full if
+    it has at most MAX_LISTED violations, else as MAX_LISTED locations and
+    one summary line with the exact rest and the worst amount."""
+    groups = group_violations(violations)
+    assert set(groups) == set(expected)
+    for kind, (count, worst) in expected.items():
+        locations, summary = groups[kind]
+        assert len(locations) == min(count, MAX_LISTED), kind
+        if count > MAX_LISTED:
+            assert summary == (count - MAX_LISTED, worst), kind
+        else:
+            assert summary is None, kind
+
+
+class TestBoundedReports:
+    def test_bivariate_kinds_counts_and_worst(self):
+        rng = np.random.default_rng(12)
+        c = rng.uniform(-0.5, 1.5, (40, 30))
+        eps = EPS_CDF
+        m1, m2 = c[:, -1][:, None], c[-1, :][None, :]
+        dx, dy = np.diff(c, axis=0), np.diff(c, axis=1)
+        cell = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
+        upper = (c > m1 + eps) | (c > m2 + eps)
+        lower = c < m1 + m2 - 1.0 - eps
+        expected = {
+            "out-of-[0,1]": (np.count_nonzero((c < -eps) | (c > 1 + eps)),
+                             max(np.max(c) - 1.0, -np.min(c))),
+            "monotonicity along x": (np.count_nonzero(dx < -eps), -np.min(dx)),
+            "monotonicity along y": (np.count_nonzero(dy < -eps), -np.min(dy)),
+            "rectangle inequality": (np.count_nonzero(cell < -eps), -np.min(cell)),
+            "Frechet upper-bound": (np.count_nonzero(upper),
+                                    np.max(c - np.minimum(m1, m2))),
+            "Frechet lower-bound": (np.count_nonzero(lower), np.max(m1 + m2 - 1.0 - c)),
+        }
+        if abs(c[-1, -1] - 1.0) > eps:
+            expected["total-mass"] = (1, None)
+        assert all(n > MAX_LISTED for kind, (n, _) in expected.items()
+                   if kind != "total-mass")
+        violations = validate_bi(BivariateCDF(np.arange(40.0), np.arange(30.0), c))
+        _assert_bounded(violations, expected)
+        # the listed locations are the first ones in row-major order
+        first = np.argwhere(cell < -eps)[:MAX_LISTED]
+        listed = group_violations(violations)["rectangle inequality"][0]
+        assert [line.split(":")[0] for line in listed] == [
+            f"rectangle inequality violation at cell ({i},{j})" for i, j in first]
+
+    def test_univariate_kinds_counts_and_worst(self):
+        rng = np.random.default_rng(13)
+        v = rng.uniform(-0.5, 1.5, 200)
+        eps = EPS_CDF
+        d = np.diff(v)
+        expected = {
+            "out-of-[0,1]": (np.count_nonzero((v < -eps) | (v > 1 + eps)),
+                             max(np.max(v) - 1.0, -np.min(v))),
+            "monotonicity": (np.count_nonzero(d < -eps), -np.min(d)),
+            "total-mass": (1, None),
+        }
+        violations = validate_uni(UnivariateCDF(np.arange(200.0), v))
+        _assert_bounded(violations, expected)
+        first = np.flatnonzero(d < -eps)[:MAX_LISTED] + 1
+        listed = group_violations(violations)["monotonicity"][0]
+        assert [line.split(":")[0] for line in listed] == [
+            f"monotonicity violation at index {i}" for i in first]
+
+    def test_ten_listed_in_full_eleven_summed_up(self):
+        # row 2 raised above 1 in its first k columns
+        def report(k):
+            c = np.full((12, 12), 0.5)
+            c[-1, -1] = 1.0
+            c[2, :k] = 1.5
+            return validate_bi(BivariateCDF(np.arange(12.0), np.arange(12.0), c))
+
+        def first(line, k):
+            return [line.format(j) for j in range(k)]
+
+        assert report(10) == (
+            first("value out of [0,1] at (2,{}): 1.5", 10)
+            + first("monotonicity violation along x at (3,{})", 10)
+            + ["monotonicity violation along y at (2,10)",
+               "rectangle inequality violation at cell (1,9): mass -1.0"]
+            + first("Frechet upper-bound violation at (2,{})", 10))
+        assert report(11) == (
+            first("value out of [0,1] at (2,{}): 1.5", 10)
+            + ["... and 1 more out-of-[0,1] violations, worst 0.5"]
+            + first("monotonicity violation along x at (3,{})", 10)
+            + ["... and 1 more monotonicity along x violations, worst 1.0",
+               "monotonicity violation along y at (2,11)",
+               "rectangle inequality violation at cell (1,10): mass -1.0"]
+            + first("Frechet upper-bound violation at (2,{})", 10)
+            + ["... and 1 more Frechet upper-bound violations, worst 1.0"])
+
+    @staticmethod
+    def _checkerboard_error(n):
+        # mass 1/2 at each end of the diagonal, then every other interior
+        # value raised to 1.25: the same first rows at every size
+        c = np.full((n, n), 0.5)
+        c[-1, -1] = 1.0
+        i, j = np.indices((n - 1, n - 1))
+        c[:-1, :-1][(i + j) % 2 == 1] += 0.75
+        with pytest.raises(InvalidCDFError) as info:
+            require_valid_bi(BivariateCDF(np.arange(n), np.arange(n), c))
+        return str(info.value)
+
+    def test_message_size_does_not_grow_with_the_grid(self):
+        small, large = self._checkerboard_error(64), self._checkerboard_error(256)
+        summaries = small.count("... and ")
+        assert summaries == large.count("... and ") >= 3
+        # only the counts in the summary lines differ, by a digit at most
+        strip = re.compile(r"and \d+ more")
+        assert strip.sub("", small) == strip.sub("", large)
+        assert 0 <= len(large) - len(small) <= summaries
 
 
 class TestMarginals:
@@ -198,6 +319,62 @@ class TestEcdf:
         n = len(pts)
         assert np.allclose(F.cdf * n, np.round(F.cdf * n), atol=1e-12)
         assert F.cdf[-1, -1] == 1.0
+
+
+    def test_equals_brute_force_reference(self):
+        # heavy ties, duplicate points and distinct points, N <= 200
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            n = int(rng.integers(1, 201))
+            if k % 3 == 0:
+                pts = rng.integers(-3, 4, (n, 2)).astype(float)
+            elif k % 3 == 1:
+                base = rng.normal(size=(max(1, n // 4), 2))
+                pts = base[rng.integers(0, base.shape[0], n)]
+            else:
+                pts = rng.normal(size=(n, 2))
+            F, R = ecdf_from_samples(pts), ecdf_reference(pts)
+            assert np.array_equal(F.x_breaks, R.x_breaks)
+            assert np.array_equal(F.y_breaks, R.y_breaks)
+            assert F.cdf.tobytes() == R.cdf.tobytes()
+
+    def test_memory_is_linear_in_the_output(self):
+        # 3000 distinct points: the cubic reference would need 27 GB here
+        pts = np.random.default_rng(22).normal(size=(3000, 2))
+        tracemalloc.start()
+        try:
+            F = ecdf_from_samples(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.cdf.shape == (3000, 3000)
+        assert peak <= 4 * F.cdf.nbytes
+
+
+class TestCellBudget:
+    def test_ecdf_over_budget(self, monkeypatch):
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 15)
+        with pytest.raises(CDFError, match=r"4x4 grid: 16 cells, 128 bytes"):
+            ecdf_from_samples([(k, k) for k in range(4)])
+        assert ecdf_from_samples([(0, 1), (1, 0), (2, 2)]).cdf.size == 9
+
+    def test_merge_grids_over_budget(self, monkeypatch):
+        F = BivariateCDF([0, 1, 2], [0, 1, 2], np.outer([0.2, 0.5, 1], [0.3, 0.6, 1]))
+        G = BivariateCDF([0.5, 1.5], [0.5, 1.5], np.outer([0.4, 1], [0.5, 1]))
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 24)
+        with pytest.raises(CDFError, match=r"merge_grids would need a 5x5 grid: 25 cells"):
+            merge_grids(F, G)
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 25)
+        assert merge_grids(F, G)[0].cdf.shape == (5, 5)
+
+    def test_max_stable_residual_over_budget(self, monkeypatch):
+        F = BivariateCDF([0, 1, 2], [0, 1, 2], np.outer([0.2, 0.5, 1], [0.3, 0.6, 1]))
+        norm = AffineNormalization(2.0, 0.25, 2.0, 0.25)
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 35)
+        with pytest.raises(CDFError, match=r"max_stable_residual would need a 6x6 grid"):
+            max_stable_residual(F, 2, norm)
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 36)
+        assert max_stable_residual(F, 2, norm) > 0.0
 
 
 class TestRandomCdfsAreValid:

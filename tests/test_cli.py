@@ -9,7 +9,10 @@ import pytest
 
 import bifreemax
 from bifreemax import BivariateCDF, UnivariateCDF, load_bi_json, save_bi_json, save_uni_json
+from bifreemax import cdf as cdf_module
+from bifreemax.cdf import MAX_LISTED
 from bifreemax.cli import main
+from helpers import group_violations, random_bivariate_cdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,6 +57,22 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json"), "--kind", "bi"]) == 2
+
+    def test_corrupted_grid_report_is_bounded(self, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        F = random_bivariate_cdf(rng, max_size=128, min_size=128)
+        cdf = F.cdf.copy()
+        cells = rng.choice(cdf.size, size=cdf.size // 10, replace=False)
+        cdf.flat[cells] += rng.choice([-1.0, 1.0], cells.size) * rng.uniform(0.01, 0.5, cells.size)
+        path = tmp_path / "bad.json"
+        save_bi_json(BivariateCDF(F.x_breaks, F.y_breaks, cdf), path)
+        assert main(["validate", str(path), "--kind", "bi"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "OK" not in lines
+        groups = group_violations(lines)
+        assert len(groups) >= 4
+        for locations, summary in groups.values():
+            assert len(locations) + (summary is not None) <= MAX_LISTED + 1
 
 
 class TestUniconv:
@@ -132,6 +151,21 @@ class TestNfoldRoot:
         report = json.loads(out.read_text())
         assert any("rectangle" in v for v in report["divisibility_failure"])
 
+    def test_root_failure_report_size_does_not_grow_with_the_grid(self, tmp_path, capsys):
+        reports, stdouts = [], []
+        for n in (32, 128):
+            f, out = tmp_path / f"f{n}.json", tmp_path / f"r{n}.json"
+            save_bi_json(random_bivariate_cdf(np.random.default_rng(5), n, n), f)
+            assert main(["root", str(f), "2", "--out", str(out)]) == 1
+            report = json.loads(out.read_text())["divisibility_failure"]
+            reports.append({kind: len(locations) + (summary is not None)
+                            for kind, (locations, summary) in group_violations(report).items()})
+            stdouts.append(capsys.readouterr().out.splitlines())
+        assert reports[0] == reports[1]
+        assert len(reports[0]) >= 3
+        assert set(reports[0].values()) == {MAX_LISTED + 1}
+        assert len(stdouts[0]) == len(stdouts[1]) == 1 + sum(reports[0].values())
+
 
 class TestStability:
     def test_identity_case(self, valid_bi, capsys):
@@ -190,6 +224,14 @@ class TestEcdfPlotdata:
         assert main(["ecdf", str(samples), "--out", str(out)]) == 0
         F = load_bi_json(out)
         assert F.cdf.tolist() == [[0.25, 0.5], [0.5, 1.0]]
+
+    def test_over_cell_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        samples = tmp_path / "s.tsv"
+        samples.write_text("0\t0\n1\t1\n2\t2\n")
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 8)
+        assert main(["ecdf", str(samples), "--out", str(tmp_path / "e.json")]) == 1
+        assert "9 cells, 72 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
     def test_empty_samples_exit_1(self, tmp_path):
         samples = tmp_path / "s.tsv"
