@@ -24,10 +24,10 @@ from .cdf import (
     EPS_CDF,
     AffineNormalization,
     BivariateCDF,
-    affine_transform,
-    merge_grids,
-    require_cells,
+    _pulled_back,
+    _union_grid,
     require_valid_bi,
+    row_blocks,
     validate_bi,
 )
 
@@ -41,19 +41,61 @@ class PsiField:
     values: np.ndarray  # +inf and nan sentinels allowed
 
 
-def _psi_values(cdf: np.ndarray) -> np.ndarray:
-    num = cdf[:, -1][:, None] * cdf[-1, :][None, :]
+# Every cells-sized kernel below fills one preallocated output a row block at
+# a time (cdf.row_blocks): the ratio field is cell by cell and the marginals
+# are vectors, so a block needs only its own rows.  Peak memory is the output
+# plus one block's temporaries, and the values do not depend on the blocking.
+
+def _fill_rows(shape: tuple[int, int], block) -> np.ndarray:
+    """A new array of ``shape``, filled one row block at a time with ``block(rows)``."""
+    out = np.empty(shape)
+    for rows in row_blocks(*shape):
+        out[rows] = block(rows)
+    return out
+
+
+def _psi_block(c: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Ratio field of the rows ``c`` of a CDF whose marginals there are m1 and m2."""
+    num = m1[:, None] * m2[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = num / cdf
-    psi = np.where((cdf == 0.0) & (num > 0.0), np.inf, psi)
-    psi = np.where((cdf == 0.0) & (num == 0.0), np.nan, psi)
+        psi = num / c
+    psi = np.where((c == 0.0) & (num > 0.0), np.inf, psi)
+    psi = np.where((c == 0.0) & (num == 0.0), np.nan, psi)
     return psi
+
+
+def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray,
+                  active: np.ndarray) -> np.ndarray:
+    """H1*H2/psi where ``active`` and both marginals are positive, 0 elsewhere."""
+    active &= (h1[:, None] > 0.0) & (h2[None, :] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = h1[:, None] * h2[None, :] / psi
+    return np.where(active, cells, 0.0)
 
 
 def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
     """Ratio field F1*F2/F with +inf / nan sentinels at vanishing cells."""
     require_valid_bi(F, eps)
-    return PsiField(F.x_breaks, F.y_breaks, _psi_values(F.cdf))
+    c = F.cdf
+    m1, m2 = c[:, -1], c[-1, :]
+    return PsiField(F.x_breaks, F.y_breaks,
+                    _fill_rows(c.shape, lambda r: _psi_block(c[r], m1[r], m2)))
+
+
+def psi_range(F: BivariateCDF) -> tuple[float, float] | None:
+    """Smallest and largest finite value of F's ratio field; None if none is finite.
+
+    F is not validated: this reads the outputs of the kernels here.
+    """
+    c = F.cdf
+    m1, m2 = c[:, -1], c[-1, :]
+    lo, hi = np.inf, -np.inf
+    for rows in row_blocks(*c.shape):
+        psi = _psi_block(c[rows], m1[rows], m2)
+        finite = psi[np.isfinite(psi)]
+        if finite.size:
+            lo, hi = min(lo, finite.min()), max(hi, finite.max())
+    return (float(lo), float(hi)) if lo <= hi else None
 
 
 def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
@@ -66,20 +108,25 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
 
         H = H1 * H2 / (psi_F + psi_G - 1),
 
-    and H = 0 at every other grid point.
+    and H = 0 at every other grid point.  Both inputs are read on the
+    union grid one row block at a time; neither is merged as a whole.
     """
-    Fm, Gm = merge_grids(F, G, eps)
-    f1, f2 = Fm.cdf[:, -1], Fm.cdf[-1, :]
-    g1, g2 = Gm.cdf[:, -1], Gm.cdf[-1, :]
+    require_valid_bi(F, eps)
+    require_valid_bi(G, eps)
+    xs, ys = _union_grid(F, G, "bifree_max_convolve")
+    # marginals on the union grid: its last column and last row
+    f1, g1 = (X.evaluate_grid(xs, ys[-1:])[:, 0] for X in (F, G))
+    f2, g2 = (X.evaluate_grid(xs[-1:], ys)[0] for X in (F, G))
     h1 = np.maximum(0.0, f1 + g1 - 1.0)
     h2 = np.maximum(0.0, f2 + g2 - 1.0)
-    psi_sum = _psi_values(Fm.cdf) + _psi_values(Gm.cdf) - 1.0
-    active = ((Fm.cdf > 0.0) & (Gm.cdf > 0.0)
-              & (h1[:, None] > 0.0) & (h2[None, :] > 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells = h1[:, None] * h2[None, :] / psi_sum
-    return BivariateCDF(Fm.x_breaks, Fm.y_breaks,
-                        np.where(active, cells, 0.0))
+
+    def block(rows):
+        Fb = F.evaluate_grid(xs[rows], ys)
+        Gb = G.evaluate_grid(xs[rows], ys)
+        psi_sum = _psi_block(Fb, f1[rows], f2) + _psi_block(Gb, g1[rows], g2) - 1.0
+        return _decode_block(h1[rows], h2, psi_sum, (Fb > 0.0) & (Gb > 0.0))
+
+    return BivariateCDF(xs, ys, _fill_rows((xs.size, ys.size), block))
 
 
 def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
@@ -90,17 +137,23 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     which is exact and avoids error accumulation; both paths agree.
     """
     require_valid_bi(F, eps)
-    n = _check_fold_count(n)
+    return _nfold(F, _check_fold_count(n))
+
+
+def _nfold(F: BivariateCDF, n: int) -> BivariateCDF:
+    """nfold without validating F."""
     if n == 1:
         return F
-    f1, f2 = F.cdf[:, -1], F.cdf[-1, :]
+    c = F.cdf
+    f1, f2 = c[:, -1], c[-1, :]
     h1 = np.maximum(0.0, n * f1 - (n - 1.0))
     h2 = np.maximum(0.0, n * f2 - (n - 1.0))
-    psi_n = n * _psi_values(F.cdf) - (n - 1.0)
-    active = np.isfinite(psi_n) & (h1[:, None] > 0.0) & (h2[None, :] > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells = h1[:, None] * h2[None, :] / psi_n
-    return BivariateCDF(F.x_breaks, F.y_breaks, np.where(active, cells, 0.0))
+
+    def block(rows):
+        psi_n = n * _psi_block(c[rows], f1[rows], f2) - (n - 1.0)
+        return _decode_block(h1[rows], h2, psi_n, np.isfinite(psi_n))
+
+    return BivariateCDF(F.x_breaks, F.y_breaks, _fill_rows(c.shape, block))
 
 
 def _check_fold_count(n) -> int:
@@ -135,17 +188,20 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
-    f1, f2 = F.cdf[:, -1], F.cdf[-1, :]
+    c = F.cdf
+    f1, f2 = c[:, -1], c[-1, :]
     r1 = (f1 + n - 1.0) / n
     r2 = (f2 + n - 1.0) / n
-    psi = _psi_values(F.cdf)
-    psi_n = (psi + n - 1.0) / n
-    prod = r1[:, None] * r2[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cells = prod / psi_n
-    cells = np.where(np.isnan(psi_n), prod, cells)   # 0/0 cells: ratio 1
-    cells = np.where(np.isinf(psi_n), 0.0, cells)
-    candidate = BivariateCDF(F.x_breaks, F.y_breaks, cells)
+
+    def block(rows):
+        psi_n = (_psi_block(c[rows], f1[rows], f2) + n - 1.0) / n
+        prod = r1[rows, None] * r2[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cells = prod / psi_n
+        cells = np.where(np.isnan(psi_n), prod, cells)   # 0/0 cells: ratio 1
+        return np.where(np.isinf(psi_n), 0.0, cells)
+
+    candidate = BivariateCDF(F.x_breaks, F.y_breaks, _fill_rows(c.shape, block))
     return NthRootResult(candidate, validate_bi(candidate, eps))
 
 
@@ -158,8 +214,11 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     sequence drives this to 0 as n grows.
     """
     require_valid_bi(F, eps)
-    H = affine_transform(nfold(F, n, eps), norm, eps)
-    xs = np.union1d(F.x_breaks, H.x_breaks)
-    ys = np.union1d(F.y_breaks, H.y_breaks)
-    require_cells(xs.size, ys.size, "max_stable_residual")
-    return float(np.max(np.abs(H.evaluate_grid(xs, ys) - F.evaluate_grid(xs, ys))))
+    Hn = _nfold(F, _check_fold_count(n))
+    H = _pulled_back(Hn, norm, Hn.cdf)
+    xs, ys = _union_grid(F, H, "max_stable_residual")
+    residual = 0.0
+    for rows in row_blocks(xs.size, ys.size):
+        diff = H.evaluate_grid(xs[rows], ys) - F.evaluate_grid(xs[rows], ys)
+        residual = max(residual, float(np.max(np.abs(diff))))
+    return residual

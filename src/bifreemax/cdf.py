@@ -15,6 +15,7 @@ non-finite entries) are programming errors and raise immediately.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ MAX_LISTED = 10
 
 #: Largest grid, in cells, an operation may allocate: 256 MiB per float64 array.
 MAX_CELLS = 2 ** 25
+
+#: Cells per row block of a grid kernel: 512 KiB per float64 temporary.
+BLOCK_CELLS = 2 ** 16
 
 
 class CDFError(ValueError):
@@ -54,6 +58,18 @@ def _check_breaks(breaks: np.ndarray, name: str) -> np.ndarray:
     if breaks.size > 1 and not np.all(np.diff(breaks) > 0):
         raise CDFError(f"{name} must be strictly increasing")
     return breaks
+
+
+def row_blocks(nrows: int, ncols: int):
+    """Consecutive row slices of an nrows x ncols grid, about BLOCK_CELLS cells each.
+
+    Grid kernels compute each block's temporaries and write or reduce them
+    before the next block, so a call's peak memory is its output plus one
+    block.  Elementwise operations and max/min do not depend on the blocking.
+    """
+    step = max(1, BLOCK_CELLS // max(ncols, 1))
+    for lo in range(0, nrows, step):
+        yield slice(lo, min(lo + step, nrows))
 
 
 def _step_index(breaks: np.ndarray, s) -> np.ndarray:
@@ -102,7 +118,8 @@ class BivariateCDF:
         cdf = np.asarray(self.cdf, dtype=float)
         if cdf.shape != (xb.size, yb.size):
             raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-        if not np.all(np.isfinite(cdf)):
+        # min and max propagate nan, so this needs no cells-sized mask
+        if not (np.isfinite(cdf.min()) and np.isfinite(cdf.max())):
             raise CDFError("cdf values must be finite")
         object.__setattr__(self, "x_breaks", xb)
         object.__setattr__(self, "y_breaks", yb)
@@ -121,8 +138,9 @@ class BivariateCDF:
         xi = _step_index(self.x_breaks, np.asarray(xs, dtype=float))
         yj = _step_index(self.y_breaks, np.asarray(ys, dtype=float))
         vals = self.cdf[np.ix_(np.maximum(xi, 0), np.maximum(yj, 0))]
-        mask = (xi[:, None] >= 0) & (yj[None, :] >= 0)
-        return np.where(mask, vals, 0.0)
+        vals[xi < 0] = 0.0
+        vals[:, yj < 0] = 0.0
+        return vals
 
 
 @dataclass(frozen=True)
@@ -151,20 +169,28 @@ class AffineNormalization:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _report_kind(out: list[str], kind: str, mask: np.ndarray, line, worst) -> None:
+def _report_kind(out: list[str], kind: str, nrows: int, ncols: int,
+                 mask, line, worst) -> None:
     """Append the first MAX_LISTED violations of one kind, in row-major order.
 
-    ``line(*index)`` formats one location of ``mask``.  If more remain, one
-    summary line follows with their exact count and ``worst()``: the largest
-    amount by which a value of this kind passes its bound (every reported
-    amount exceeds eps).  ``worst`` is only called when that line is written.
+    The kind is checked on an nrows x ncols array one row block at a time:
+    ``mask(rows)`` flags the violations in those rows and ``line(i, j)``
+    formats one location.  If more remain, one summary line follows with
+    their exact count and the largest ``worst(rows)``: the largest amount by
+    which a value of this kind passes its bound (every reported amount
+    exceeds eps).  ``worst`` is only called when that line is written.
     """
-    hits = np.flatnonzero(mask)
-    for k in hits[:MAX_LISTED]:
-        out.append(line(*np.unravel_index(k, mask.shape)))
-    if hits.size > MAX_LISTED:
-        out.append(f"... and {hits.size - MAX_LISTED} more {kind} violations, "
-                   f"worst {float(worst())!r}")
+    count = 0
+    for rows in row_blocks(nrows, ncols):
+        hits = np.flatnonzero(mask(rows))
+        for k in hits[:max(0, MAX_LISTED - count)]:
+            i, j = divmod(int(k), ncols)
+            out.append(line(rows.start + i, j))
+        count += hits.size
+    if count > MAX_LISTED:
+        amount = max(worst(rows) for rows in row_blocks(nrows, ncols))
+        out.append(f"... and {count - MAX_LISTED} more {kind} violations, "
+                   f"worst {float(amount)!r}")
 
 
 def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
@@ -174,14 +200,15 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     """
     v = F.values
     out = []
-    _report_kind(out, "out-of-[0,1]", (v < -eps) | (v > 1.0 + eps),
-                 lambda i: f"value out of [0,1] at index {i}: {float(v[i])!r}",
-                 lambda: max(v.max() - 1.0, -v.min()))
+    _report_kind(out, "out-of-[0,1]", v.size, 1,
+                 lambda r: (v[r] < -eps) | (v[r] > 1.0 + eps),
+                 lambda i, _: f"value out of [0,1] at index {i}: {float(v[i])!r}",
+                 lambda r: max(v[r].max() - 1.0, -v[r].min()))
     d = np.diff(v)
-    _report_kind(out, "monotonicity", d < -eps,
-                 lambda i: (f"monotonicity violation at index {i + 1}: "
-                            f"{float(v[i + 1])!r} < {float(v[i])!r}"),
-                 lambda: -d.min())
+    _report_kind(out, "monotonicity", d.size, 1, lambda r: d[r] < -eps,
+                 lambda i, _: (f"monotonicity violation at index {i + 1}: "
+                               f"{float(v[i + 1])!r} < {float(v[i])!r}"),
+                 lambda r: -d[r].min())
     if abs(v[-1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
     return out
@@ -193,42 +220,49 @@ def validate_bi(F: BivariateCDF, eps: float = EPS_CDF) -> list[str]:
     The rectangle inequality is checked on adjacent grid cells only;
     general rectangles are sums of adjacent cells, so adjacency suffices.
     At most MAX_LISTED locations are listed per kind, then a summary line
-    with the count of the rest and the worst amount.
+    with the count of the rest and the worst amount.  Every invariant is
+    computed one row block at a time, so no temporary is cells-sized.
     """
     c = F.cdf
+    nx, ny = c.shape
+    m1, m2 = c[:, -1], c[-1, :]
     out = []
-    _report_kind(out, "out-of-[0,1]", (c < -eps) | (c > 1.0 + eps),
+
+    def dx(r):  # rows r of np.diff(c, axis=0)
+        return np.diff(c[r.start:r.stop + 1], axis=0)
+
+    def dy(r):
+        return np.diff(c[r], axis=1)
+
+    def cell(r):  # rows r of the masses of the adjacent grid cells
+        a = c[r.start:r.stop + 1]
+        return a[1:, 1:] - a[:-1, 1:] - a[1:, :-1] + a[:-1, :-1]
+
+    _report_kind(out, "out-of-[0,1]", nx, ny,
+                 lambda r: (c[r] < -eps) | (c[r] > 1.0 + eps),
                  lambda i, j: f"value out of [0,1] at ({i},{j}): {float(c[i, j])!r}",
-                 lambda: max(c.max() - 1.0, -c.min()))
-    # Each cells-sized temporary is dropped before the next is made, so the
-    # peak memory of a call does not grow with the number of invariants.
-    d = np.diff(c, axis=0)
-    _report_kind(out, "monotonicity along x", d < -eps,
+                 lambda r: max(c[r].max() - 1.0, -c[r].min()))
+    _report_kind(out, "monotonicity along x", nx - 1, ny, lambda r: dx(r) < -eps,
                  lambda i, j: f"monotonicity violation along x at ({i + 1},{j})",
-                 lambda: -d.min())
-    del d
-    d = np.diff(c, axis=1)
-    _report_kind(out, "monotonicity along y", d < -eps,
+                 lambda r: -dx(r).min())
+    _report_kind(out, "monotonicity along y", nx, ny - 1, lambda r: dy(r) < -eps,
                  lambda i, j: f"monotonicity violation along y at ({i},{j + 1})",
-                 lambda: -d.min())
-    del d
-    if c.shape[0] > 1 and c.shape[1] > 1:
-        cell = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
-        _report_kind(out, "rectangle inequality", cell < -eps,
+                 lambda r: -dy(r).min())
+    if nx > 1 and ny > 1:
+        _report_kind(out, "rectangle inequality", nx - 1, ny - 1, lambda r: cell(r) < -eps,
                      lambda i, j: (f"rectangle inequality violation at cell ({i},{j}): "
-                                   f"mass {float(cell[i, j])!r}"),
-                     lambda: -cell.min())
-        del cell
+                                   f"mass {float(cell(slice(i, i + 1))[0, j])!r}"),
+                     lambda r: -cell(r).min())
     if abs(c[-1, -1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last,last) = {float(c[-1, -1])!r} != 1")
-    m1 = c[:, -1][:, None]
-    m2 = c[-1, :][None, :]
-    _report_kind(out, "Frechet upper-bound", (c > m1 + eps) | (c > m2 + eps),
+    _report_kind(out, "Frechet upper-bound", nx, ny,
+                 lambda r: (c[r] > m1[r, None] + eps) | (c[r] > m2 + eps),
                  lambda i, j: f"Frechet upper-bound violation at ({i},{j})",
-                 lambda: (c - np.minimum(m1, m2)).max())
-    _report_kind(out, "Frechet lower-bound", c < m1 + m2 - 1.0 - eps,
+                 lambda r: (c[r] - np.minimum(m1[r, None], m2)).max())
+    _report_kind(out, "Frechet lower-bound", nx, ny,
+                 lambda r: c[r] < m1[r, None] + m2 - 1.0 - eps,
                  lambda i, j: f"Frechet lower-bound violation at ({i},{j})",
-                 lambda: (m1 + m2 - 1.0 - c).max())
+                 lambda r: (m1[r, None] + m2 - 1.0 - c[r]).max())
     return out
 
 
@@ -282,11 +316,17 @@ def merge_grids(F: BivariateCDF, G: BivariateCDF,
     """
     require_valid_bi(F, eps)
     require_valid_bi(G, eps)
-    xb = np.union1d(F.x_breaks, G.x_breaks)
-    yb = np.union1d(F.y_breaks, G.y_breaks)
-    require_cells(xb.size, yb.size, "merge_grids")
+    xb, yb = _union_grid(F, G, "merge_grids")
     return (BivariateCDF(xb, yb, F.evaluate_grid(xb, yb)),
             BivariateCDF(xb, yb, G.evaluate_grid(xb, yb)))
+
+
+def _union_grid(F: BivariateCDF, G: BivariateCDF, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis union of two grids, checked against MAX_CELLS for ``what``."""
+    xb = np.union1d(F.x_breaks, G.x_breaks)
+    yb = np.union1d(F.y_breaks, G.y_breaks)
+    require_cells(xb.size, yb.size, what)
+    return xb, yb
 
 
 def affine_transform(F: BivariateCDF, n: AffineNormalization,
@@ -296,9 +336,12 @@ def affine_transform(F: BivariateCDF, n: AffineNormalization,
     Breakpoints are pulled back through the affine map; values are unchanged.
     """
     require_valid_bi(F, eps)
-    return BivariateCDF((F.x_breaks - n.b) / n.a,
-                        (F.y_breaks - n.d) / n.c,
-                        F.cdf.copy())
+    return _pulled_back(F, n, F.cdf.copy())
+
+
+def _pulled_back(F: BivariateCDF, n: AffineNormalization, cdf: np.ndarray) -> BivariateCDF:
+    """F's breakpoints pulled back through n, carrying the values ``cdf``."""
+    return BivariateCDF((F.x_breaks - n.b) / n.a, (F.y_breaks - n.d) / n.c, cdf)
 
 
 def ecdf_from_samples(points) -> BivariateCDF:
@@ -370,7 +413,7 @@ def load_bi_json(path) -> BivariateCDF:
 
 
 def load_samples_tsv(path) -> np.ndarray:
-    """Read "x<TAB>y" sample pairs; '#'-prefixed lines are comments."""
+    """Read "x<TAB>y" sample pairs of finite numbers; '#'-prefixed lines are comments."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -381,7 +424,10 @@ def load_samples_tsv(path) -> np.ndarray:
             if len(parts) != 2:
                 raise CDFFormatError(f"{path}:{lineno}: expected 'x<TAB>y'")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise CDFFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise CDFFormatError(f"{path}:{lineno}: samples must be finite, got {line!r}")
+            rows.append((x, y))
     return np.asarray(rows, dtype=float).reshape(-1, 2)

@@ -35,7 +35,7 @@ from .cdf import (
     validate_uni,
 )
 from .extremal import free_max_convolve, free_min_convolve
-from .biconv import bifree_max_convolve, max_stable_residual, nfold, nth_root, psi_ratio
+from .biconv import bifree_max_convolve, max_stable_residual, nfold, nth_root, psi_range
 from .oracle import (
     InvalidLawError,
     LimitConvergenceError,
@@ -74,15 +74,15 @@ def cmd_biconv(args) -> int:
     G = load_bi_json(args.pathG)
     H = bifree_max_convolve(F, G, args.tol)
     save_bi_json(H, args.out)
-    h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, H.y_breaks)[:, -1]
-                    + G.evaluate_grid(H.x_breaks, H.y_breaks)[:, -1] - 1.0)
+    last = H.y_breaks[-1:]
+    h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
+                    + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
     marg_ok = np.array_equal(H.cdf[:, -1], h1)
     print(f"wrote {args.out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
           f"total mass {float(H.cdf[-1, -1])!r}, "
           f"marginal check {'OK' if marg_ok else 'FAILED'}")
-    psi = psi_ratio(H, args.tol).values
-    finite = psi[np.isfinite(psi)]
-    if finite.size and np.max(np.abs(finite - 1.0)) <= args.tol:
+    psi = psi_range(H)   # max |psi - 1| is at the smallest or the largest psi
+    if psi is not None and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:
         print("psi == 1 (product output)")
     return 0
 

@@ -233,6 +233,14 @@ class TestEcdfPlotdata:
         assert "9 cells, 72 bytes" in capsys.readouterr().err
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys, token):
+        samples = tmp_path / "s.tsv"
+        samples.write_text(f"0\t0\n1\t{token}\n")
+        assert main(["ecdf", str(samples), "--out", str(tmp_path / "e.json")]) == 2
+        assert f"{samples}:2: samples must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
+
     def test_empty_samples_exit_1(self, tmp_path):
         samples = tmp_path / "s.tsv"
         samples.write_text("# nothing here\n")
