@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ MAX_CELLS = 2 ** 25
 
 #: Cells per row block of a grid kernel: 512 KiB per float64 temporary.
 BLOCK_CELLS = 2 ** 16
+
+#: Characters read per refill of the JSON loader's text buffer.
+JSON_CHUNK_CHARS = 2 ** 16
 
 
 class CDFError(ValueError):
@@ -371,6 +375,17 @@ def ecdf_from_samples(points) -> BivariateCDF:
 # File formats
 # ---------------------------------------------------------------------------
 
+def _bad_file(what: str, path, exc: Exception) -> CDFFormatError:
+    """The CDFFormatError for a file that failed to load, naming the file."""
+    if isinstance(exc, RecursionError):
+        reason = "nested too deeply"
+    elif isinstance(exc, UnicodeDecodeError):
+        reason = f"not UTF-8 text ({exc.reason})"
+    else:
+        reason = str(exc)
+    return CDFFormatError(f"bad {what} file {path}: {reason}")
+
+
 def save_uni_json(F: UnivariateCDF, path) -> None:
     # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same.
     with open(path, "w") as fh:
@@ -379,13 +394,13 @@ def save_uni_json(F: UnivariateCDF, path) -> None:
 
 
 def load_uni_json(path) -> UnivariateCDF:
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
         return UnivariateCDF(np.asarray(data["breaks"], dtype=float),
                              np.asarray(data["values"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CDFFormatError(f"bad univariate CDF file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise _bad_file("univariate CDF", path, exc) from exc
 
 
 def save_bi_json(F: BivariateCDF, path) -> None:
@@ -401,33 +416,157 @@ def save_bi_json(F: BivariateCDF, path) -> None:
         fh.write("]}\n")
 
 
-def load_bi_json(path) -> BivariateCDF:
-    with open(path) as fh:
-        data = json.load(fh)
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+# A number decoded up to one of these cannot continue past it.
+_JSON_DELIMITER = re.compile(r"[ \t\n\r,:\]}]")
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _float_row(value):
+    """value as a float64 array, or as it is if it does not convert.
+
+    np.asarray of a list of these raises what np.asarray of the decoded
+    nested list would, and no sooner: a later duplicate key may replace it.
+    """
     try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
+class _JSONStream:
+    """One JSON text read from a file through a bounded text buffer.
+
+    The buffer holds the unread rest of the current value plus about
+    JSON_CHUNK_CHARS characters, so a caller that takes an array one element
+    at a time never holds the whole text.  Every value is decoded by the
+    json module, so it is the object json.load would build for it.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos, self.eof = fh, "", 0, False
+        self.offset = 0  # characters of the file before buf
+
+    def _fill(self, size: int) -> None:
+        chunk = self.fh.read(size)
+        self.offset += self.pos
+        self.buf = self.buf[self.pos:] + chunk
+        self.pos = 0
+        self.eof = not chunk
+
+    def peek(self) -> str:
+        """The next non-whitespace character, or "" at the end of the file."""
+        while True:
+            self.pos = _JSON_SPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self._fill(JSON_CHUNK_CHARS)
+
+    def expect(self, chars: str) -> str:
+        """Consume the next non-whitespace character, which must be in chars."""
+        c = self.peek()
+        if not c or c not in chars:
+            raise CDFFormatError(f"expecting {' or '.join(map(repr, chars))} "
+                                 f"at char {self.offset + self.pos}")
+        self.pos += 1
+        return c
+
+    def value(self):
+        """Decode the next value."""
+        if self.peek() == "[":
+            # an array ends at or after the first "]": read up to one before decoding
+            while self.buf.find("]", self.pos) < 0 and not self.eof:
+                self._fill(max(JSON_CHUNK_CHARS, len(self.buf) - self.pos))
+        if len(self.buf) - self.pos < JSON_CHUNK_CHARS and not self.eof:
+            self._fill(JSON_CHUNK_CHARS)
+        while True:
+            try:
+                obj, end = _JSON_DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise CDFFormatError(f"{exc.msg} at char {self.offset + exc.pos}") from exc
+            else:
+                # a number that runs to the end of the buffer may go on: 1.|5
+                if self.eof or _JSON_DELIMITER.search(self.buf, end):
+                    self.pos = end
+                    return obj
+            self._fill(max(JSON_CHUNK_CHARS, len(self.buf) - self.pos))
+
+    def items(self):
+        """Decode the next value, an array, one element at a time."""
+        self.expect("[")
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if self.expect(",]") == "]":
+                return
+
+    def json_object(self, rows_key: str) -> dict:
+        """The whole text, which must be one object.
+
+        The value of rows_key, if it is an array, comes as a list of its
+        elements, each as a float64 array when it converts to one.
+        """
+        data = {}
+        self.expect("{")
+        if self.peek() == "}":
+            self.pos += 1
+        else:
+            while True:
+                key = self.value()
+                if not isinstance(key, str):
+                    raise CDFFormatError(f"expecting a property name before char "
+                                         f"{self.offset + self.pos}")
+                self.expect(":")
+                if key == rows_key and self.peek() == "[":
+                    data[key] = [_float_row(v) for v in self.items()]
+                else:
+                    data[key] = self.value()
+                if self.expect(",}") == "}":
+                    break
+        if self.peek():
+            raise CDFFormatError(f"extra data at char {self.offset + self.pos}")
+        return data
+
+
+def load_bi_json(path) -> BivariateCDF:
+    """Read a file written by save_bi_json, or any JSON text json.load reads the same.
+
+    The cdf array is decoded one row at a time into float64 rows, which are
+    stacked at the end: the load peaks at about twice the array plus the
+    buffer and one row as Python floats, not at a multiple of the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = _JSONStream(fh).json_object("cdf")
         return BivariateCDF(np.asarray(data["x_breaks"], dtype=float),
                             np.asarray(data["y_breaks"], dtype=float),
                             np.asarray(data["cdf"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CDFFormatError(f"bad bivariate CDF file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise _bad_file("bivariate CDF", path, exc) from exc
 
 
 def load_samples_tsv(path) -> np.ndarray:
     """Read "x<TAB>y" sample pairs of finite numbers; '#'-prefixed lines are comments."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CDFFormatError(f"{path}:{lineno}: expected 'x<TAB>y'")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise CDFFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise CDFFormatError(f"{path}:{lineno}: samples must be finite, got {line!r}")
-            rows.append((x, y))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise CDFFormatError(f"{path}:{lineno}: expected 'x<TAB>y'")
+                try:
+                    x, y = float(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise CDFFormatError(f"{path}:{lineno}: {exc}") from exc
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise CDFFormatError(f"{path}:{lineno}: samples must be finite, got {line!r}")
+                rows.append((x, y))
+    except UnicodeDecodeError as exc:
+        raise _bad_file("sample", path, exc) from exc
     return np.asarray(rows, dtype=float).reshape(-1, 2)

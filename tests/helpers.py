@@ -1,10 +1,11 @@
 """Shared random generators and reference implementations for the test suite."""
 
+import json
 import re
 
 import numpy as np
 
-from bifreemax import BivariateCDF, ProjectionPairLaw, UnivariateCDF
+from bifreemax import BivariateCDF, CDFFormatError, ProjectionPairLaw, UnivariateCDF
 
 
 def random_breaks(rng, size):
@@ -45,6 +46,22 @@ def random_law(rng, p_range=(0.05, 0.95)):
     lo = max(0.0, p + q - 1.0)
     hi = min(p, q)
     return ProjectionPairLaw(p, q, rng.uniform(lo, hi))
+
+
+def load_bi_json_reference(path) -> BivariateCDF:
+    """Whole-file ``json.load`` + ``np.asarray``: the reference for ``load_bi_json``.
+
+    Holds the whole text and every value as a Python float at once, so it
+    peaks at several times the array; for small files only.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return BivariateCDF(np.asarray(data["x_breaks"], dtype=float),
+                            np.asarray(data["y_breaks"], dtype=float),
+                            np.asarray(data["cdf"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CDFFormatError(f"bad bivariate CDF file {path}: {exc}") from exc
 
 
 def ecdf_reference(points):

@@ -1,0 +1,190 @@
+"""File loaders: the streaming JSON loader against json.load, and malformed input."""
+
+import itertools
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bifreemax import BivariateCDF, CDFFormatError, load_bi_json, save_bi_json
+from bifreemax import cdf as cdf_module
+from bifreemax.cli import main
+from helpers import load_bi_json_reference
+
+GRID = {"x_breaks": [-1.5, 0.0, 2.0], "y_breaks": [0.25, 1.0],
+        "cdf": [[0.0, 0.1], [0.2, 0.5], [0.3, 1.0]]}
+EXTREMES = {"x_breaks": [-0.0, 5e-324, 1e-7], "y_breaks": [1e-7, 1 - 2 ** -53],
+            "cdf": [[-0.0, 5e-324], [1e-7, 1 - 2 ** -53], [0.5, 1.0]]}
+SPLICED = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": '
+
+
+def _dumps(obj, **kw):
+    return json.dumps(obj, **kw) + "\n"
+
+
+def _documents():
+    docs = {}
+    for order in itertools.permutations(GRID):
+        docs["order-" + "-".join(order)] = _dumps({k: GRID[k] for k in order})
+    docs["indent-2"] = _dumps(GRID, indent=2)
+    docs["compact"] = json.dumps(GRID, separators=(",", ":"))
+    docs["crlf-tabs"] = _dumps(GRID, indent="\t").replace("\n", "\r\n")
+    docs["extra-keys"] = _dumps({"meta": {"note": "}],:", "n": [1, None, True]},
+                                 **GRID, "zz": "x"})
+    # a number at the top of a value can be cut anywhere by the buffer: 1.|5, 1e|-7
+    docs["scalar-values"] = _dumps({"a": 12.5e-1, "b": -1.5e+10, "c": 1234, "d": True,
+                                    **GRID, "e": None, "f": -0.0, "g": 1e-7})
+    docs["duplicate-cdf"] = _dumps(GRID)[:-2] + ', "cdf": [[1, 1], [1, 1], [1, 1.0]]}'
+    docs["duplicate-cdf-bad-first"] = '{"cdf": [[1], [2, 3]], ' + _dumps(GRID)[1:]
+    docs["escaped-key"] = _dumps(GRID).replace('"cdf"', '"\\u0063df"')
+    docs["integers-and-bools"] = SPLICED + "[[0, false], [1, true]]}"
+    docs["1x1"] = _dumps({"x_breaks": [3.0], "y_breaks": [4.0], "cdf": [[1.0]]})
+    docs["extremes"] = _dumps(EXTREMES)
+    docs["long-decimals"] = SPLICED + "[[0.1000000000000000055511151231257827, 1e-7], [12.5e-1, 1E0]]}"
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        docs["cdf-" + literal] = SPLICED + f"[[0, {literal}], [1, 1]]}}"
+        docs["breaks-" + literal] = _dumps(GRID).replace("2.0]", literal + "]")
+    docs["ragged"] = SPLICED + "[[0, 1], [1]]}"
+    docs["scalar-row"] = SPLICED + "[[0, 1], 1]}"
+    docs["null-in-row"] = SPLICED + "[[0, null], [1, 1]]}"
+    docs["string-in-row"] = SPLICED + '[[0, "1"], [1, 1]]}'
+    docs["3-d"] = SPLICED + "[[[0], [1]], [[1], [1]]]}"
+    docs["empty-cdf"] = SPLICED + "[]}"
+    docs["empty-rows"] = SPLICED + "[[], []]}"
+    docs["cdf-not-array"] = SPLICED + "1}"
+    docs["missing-key"] = _dumps({"x_breaks": [0], "cdf": [[1]]})
+    docs["empty-object"] = "{}"
+    docs["trailing-comma"] = SPLICED + "[[0, 1], [1, 1],]}"
+    docs["key-not-string"] = '{1: 2}'
+    for name, top in {"list": "[1, 2]", "string": '"x"', "number": "3", "null": "null",
+                      "empty": "", "blank": " \n"}.items():
+        docs["top-" + name] = top
+    docs["trailing-data"] = _dumps(GRID) + "x"
+    docs["trailing-object"] = _dumps(GRID) + "{}"
+    docs["trailing-bracket"] = _dumps(GRID).strip() + "]"
+    docs["bad-number"] = SPLICED + "[[0, 1.], [1, 1]]}"
+    docs["bad-exponent"] = SPLICED + "[[0, 1e], [1, 1]]}"
+    docs["number-then-letter"] = SPLICED + "[[0, 1x], [1, 1]]}"
+    return docs
+
+
+DOCUMENTS = _documents()
+CHUNKS = [1, 2, 7, 64, cdf_module.JSON_CHUNK_CHARS]
+
+
+def _outcome(loader, path):
+    """The bytes a loader gives, or "exit 2" for an error the CLI maps to exit 2."""
+    try:
+        F = loader(path)
+    except (CDFFormatError, json.JSONDecodeError):
+        return "exit 2"
+    return (F.x_breaks.tobytes(), F.y_breaks.tobytes(), F.cdf.shape, F.cdf.tobytes())
+
+
+@pytest.fixture(params=CHUNKS, ids=lambda k: f"chunk{k}")
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_matches_json_load(name, chunk, tmp_path):
+    path = tmp_path / "F.json"
+    path.write_text(DOCUMENTS[name])
+    assert _outcome(load_bi_json, path) == _outcome(load_bi_json_reference, path)
+
+
+def test_documents_cover_both_outcomes(tmp_path):
+    outcomes = []
+    for text in DOCUMENTS.values():
+        path = tmp_path / "F.json"
+        path.write_text(text)
+        outcomes.append(_outcome(load_bi_json_reference, path) == "exit 2")
+    assert 10 < sum(outcomes) < len(outcomes) - 10
+
+
+def test_file_cut_at_every_offset(chunk, tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "F.json"
+    save_bi_json(BivariateCDF([-1.5, 0.0, 2.0], [0.25, 1e-7 + 1],
+                              rng.uniform(0, 1, (3, 2)).round(3) * [1, 1e-7]), path)
+    text = path.read_text()
+    cut = tmp_path / "cut.json"
+    loaded = 0
+    for end in range(len(text) + 1):
+        cut.write_text(text[:end])
+        outcome = _outcome(load_bi_json, cut)
+        assert outcome == _outcome(load_bi_json_reference, cut), text[:end]
+        loaded += outcome != "exit 2"
+    assert loaded == 2  # the whole text, with and without its final newline
+
+
+def test_saved_files_load_bit_for_bit(chunk, tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "F.json"
+    F = BivariateCDF(np.cumsum(rng.uniform(0.1, 1, 9)), np.cumsum(rng.uniform(0.1, 1, 5)),
+                     rng.uniform(0, 1, (9, 5)) ** 3)
+    save_bi_json(F, path)
+    assert _outcome(load_bi_json, path) == _outcome(lambda p: F, path)
+
+
+def test_load_peaks_near_the_array(tmp_path):
+    n = 512
+    rng = np.random.default_rng(3)
+    path = tmp_path / "F.json"
+    save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
+    tracemalloc.start()
+    try:
+        F = load_bi_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * F.cdf.nbytes + 4 * 2 ** 20
+
+
+class TestMalformedInputExit2:
+    """Each loader's bad input exits 2 with one line naming the file."""
+
+    def _run(self, capsys, argv, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+        return err
+
+    @pytest.mark.parametrize("kind", ["bi", "uni"])
+    def test_json_not_utf8(self, tmp_path, capsys, kind):
+        path = tmp_path / "F.json"
+        path.write_bytes(b'{"x_breaks": [0], "y\xff": []}')
+        assert "not UTF-8" in self._run(capsys, ["validate", str(path), "--kind", kind], path)
+
+    def test_biconv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "F.json"
+        path.write_bytes(b"\xff")
+        self._run(capsys, ["biconv", str(path), str(path), "--out", str(tmp_path / "H.json")],
+                  path)
+
+    def test_tsv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "s.tsv"
+        path.write_bytes(b"0\t0\n\xff\t1\n")
+        out = tmp_path / "e.json"
+        assert "not UTF-8" in self._run(capsys, ["ecdf", str(path), "--out", str(out)], path)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["bi", "uni"])
+    @pytest.mark.parametrize("prefix", ["", '{"cdf": ', '{"breaks": '])
+    def test_nested_too_deeply(self, tmp_path, capsys, kind, prefix):
+        path = tmp_path / "F.json"
+        path.write_text(prefix + "[" * 200000)
+        err = self._run(capsys, ["validate", str(path), "--kind", kind], path)
+        # the bivariate loader rejects a top-level array before decoding it
+        assert "nested too deeply" in err or (kind, prefix) == ("bi", "")
+
+    @pytest.mark.parametrize("kind", ["bi", "uni"])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, kind):
+        big = "1" + "0" * 400
+        path = tmp_path / "F.json"
+        path.write_text(f'{{"x_breaks": [0], "y_breaks": [0], "cdf": [[{big}]], '
+                        f'"breaks": [0], "values": [{big}]}}')
+        err = self._run(capsys, ["validate", str(path), "--kind", kind], path)
+        assert "too large" in err
