@@ -16,6 +16,7 @@ marginal product is positive, ``nan`` where both vanish.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,37 @@ def _fill_rows(shape: tuple[int, int], block) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class GridRows:
+    """A kernel's output grid, given by its breaks and its row-block function.
+
+    ``block(rows)`` computes the rows ``rows`` (a slice) of the cdf array.
+    Every step of a kernel is elementwise, so a row has the same bits
+    whichever block computes it: a caller may take the last row first, or
+    stream the blocks to a file without ever holding the whole array.
+    """
+
+    x_breaks: np.ndarray
+    y_breaks: np.ndarray
+    block: Callable[[slice], np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x_breaks.size, self.y_breaks.size
+
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each row slice of cdf.row_blocks with its rows, in order."""
+        for rows in row_blocks(*self.shape):
+            yield rows, self.block(rows)
+
+    def last_row(self) -> np.ndarray:
+        nx = self.x_breaks.size
+        return self.block(slice(nx - 1, nx))[0]
+
+    def to_cdf(self) -> BivariateCDF:
+        return BivariateCDF(self.x_breaks, self.y_breaks, _fill_rows(self.shape, self.block))
+
+
 def _psi_block(c: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Ratio field of the rows ``c`` of a CDF whose marginals there are m1 and m2."""
     num = m1[:, None] * m2[None, :]
@@ -82,20 +114,19 @@ def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
                     _fill_rows(c.shape, lambda r: _psi_block(c[r], m1[r], m2)))
 
 
-def psi_range(F: BivariateCDF) -> tuple[float, float] | None:
-    """Smallest and largest finite value of F's ratio field; None if none is finite.
+def psi_range(c: np.ndarray, m2: np.ndarray, lo: float = np.inf,
+              hi: float = -np.inf) -> tuple[float, float]:
+    """(lo, hi) widened to the finite values of the ratio field of the rows c.
 
-    F is not validated: this reads the outputs of the kernels here.
+    c are rows of a kernel output whose last row is m2; folded over all row
+    blocks from (inf, -inf), this gives the smallest and largest finite
+    ratio, or lo > hi if none is finite.  Nothing is validated.
     """
-    c = F.cdf
-    m1, m2 = c[:, -1], c[-1, :]
-    lo, hi = np.inf, -np.inf
-    for rows in row_blocks(*c.shape):
-        psi = _psi_block(c[rows], m1[rows], m2)
-        finite = psi[np.isfinite(psi)]
-        if finite.size:
-            lo, hi = min(lo, finite.min()), max(hi, finite.max())
-    return (float(lo), float(hi)) if lo <= hi else None
+    psi = _psi_block(c, c[:, -1], m2)
+    finite = psi[np.isfinite(psi)]
+    if finite.size:
+        lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
+    return lo, hi
 
 
 def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
@@ -111,6 +142,12 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
     and H = 0 at every other grid point.  Both inputs are read on the
     union grid one row block at a time; neither is merged as a whole.
     """
+    return bifree_max_convolve_rows(F, G, eps).to_cdf()
+
+
+def bifree_max_convolve_rows(F: BivariateCDF, G: BivariateCDF,
+                             eps: float = EPS_CDF) -> GridRows:
+    """bifree_max_convolve as row blocks; F, G and the grid size are checked here."""
     require_valid_bi(F, eps)
     require_valid_bi(G, eps)
     xs, ys = _union_grid(F, G, "bifree_max_convolve")
@@ -126,7 +163,7 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
         psi_sum = _psi_block(Fb, f1[rows], f2) + _psi_block(Gb, g1[rows], g2) - 1.0
         return _decode_block(h1[rows], h2, psi_sum, (Fb > 0.0) & (Gb > 0.0))
 
-    return BivariateCDF(xs, ys, _fill_rows((xs.size, ys.size), block))
+    return GridRows(xs, ys, block)
 
 
 def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
@@ -140,11 +177,21 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     return _nfold(F, _check_fold_count(n))
 
 
+def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
+    """nfold as row blocks; F and n are checked here."""
+    require_valid_bi(F, eps)
+    return _nfold_rows(F, _check_fold_count(n))
+
+
 def _nfold(F: BivariateCDF, n: int) -> BivariateCDF:
     """nfold without validating F."""
-    if n == 1:
-        return F
+    return F if n == 1 else _nfold_rows(F, n).to_cdf()
+
+
+def _nfold_rows(F: BivariateCDF, n: int) -> GridRows:
     c = F.cdf
+    if n == 1:
+        return GridRows(F.x_breaks, F.y_breaks, lambda rows: c[rows])
     f1, f2 = c[:, -1], c[-1, :]
     h1 = np.maximum(0.0, n * f1 - (n - 1.0))
     h2 = np.maximum(0.0, n * f2 - (n - 1.0))
@@ -153,7 +200,7 @@ def _nfold(F: BivariateCDF, n: int) -> BivariateCDF:
         psi_n = n * _psi_block(c[rows], f1[rows], f2) - (n - 1.0)
         return _decode_block(h1[rows], h2, psi_n, np.isfinite(psi_n))
 
-    return BivariateCDF(F.x_breaks, F.y_breaks, _fill_rows(c.shape, block))
+    return GridRows(F.x_breaks, F.y_breaks, block)
 
 
 def _check_fold_count(n) -> int:

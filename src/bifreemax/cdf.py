@@ -404,16 +404,49 @@ def load_uni_json(path) -> UnivariateCDF:
 
 
 def save_bi_json(F: BivariateCDF, path) -> None:
-    # Written row by row through the C encoder, so the whole matrix never
-    # exists as Python floats; the bytes equal json.dump of the dict + "\n".
     with open(path, "w") as fh:
-        fh.write(f'{{"x_breaks": {json.dumps(F.x_breaks.tolist())}, '
-                 f'"y_breaks": {json.dumps(F.y_breaks.tolist())}, "cdf": [')
-        for i, row in enumerate(F.cdf):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(row.tolist()))
-        fh.write("]}\n")
+        write_bi_json(fh, F.x_breaks, F.y_breaks,
+                      (F.cdf[rows] for rows in row_blocks(*F.cdf.shape)))
+
+
+def write_bi_json(fh, x_breaks, y_breaks, blocks) -> None:
+    """Write a bivariate CDF JSON text to fh, its cdf array given as row blocks.
+
+    ``blocks`` yields consecutive rows of the array as 2-d arrays; each gets
+    the checks BivariateCDF makes on the whole array, before it is written.
+    Rows go through the C encoder one at a time, so the matrix never exists
+    as Python floats, and the bytes equal json.dump of the dict plus "\n".
+    """
+    xb = _check_breaks(x_breaks, "x_breaks")
+    yb = _check_breaks(y_breaks, "y_breaks")
+    fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
+             f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
+    nrows = 0
+    for block in blocks:
+        block = np.ascontiguousarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != yb.size:
+            raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise CDFError("cdf values must be finite")
+        fh.write((", " if nrows else "") + ", ".join(_rows_json(block)))
+        nrows += block.shape[0]
+    if nrows != xb.size:
+        raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
+    fh.write("]}\n")
+
+
+def _rows_json(block: np.ndarray):
+    """json.dumps of each row of a C-contiguous float64 block.
+
+    A leading run of +0.0 (all bits zero; -0.0 is not one) is written as
+    text without formatting: in a valid CDF each row's zeros are such a run.
+    """
+    nonzero = block.view(np.uint64) != 0
+    ncols = block.shape[1]
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), ncols).tolist()
+    zero_row = json.dumps([0.0] * ncols)
+    for row, k in zip(block, lead):
+        yield zero_row if k == ncols else "[" + "0.0, " * k + json.dumps(row[k:].tolist())[1:]
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
@@ -483,7 +516,10 @@ class _JSONStream:
             try:
                 obj, end = _JSON_DECODER.raw_decode(self.buf, self.pos)
             except json.JSONDecodeError as exc:
-                if self.eof:
+                # A token cut by the buffer end runs to that end and holds no
+                # delimiter; a string may hold any, so only EOF settles it.
+                if self.eof or (not exc.msg.startswith("Unterminated string")
+                                and _JSON_DELIMITER.search(self.buf, exc.pos)):
                     raise CDFFormatError(f"{exc.msg} at char {self.offset + exc.pos}") from exc
             else:
                 # a number that runs to the end of the buffer may go on: 1.|5

@@ -7,6 +7,7 @@ failure, oracle spread above tolerance), 2 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,9 +34,17 @@ from .cdf import (
     save_uni_json,
     validate_bi,
     validate_uni,
+    write_bi_json,
 )
 from .extremal import free_max_convolve, free_min_convolve
-from .biconv import bifree_max_convolve, max_stable_residual, nfold, nth_root, psi_range
+from .biconv import (
+    bifree_max_convolve,
+    bifree_max_convolve_rows,
+    max_stable_residual,
+    nfold_rows,
+    nth_root,
+    psi_range,
+)
 from .oracle import (
     InvalidLawError,
     LimitConvergenceError,
@@ -72,27 +81,57 @@ def cmd_uniconv(args) -> int:
 def cmd_biconv(args) -> int:
     F = load_bi_json(args.pathF)
     G = load_bi_json(args.pathG)
-    H = bifree_max_convolve(F, G, args.tol)
-    save_bi_json(H, args.out)
+    H = bifree_max_convolve_rows(F, G, args.tol)
     last = H.y_breaks[-1:]
     h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
                     + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
-    marg_ok = np.array_equal(H.cdf[:, -1], h1)
+    m1, m2 = np.empty(H.shape[0]), H.last_row()
+    psi = [np.inf, -np.inf]
+
+    def passing():   # gathers the last column and the psi range on the way out
+        for rows, block in H.blocks():
+            m1[rows] = block[:, -1]
+            psi[:] = psi_range(block, m2, *psi)
+            yield block
+
+    _write_streamed(args.out, H.x_breaks, H.y_breaks, passing())
     print(f"wrote {args.out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
-          f"total mass {float(H.cdf[-1, -1])!r}, "
-          f"marginal check {'OK' if marg_ok else 'FAILED'}")
-    psi = psi_range(H)   # max |psi - 1| is at the smallest or the largest psi
-    if psi is not None and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:
+          f"total mass {float(m2[-1])!r}, "
+          f"marginal check {'OK' if np.array_equal(m1, h1) else 'FAILED'}")
+    # max |psi - 1| is at the smallest or the largest psi
+    if psi[0] <= psi[1] and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:
         print("psi == 1 (product output)")
     return 0
 
 
 def cmd_nfold(args) -> int:
     F = load_bi_json(args.path)
-    H = nfold(F, args.n, args.tol)
-    save_bi_json(H, args.out)
-    print(f"wrote {args.out}: {args.n}-fold power, total mass {float(H.cdf[-1, -1])!r}")
+    H = nfold_rows(F, args.n, args.tol)
+    mass = float(H.last_row()[-1])
+    _write_streamed(args.out, H.x_breaks, H.y_breaks, (block for _, block in H.blocks()))
+    print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
     return 0
+
+
+def _write_streamed(path, x_breaks, y_breaks, blocks) -> None:
+    """write_bi_json to a temporary file beside path, renamed to path on success.
+
+    The output is computed while it is written, so an error can come midway;
+    then path is left as it was and the temporary file is removed.  A path
+    that exists and is not a regular file, such as /dev/null, is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            write_bi_json(fh, x_breaks, y_breaks, blocks)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write_bi_json(fh, x_breaks, y_breaks, blocks)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def cmd_root(args) -> int:

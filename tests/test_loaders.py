@@ -143,6 +143,61 @@ def test_load_peaks_near_the_array(tmp_path):
     assert peak <= 2 * F.cdf.nbytes + 4 * 2 ** 20
 
 
+def _error(path):
+    try:
+        load_bi_json(path)
+    except CDFFormatError as exc:
+        return str(exc)
+    return None
+
+
+def test_error_message_does_not_depend_on_the_chunk(chunk, tmp_path, monkeypatch):
+    """A syntax error is raised as soon as it cannot be a token cut by the
+    buffer end, with the message and offset the whole text gives."""
+    path = tmp_path / "F.json"
+    texts = list(DOCUMENTS.values())
+    for name in ("extra-keys", "escaped-key", "extremes"):
+        texts += [DOCUMENTS[name][:end] for end in range(len(DOCUMENTS[name]))]
+    for text in texts:
+        path.write_text(text)
+        monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", 2 ** 16)   # the whole text
+        want = _error(path)
+        monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+        assert _error(path) == want, text
+
+
+def test_syntax_error_does_not_read_on(tmp_path):
+    """A bad character halfway through a file is reported before the rest is read."""
+    n = 512
+    rng = np.random.default_rng(4)
+    path = tmp_path / "F.json"
+    save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
+    _, valid_peak = _load_peak(path)
+    text = path.read_text()
+    mid = text.index(", ", len(text) // 2)
+    text = text[:mid] + "x" + text[mid:]
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(CDFFormatError) as got:
+        _load_peak(path)
+    assert str(got.value).endswith(f"{want.value.msg} at char {want.value.pos}")
+    assert want.value.pos == mid
+    assert got.value.peak <= valid_peak
+
+
+def _load_peak(path):
+    """load_bi_json(path) and its tracemalloc peak; an error carries it as .peak."""
+    tracemalloc.start()
+    try:
+        return load_bi_json(path), tracemalloc.get_traced_memory()[1]
+    except CDFFormatError as exc:
+        exc.peak = tracemalloc.get_traced_memory()[1]
+        raise
+    finally:
+        tracemalloc.stop()
+
+
 class TestMalformedInputExit2:
     """Each loader's bad input exits 2 with one line naming the file."""
 
