@@ -11,7 +11,10 @@ ratio field is affine under the convolution, n-fold powers and formula-level
 n-th roots have exact closed forms.
 
 Sentinel conventions in the ratio field: ``+inf`` where F = 0 but the
-marginal product is positive, ``nan`` where both vanish.
+marginal product is positive, ``nan`` where both vanish.  Every kernel that
+builds a CDF from a ratio field (convolution, power, root) maps the field
+and then decodes it with ``_decode_block``: H1*H2/psi on the active cells,
+0 elsewhere, with a cell active only where both output marginals are positive.
 """
 
 from __future__ import annotations
@@ -47,19 +50,11 @@ class PsiField:
 # are vectors, so a block needs only its own rows.  Peak memory is the output
 # plus one block's temporaries, and the values do not depend on the blocking.
 
-def _fill_rows(shape: tuple[int, int], block) -> np.ndarray:
-    """A new array of ``shape``, filled one row block at a time with ``block(rows)``."""
-    out = np.empty(shape)
-    for rows in row_blocks(*shape):
-        out[rows] = block(rows)
-    return out
-
-
 @dataclass(frozen=True)
 class GridRows:
     """A kernel's output grid, given by its breaks and its row-block function.
 
-    ``block(rows)`` computes the rows ``rows`` (a slice) of the cdf array.
+    ``block(rows)`` computes the rows ``rows`` (a slice) of the output array.
     Every step of a kernel is elementwise, so a row has the same bits
     whichever block computes it: a caller may take the last row first, or
     stream the blocks to a file without ever holding the whole array.
@@ -82,8 +77,15 @@ class GridRows:
         nx = self.x_breaks.size
         return self.block(slice(nx - 1, nx))[0]
 
+    def array(self) -> np.ndarray:
+        """The whole output array, filled one row block at a time."""
+        out = np.empty(self.shape)
+        for rows, block in self.blocks():
+            out[rows] = block
+        return out
+
     def to_cdf(self) -> BivariateCDF:
-        return BivariateCDF(self.x_breaks, self.y_breaks, _fill_rows(self.shape, self.block))
+        return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
 
 
 def _psi_block(c: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -110,8 +112,8 @@ def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
     require_valid_bi(F, eps)
     c = F.cdf
     m1, m2 = c[:, -1], c[-1, :]
-    return PsiField(F.x_breaks, F.y_breaks,
-                    _fill_rows(c.shape, lambda r: _psi_block(c[r], m1[r], m2)))
+    psi = GridRows(F.x_breaks, F.y_breaks, lambda r: _psi_block(c[r], m1[r], m2))
+    return PsiField(F.x_breaks, F.y_breaks, psi.array())
 
 
 def psi_range(c: np.ndarray, m2: np.ndarray, lo: float = np.inf,
@@ -170,25 +172,18 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     """n-fold bi-free max-convolution of F with itself.
 
     Computed through the closed form (marginals ``(n*F_j - (n-1))_+``,
-    ratio field ``n*psi - (n-1)``) rather than n-1 pairwise convolutions,
-    which is exact and avoids error accumulation; both paths agree.
+    ratio field ``n*psi - (n-1)``, decoded like the pairwise convolution)
+    rather than n-1 pairwise convolutions, which is exact and avoids error
+    accumulation; both paths agree.  ``nfold(F, 1)`` is F itself.
     """
-    require_valid_bi(F, eps)
-    return _nfold(F, _check_fold_count(n))
+    H = nfold_rows(F, n, eps)
+    return F if n == 1 else H.to_cdf()
 
 
 def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
     """nfold as row blocks; F and n are checked here."""
     require_valid_bi(F, eps)
-    return _nfold_rows(F, _check_fold_count(n))
-
-
-def _nfold(F: BivariateCDF, n: int) -> BivariateCDF:
-    """nfold without validating F."""
-    return F if n == 1 else _nfold_rows(F, n).to_cdf()
-
-
-def _nfold_rows(F: BivariateCDF, n: int) -> GridRows:
+    n = _check_fold_count(n)
     c = F.cdf
     if n == 1:
         return GridRows(F.x_breaks, F.y_breaks, lambda rows: c[rows])
@@ -228,10 +223,11 @@ class NthRootResult:
 def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """The unique ratio-affine n-th root candidate of F under the convolution.
 
-    Marginals ``(F_j + n - 1)/n`` and ratio field ``(psi + n - 1)/n`` (the
-    +inf sentinel propagates; cells where the ratio is 0/0-undefined take
-    the independent value, i.e. ratio 1).  If the candidate is returned
-    valid, its n-fold convolution recovers F.
+    Marginals ``(F_j + n - 1)/n`` and ratio field ``(psi + n - 1)/n``,
+    decoded like the convolution and the power: the +inf sentinel gives 0,
+    cells where the ratio is 0/0-undefined take the independent value (ratio
+    1), and a cell where a root marginal is 0 (only at n = 1) is 0.  If the
+    candidate is returned valid, its n-fold convolution recovers F.
     """
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
@@ -242,13 +238,10 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
 
     def block(rows):
         psi_n = (_psi_block(c[rows], f1[rows], f2) + n - 1.0) / n
-        prod = r1[rows, None] * r2[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cells = prod / psi_n
-        cells = np.where(np.isnan(psi_n), prod, cells)   # 0/0 cells: ratio 1
-        return np.where(np.isinf(psi_n), 0.0, cells)
+        psi_n = np.where(np.isnan(psi_n), 1.0, psi_n)   # 0/0 cells: ratio 1
+        return _decode_block(r1[rows], r2, psi_n, np.isfinite(psi_n))
 
-    candidate = BivariateCDF(F.x_breaks, F.y_breaks, _fill_rows(c.shape, block))
+    candidate = GridRows(F.x_breaks, F.y_breaks, block).to_cdf()
     return NthRootResult(candidate, validate_bi(candidate, eps))
 
 
@@ -260,8 +253,7 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     of the n-fold power.  A max-stable F with the right normalizing
     sequence drives this to 0 as n grows.
     """
-    require_valid_bi(F, eps)
-    Hn = _nfold(F, _check_fold_count(n))
+    Hn = nfold(F, n, eps)
     H = _pulled_back(Hn, norm, Hn.cdf)
     xs, ys = _union_grid(F, H, "max_stable_residual")
     residual = 0.0

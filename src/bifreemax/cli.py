@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CDFFormatError, json.JSONDecodeError, OSError) as exc:
+    except (CDFFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CDFError, InvalidLawError, LimitConvergenceError, ValueError) as exc:

@@ -218,6 +218,13 @@ class TestNthRoot:
                 back = nfold(res.candidate, n)
                 assert np.max(np.abs(back.cdf - F.cdf)) < 1e-9
 
+    def test_one_root_with_mass_in_a_zero_marginal_row(self):
+        # row 0 has marginal 0 and a cell of 1e-10, within eps: valid input
+        F = BivariateCDF([0, 1], [0, 1], [[1e-10, 0.0], [0.5, 1.0]])
+        res = nth_root(F, 1)
+        assert res.ok
+        assert res.candidate.cdf.tolist() == [[0.0, 0.0], [0.5, 1.0]]
+
     def test_failure_reported_not_raised(self, fixture_cdf):
         res = nth_root(fixture_cdf, 2)
         assert not res.ok

@@ -86,7 +86,7 @@ class TestSameBytesAsWholeArray:
 
     def test_nth_root_and_its_report(self, blocks, monkeypatch):
         for F, _ in seeded_pairs(43):
-            for n in (2, 5):
+            for n in (1, 2, 5):
                 expected = nth_root_reference(F, n)
                 # the report of the whole grid as one block
                 monkeypatch.setattr(cdf_module, "BLOCK_CELLS", expected.size)
@@ -207,6 +207,29 @@ class TestPeakMemory:
         norm = AffineNormalization(1.0, 0.05, 1.0, 0.05)   # a 512 x 512 union grid
         _, peak = _peak_bytes(lambda: max_stable_residual(F, 2, norm))
         assert peak <= 3 * F.cdf.nbytes
+
+
+class TestOneDecode:
+    """Convolution, power and root all decode their ratio field through
+    biconv._decode_block, once per row block of their output."""
+
+    @pytest.mark.parametrize("cells", [1, 50, 10 ** 6])
+    def test_once_per_row_block(self, monkeypatch, cells):
+        F, G = next(seeded_pairs(53))
+        real = biconv_module._decode_block
+        calls = []
+
+        def decode(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(biconv_module, "_decode_block", decode)
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+        for call in (lambda: bifree_max_convolve(F, G), lambda: nfold(F, 3),
+                     lambda: nth_root(F, 2).candidate, lambda: nth_root(F, 1).candidate):
+            calls.clear()
+            H = call()
+            assert len(calls) == len(list(cdf_module.row_blocks(*H.cdf.shape)))
 
 
 class TestValidateOnce:

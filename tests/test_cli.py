@@ -144,6 +144,13 @@ class TestNfoldRoot:
         R = load_bi_json(back)
         assert np.max(np.abs(F.cdf - R.cdf)) < 1e-9
 
+    def test_one_root_with_mass_in_a_zero_marginal_row(self, tmp_path, capsys):
+        f, out = tmp_path / "f.json", tmp_path / "r.json"
+        save_bi_json(BivariateCDF([0, 1], [0, 1], [[1e-10, 0.0], [0.5, 1.0]]), f)
+        assert main(["root", str(f), "1", "--out", str(out)]) == 0
+        assert load_bi_json(out).cdf.tolist() == [[0.0, 0.0], [0.5, 1.0]]
+        assert capsys.readouterr().out == f"wrote {out}: valid 1-th root candidate\n"
+
     def test_root_failure_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         fixture = str(FIXTURES / "not_two_divisible_3x3.json")
