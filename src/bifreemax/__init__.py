@@ -44,7 +44,6 @@ _EXPORTS = {
         "psi_ratio",
     ),
     "oracle": (
-        "EPS_INV",
         "EPS_LIM",
         "InvalidLawError",
         "LimitConvergenceError",

@@ -10,11 +10,12 @@ defining positivity conditions hold, and vanishes elsewhere.  Because the
 ratio field is affine under the convolution, n-fold powers and formula-level
 n-th roots have exact closed forms.
 
-Sentinel conventions in the ratio field: ``+inf`` where F = 0 but the
-marginal product is positive, ``nan`` where both vanish.  Every kernel that
-builds a CDF from a ratio field (convolution, power, root) maps the field
-and then decodes it with ``_decode_block``: H1*H2/psi on the active cells,
-0 elsewhere, with a cell active only where both output marginals are positive.
+Sentinel conventions in the ratio field: a cell with F <= 0 vanishes, with
+``+inf`` where the marginal product is positive and ``nan`` elsewhere.  Every
+kernel that builds a CDF from ratio fields (convolution, power, root) is one
+affine map, applied to the input marginals (then clamped at 0) and to the
+input ratio fields, followed by one decode, ``_decode_block``: H1*H2/psi where
+psi is finite and both output marginals are positive, 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -93,22 +94,39 @@ def _psi_block(c: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     num = m1[:, None] * m2[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = num / c
-    psi = np.where((c == 0.0) & (num > 0.0), np.inf, psi)
-    psi = np.where((c == 0.0) & (num == 0.0), np.nan, psi)
-    return psi
+    return np.where(c > 0.0, psi, np.where(num > 0.0, np.inf, np.nan))
 
 
-def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray,
-                  active: np.ndarray) -> np.ndarray:
-    """H1*H2/psi where ``active`` and both marginals are positive, 0 elsewhere."""
-    active &= (h1[:, None] > 0.0) & (h2[None, :] > 0.0)
+def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """H1*H2/psi where psi is finite and both marginals are positive, 0 elsewhere."""
+    active = np.isfinite(psi) & (h1[:, None] > 0.0) & (h2[None, :] > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         cells = h1[:, None] * h2[None, :] / psi
     return np.where(active, cells, 0.0)
 
 
+def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...],
+                 affine: Callable[..., np.ndarray]) -> GridRows:
+    """The kernel on xs x ys whose map ``affine`` takes one array per input.
+
+    The output marginals are ``max(0, affine(input marginals))`` and the
+    output ratio field is ``affine(input ratio fields)``, decoded one row
+    block at a time.  Every input is read on xs x ys through evaluate_grid.
+    """
+    m1 = [X.evaluate_grid(xs, ys[-1:])[:, 0] for X in inputs]
+    m2 = [X.evaluate_grid(xs[-1:], ys)[0] for X in inputs]
+    h1, h2 = np.maximum(0.0, affine(*m1)), np.maximum(0.0, affine(*m2))
+
+    def block(rows):
+        psi = [_psi_block(X.evaluate_grid(xs[rows], ys), f1[rows], f2)
+               for X, f1, f2 in zip(inputs, m1, m2)]
+        return _decode_block(h1[rows], h2, affine(*psi))
+
+    return GridRows(xs, ys, block)
+
+
 def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
-    """Ratio field F1*F2/F with +inf / nan sentinels at vanishing cells."""
+    """Ratio field F1*F2/F; where F <= 0, +inf if F1*F2 > 0 and nan otherwise."""
     require_valid_bi(F, eps)
     c = F.cdf
     m1, m2 = c[:, -1], c[-1, :]
@@ -135,8 +153,9 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
                         eps: float = EPS_CDF) -> BivariateCDF:
     """Bi-free max-convolution H of two bivariate distribution functions.
 
-    The marginals of H are the univariate free max-convolutions of the
-    input marginals; at every grid point where F > 0, G > 0 and both H
+    The marginals of H are the univariate free max-convolutions
+    ``(F_j + G_j - 1)_+`` of the input marginals; wherever the ratio field
+    ``psi_F + psi_G - 1`` is finite (so F > 0 and G > 0) and both H
     marginals are positive,
 
         H = H1 * H2 / (psi_F + psi_G - 1),
@@ -153,28 +172,17 @@ def bifree_max_convolve_rows(F: BivariateCDF, G: BivariateCDF,
     require_valid_bi(F, eps)
     require_valid_bi(G, eps)
     xs, ys = _union_grid(F, G, "bifree_max_convolve")
-    # marginals on the union grid: its last column and last row
-    f1, g1 = (X.evaluate_grid(xs, ys[-1:])[:, 0] for X in (F, G))
-    f2, g2 = (X.evaluate_grid(xs[-1:], ys)[0] for X in (F, G))
-    h1 = np.maximum(0.0, f1 + g1 - 1.0)
-    h2 = np.maximum(0.0, f2 + g2 - 1.0)
-
-    def block(rows):
-        Fb = F.evaluate_grid(xs[rows], ys)
-        Gb = G.evaluate_grid(xs[rows], ys)
-        psi_sum = _psi_block(Fb, f1[rows], f2) + _psi_block(Gb, g1[rows], g2) - 1.0
-        return _decode_block(h1[rows], h2, psi_sum, (Fb > 0.0) & (Gb > 0.0))
-
-    return GridRows(xs, ys, block)
+    return _affine_rows(xs, ys, (F, G), lambda f, g: f + g - 1.0)
 
 
 def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     """n-fold bi-free max-convolution of F with itself.
 
-    Computed through the closed form (marginals ``(n*F_j - (n-1))_+``,
-    ratio field ``n*psi - (n-1)``, decoded like the pairwise convolution)
-    rather than n-1 pairwise convolutions, which is exact and avoids error
-    accumulation; both paths agree.  ``nfold(F, 1)`` is F itself.
+    Computed through the closed form, the one map ``n*a - (n-1)`` applied
+    to the marginals (then clamped at 0) and to the ratio field, and decoded
+    like the pairwise convolution, rather than n-1 pairwise convolutions;
+    so ``nfold(F, 2)`` is ``bifree_max_convolve(F, F)`` byte for byte, and
+    cells with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself.
     """
     H = nfold_rows(F, n, eps)
     return F if n == 1 else H.to_cdf()
@@ -184,18 +192,9 @@ def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
     """nfold as row blocks; F and n are checked here."""
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
-    c = F.cdf
     if n == 1:
-        return GridRows(F.x_breaks, F.y_breaks, lambda rows: c[rows])
-    f1, f2 = c[:, -1], c[-1, :]
-    h1 = np.maximum(0.0, n * f1 - (n - 1.0))
-    h2 = np.maximum(0.0, n * f2 - (n - 1.0))
-
-    def block(rows):
-        psi_n = n * _psi_block(c[rows], f1[rows], f2) - (n - 1.0)
-        return _decode_block(h1[rows], h2, psi_n, np.isfinite(psi_n))
-
-    return GridRows(F.x_breaks, F.y_breaks, block)
+        return GridRows(F.x_breaks, F.y_breaks, lambda rows: F.cdf[rows])
+    return _affine_rows(F.x_breaks, F.y_breaks, (F,), lambda a: n * a - (n - 1.0))
 
 
 def _check_fold_count(n) -> int:
@@ -223,25 +222,21 @@ class NthRootResult:
 def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """The unique ratio-affine n-th root candidate of F under the convolution.
 
-    Marginals ``(F_j + n - 1)/n`` and ratio field ``(psi + n - 1)/n``,
-    decoded like the convolution and the power: the +inf sentinel gives 0,
-    cells where the ratio is 0/0-undefined take the independent value (ratio
-    1), and a cell where a root marginal is 0 (only at n = 1) is 0.  If the
-    candidate is returned valid, its n-fold convolution recovers F.
+    The one map ``(a + n - 1)/n`` is applied to the marginals (then clamped
+    at 0) and to the ratio field, whose 0/0-undefined cells (``nan``, F <= 0
+    with a vanishing marginal product) take the independent value, ratio 1.
+    It is decoded like the convolution and the power: the +inf sentinel
+    gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
+    If the candidate is returned valid, its n-fold convolution recovers F.
     """
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
-    c = F.cdf
-    f1, f2 = c[:, -1], c[-1, :]
-    r1 = (f1 + n - 1.0) / n
-    r2 = (f2 + n - 1.0) / n
 
-    def block(rows):
-        psi_n = (_psi_block(c[rows], f1[rows], f2) + n - 1.0) / n
-        psi_n = np.where(np.isnan(psi_n), 1.0, psi_n)   # 0/0 cells: ratio 1
-        return _decode_block(r1[rows], r2, psi_n, np.isfinite(psi_n))
+    def root(a):
+        r = (a + n - 1.0) / n
+        return np.where(np.isnan(r), 1.0, r)   # 0/0 cells: ratio 1
 
-    candidate = GridRows(F.x_breaks, F.y_breaks, block).to_cdf()
+    candidate = _affine_rows(F.x_breaks, F.y_breaks, (F,), root).to_cdf()
     return NthRootResult(candidate, validate_bi(candidate, eps))
 
 

@@ -24,8 +24,6 @@ import numpy as np
 
 from .cdf import BivariateCDF
 
-#: Tolerance for algebraic identities (closed rational forms).
-EPS_INV = 1e-10
 #: Tolerance for limit stability checks.
 EPS_LIM = 1e-7
 #: Geometric evaluation ladder for the large-argument limit.
@@ -118,16 +116,12 @@ def k_projection(z, p: float):
 
     On the positive real axis this is the branch with K(z) -> inf as
     z -> 0+ and K(z) in (1, inf) for p > 0.  For p = 0 the transform
-    degenerates to 1/z and so does its inverse.  Complex arguments are
-    accepted and use the principal square root of the same branch.
+    degenerates to 1/z and so does its inverse.
     """
     if z == 0:
         raise ValueError("K has a pole at z = 0 (point at infinity)")
     if p == 0.0:
         return 1.0 / z
-    if isinstance(z, complex):
-        disc = (z + 1.0) ** 2 + 4.0 * z * (p - 1.0)
-        return ((z + 1.0) + complex(np.sqrt(complex(disc)))) / (2.0 * z)
     return 1.0 + k_projection_excess(float(z), p)
 
 
@@ -189,13 +183,12 @@ def wedge_moment_expression(z: float, w: float,
     return A * B / bracket
 
 
-def wedge_moment_limit(law: ProjectionPairLaw, law2: ProjectionPairLaw,
-                       eps_lim: float = EPS_LIM) -> float:
+def wedge_moment_limit(law: ProjectionPairLaw, law2: ProjectionPairLaw) -> float:
     """Wedge moment via the large-argument limit of the transform pipeline.
 
     Evaluates the expression along the geometric ladder z = w = 10^k,
     k = 2..7, extrapolates away the leading 1/z error term, and requires
-    the last two extrapolants to agree within ``eps_lim``.
+    the last two extrapolants to agree within EPS_LIM.
     """
     if (law.p + law2.p - 1.0 <= 0.0 or law.q + law2.q - 1.0 <= 0.0
             or law.r == 0.0 or law2.r == 0.0):
@@ -203,9 +196,9 @@ def wedge_moment_limit(law: ProjectionPairLaw, law2: ProjectionPairLaw,
     evals = [wedge_moment_expression(t, t, law, law2) for t in LIMIT_LADDER]
     # Leading error is c/t on a ratio-10 ladder: eliminate it pairwise.
     extrap = [(10.0 * b - a) / 9.0 for a, b in zip(evals, evals[1:])]
-    if abs(extrap[-1] - extrap[-2]) > eps_lim:
+    if abs(extrap[-1] - extrap[-2]) > EPS_LIM:
         raise LimitConvergenceError(
-            f"wedge moment ladder not stable within {eps_lim}", evals)
+            f"wedge moment ladder not stable within {EPS_LIM}", evals)
     return extrap[-1]
 
 
@@ -227,24 +220,24 @@ def wedge_moment_closed_form(law: ProjectionPairLaw,
 # Atom-mass extraction from a bivariate Cauchy evaluator
 # ---------------------------------------------------------------------------
 
-def atom_mass_limit(G, top: tuple[float, float], scale: float = 1.0,
-                    max_halvings: int = 30, eps_lim: float = EPS_LIM) -> float:
+def atom_mass_limit(G, top: tuple[float, float]) -> float:
     """Mass of the atom of a plane measure at the top of its support.
 
     ``G(z, w)`` must evaluate the Cauchy transform of a probability measure
     supported in (-inf, top[0]] x (-inf, top[1]] at real points above top.
-    Evaluates (z - top1)(w - top2) G(z, w) along z = top1 + scale * 2^-n,
-    n = 1..max_halvings (same in w), and requires two-point stability.
+    Evaluates (z - top1)(w - top2) G(z, w) along z = top1 + 2^-n,
+    n = 1..30 (same in w), and requires the last two values to
+    agree within EPS_LIM.
     """
     tx, ty = top
     vals = []
-    for n in range(1, max_halvings + 1):
-        h = scale * 2.0 ** (-n)
+    for n in range(1, 31):
+        h = 2.0 ** (-n)
         g = G(tx + h, ty + h)
         vals.append(float(np.real(h * h * g)))
-    if abs(vals[-1] - vals[-2]) > eps_lim:
+    if abs(vals[-1] - vals[-2]) > EPS_LIM:
         raise LimitConvergenceError(
-            f"atom-mass ladder not stable within {eps_lim}", vals)
+            f"atom-mass ladder not stable within {EPS_LIM}", vals)
     return vals[-1]
 
 

@@ -18,7 +18,12 @@ from bifreemax import (
     validate_bi,
     wedge_moment_closed_form,
 )
-from helpers import random_bivariate_cdf
+from helpers import (
+    convolve_reference,
+    random_breaks,
+    random_bivariate_cdf,
+    sparse_bivariate_cdf,
+)
 
 
 def product_cdf(xb, u, yb, v):
@@ -42,6 +47,14 @@ class TestPsiRatio:
         F = BivariateCDF([0, 1], [0, 1], [[0.0, 0.0], [0.0, 1.0]])
         psi = psi_ratio(F).values
         assert np.isnan(psi[0, 0])
+
+    def test_negative_cell_vanishes(self):
+        # cells within eps below 0: +inf where the marginal product is
+        # positive, nan where it is not, like cells at 0
+        F = BivariateCDF([0, 1], [0, 1], [[-1e-10, 0.4], [0.5, 1.0]])
+        assert np.isposinf(psi_ratio(F).values[0, 0])
+        G = BivariateCDF([0, 1], [0, 1], [[0.0, -1e-12], [0.5, 1.0]])
+        assert np.isnan(psi_ratio(G).values[0]).all()
 
     def test_projection_pair_cell(self):
         # four-atom joint law of a commuting projection pair with
@@ -229,6 +242,87 @@ class TestNthRoot:
         res = nth_root(fixture_cdf, 2)
         assert not res.ok
         assert any("rectangle" in v for v in res.violations)
+
+
+# Valid grids whose cells lie in [-eps, 0): kernels treat them as vanishing.
+M = 0.5 + 2e-10
+EDGE = BivariateCDF([0, 1], [0, 1], [[-1e-10, M], [M, 1.0]])
+ROOT_INPUTS = {"Z": [[0.0, 0.0], [0.5, 1.0]], "B": [[-1e-10, 0.0], [0.5, 1.0]],
+               "C": [[0.0, -1e-12], [0.5, 1.0]]}
+
+
+def pushed_below_zero(rng, F):
+    """F with about half its cells in [0, 1e-10] lowered by up to 2e-10.
+
+    Each change is at most a fifth of eps, so the grid stays valid.
+    """
+    c = F.cdf.copy()
+    low = (c <= 1e-10) & (rng.random(c.shape) < 0.5)
+    c[low] -= rng.uniform(0.0, 2e-10, low.sum())
+    return BivariateCDF(F.x_breaks, F.y_breaks, c)
+
+
+def edge_cdf(rng, nx, ny):
+    """The lower Frechet bound (u_i + v_j - 1)_+ of random marginals u, v,
+    about a third of whose values are within 5e-11 above 1/2, lowered by
+    pushed_below_zero: cells with both marginals above 1/2 and a joint at
+    or below 0, like EDGE."""
+    def marginal(size):
+        m = rng.uniform(0.0, 1.0, size)
+        near = rng.random(size) < 0.35
+        m[near] = 0.5 + rng.uniform(0.0, 5e-11, near.sum())
+        m = np.sort(m)
+        m[-1] = 1.0
+        return m
+
+    u, v = marginal(nx), marginal(ny)
+    W = np.maximum(0.0, u[:, None] + v[None, :] - 1.0)
+    return pushed_below_zero(rng, BivariateCDF(random_breaks(rng, nx),
+                                               random_breaks(rng, ny), W))
+
+
+def near_zero_grids(seed, count):
+    """Sparse grids and lower-Frechet edge grids, with cells in [-eps, 0)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        nx, ny = rng.integers(1, 13, 2)
+        if k % 2:
+            yield edge_cdf(rng, nx, ny)
+        else:
+            yield pushed_below_zero(rng, sparse_bivariate_cdf(
+                rng, nx, ny, rng.uniform(0.0, 0.8), rng.uniform(-1.0, 1.0)))
+
+
+class TestVanishingCells:
+    """A cell with F <= 0 vanishes in every kernel: one map, one decode."""
+
+    def test_two_fold_equals_pairwise_at_a_negative_cell(self):
+        assert validate_bi(EDGE) == []
+        H = nfold(EDGE, 2).cdf
+        assert H.tobytes() == bifree_max_convolve(EDGE, EDGE).cdf.tobytes()
+        assert H[0, 0] == 0.0
+
+    def test_roots_of_nearby_grids_agree(self):
+        roots = {}
+        for name, cells in ROOT_INPUTS.items():
+            F = BivariateCDF([0, 1], [0, 1], cells)
+            assert validate_bi(F) == []
+            res = nth_root(F, 2)
+            assert res.ok, name
+            roots[name] = res.candidate.cdf
+        for name in "BC":
+            assert np.max(np.abs(roots[name] - roots["Z"])) <= 1e-12
+
+    def test_fuzz_convolve_and_two_fold(self):
+        grids = list(near_zero_grids(90, 500))
+        assert sum(bool((F.cdf < 0).any()) for F in grids) >= 100
+        for F, G in zip(grids, grids[1:] + grids[:1]):
+            # the reference's ratio field is -inf at a 0 cell whose marginal
+            # product is below 0, so it may add +inf and -inf there
+            with np.errstate(invalid="ignore"):
+                reference = convolve_reference(F, G)
+            assert bifree_max_convolve(F, G).cdf.tobytes() == reference.tobytes()
+            assert nfold(F, 2).cdf.tobytes() == bifree_max_convolve(F, F).cdf.tobytes()
 
 
 class TestMaxStableResidual:

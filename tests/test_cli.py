@@ -151,6 +151,14 @@ class TestNfoldRoot:
         assert load_bi_json(out).cdf.tolist() == [[0.0, 0.0], [0.5, 1.0]]
         assert capsys.readouterr().out == f"wrote {out}: valid 1-th root candidate\n"
 
+    def test_root_with_a_cell_below_zero(self, tmp_path, capsys):
+        # cell (0, 0) is within eps below 0 in a row whose marginal is 0
+        f, out = tmp_path / "b.json", tmp_path / "r.json"
+        save_bi_json(BivariateCDF([0, 1], [0, 1], [[-1e-10, 0.0], [0.5, 1.0]]), f)
+        assert main(["root", str(f), "2", "--out", str(out)]) == 0
+        assert load_bi_json(out).cdf.tolist() == [[0.375, 0.5], [0.75, 1.0]]
+        assert capsys.readouterr().out == f"wrote {out}: valid 2-th root candidate\n"
+
     def test_root_failure_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         fixture = str(FIXTURES / "not_two_divisible_3x3.json")
