@@ -20,7 +20,7 @@ psi is finite and both output marginals are positive, 0 elsewhere.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,24 +65,15 @@ class GridRows:
     y_breaks: np.ndarray
     block: Callable[[slice], np.ndarray]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.x_breaks.size, self.y_breaks.size
-
-    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Each row slice of cdf.row_blocks with its rows, in order."""
-        for rows in row_blocks(*self.shape):
-            yield rows, self.block(rows)
-
     def last_row(self) -> np.ndarray:
         nx = self.x_breaks.size
         return self.block(slice(nx - 1, nx))[0]
 
     def array(self) -> np.ndarray:
         """The whole output array, filled one row block at a time."""
-        out = np.empty(self.shape)
-        for rows, block in self.blocks():
-            out[rows] = block
+        out = np.empty((self.x_breaks.size, self.y_breaks.size))
+        for rows in row_blocks(*out.shape):
+            out[rows] = self.block(rows)
         return out
 
     def to_cdf(self) -> BivariateCDF:
@@ -193,7 +184,7 @@ def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
     if n == 1:
-        return GridRows(F.x_breaks, F.y_breaks, lambda rows: F.cdf[rows])
+        return GridRows(F.x_breaks, F.y_breaks, F.block)
     return _affine_rows(F.x_breaks, F.y_breaks, (F,), lambda a: n * a - (n - 1.0))
 
 

@@ -14,8 +14,10 @@ non-finite entries) are programming errors and raise immediately.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -145,6 +147,10 @@ class BivariateCDF:
         vals[xi < 0] = 0.0
         vals[:, yj < 0] = 0.0
         return vals
+
+    def block(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` of cdf, as GridRows.block gives a kernel's output rows."""
+        return self.cdf[rows]
 
 
 @dataclass(frozen=True)
@@ -386,9 +392,34 @@ def _bad_file(what: str, path, exc: Exception) -> CDFFormatError:
     return CDFFormatError(f"bad {what} file {path}: {reason}")
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file that replaces path whole on success; on an error, path is left as it was.
+
+    Written beside os.path.realpath(path), so a symlink keeps its link, with a new file's
+    mode.  An existing path that is not a regular file, like /dev/null, is written in place.
+    """
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    try:
+        fh = open(path if in_place else tmp, "w")
+    except OSError as exc:   # name path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        if not in_place:
+            os.replace(tmp, real)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_uni_json(F: UnivariateCDF, path) -> None:
+    """Write F as univariate CDF JSON; path is replaced whole or left as it was."""
     # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same.
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(json.dumps({"breaks": F.breaks.tolist(),
                              "values": F.values.tolist()}) + "\n")
 
@@ -404,9 +435,10 @@ def load_uni_json(path) -> UnivariateCDF:
 
 
 def save_bi_json(F: BivariateCDF, path) -> None:
-    with open(path, "w") as fh:
-        write_bi_json(fh, F.x_breaks, F.y_breaks,
-                      (F.cdf[rows] for rows in row_blocks(*F.cdf.shape)))
+    """Write a BivariateCDF or GridRows F as JSON; path is replaced whole or left as it was."""
+    rows = row_blocks(F.x_breaks.size, F.y_breaks.size)
+    with _replacing(path) as fh:
+        write_bi_json(fh, F.x_breaks, F.y_breaks, map(F.block, rows))
 
 
 def write_bi_json(fh, x_breaks, y_breaks, blocks) -> None:

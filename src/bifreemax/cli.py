@@ -7,7 +7,6 @@ failure, oracle spread above tolerance), 2 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -24,20 +23,20 @@ from .cdf import (
     AffineNormalization,
     CDFError,
     CDFFormatError,
+    _replacing,
     ecdf_from_samples,
     load_bi_json,
     load_samples_tsv,
     load_uni_json,
     require_valid_bi,
-    require_valid_uni,
     save_bi_json,
     save_uni_json,
     validate_bi,
     validate_uni,
-    write_bi_json,
 )
 from .extremal import free_max_convolve, free_min_convolve
 from .biconv import (
+    GridRows,
     bifree_max_convolve,
     bifree_max_convolve_rows,
     max_stable_residual,
@@ -85,19 +84,19 @@ def cmd_biconv(args) -> int:
     last = H.y_breaks[-1:]
     h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
                     + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
-    m1, m2 = np.empty(H.shape[0]), H.last_row()
+    m1, m2 = np.empty(H.x_breaks.size), H.last_row()
     psi = [np.inf, -np.inf]
 
-    def passing():   # gathers the last column and the psi range on the way out
-        for rows, block in H.blocks():
-            m1[rows] = block[:, -1]
-            psi[:] = psi_range(block, m2, *psi)
-            yield block
+    def block(rows):   # gathers the last column and the psi range on the way out
+        b = H.block(rows)
+        m1[rows] = b[:, -1]
+        psi[:] = psi_range(b, m2, *psi)
+        return b
 
-    _write_streamed(args.out, H.x_breaks, H.y_breaks, passing())
+    save_bi_json(GridRows(H.x_breaks, H.y_breaks, block), args.out)
+    ok = np.all(np.abs(m1 - h1) <= args.tol)
     print(f"wrote {args.out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
-          f"total mass {float(m2[-1])!r}, "
-          f"marginal check {'OK' if np.array_equal(m1, h1) else 'FAILED'}")
+          f"total mass {float(m2[-1])!r}, marginal check {'OK' if ok else 'FAILED'}")
     # max |psi - 1| is at the smallest or the largest psi
     if psi[0] <= psi[1] and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:
         print("psi == 1 (product output)")
@@ -108,30 +107,9 @@ def cmd_nfold(args) -> int:
     F = load_bi_json(args.path)
     H = nfold_rows(F, args.n, args.tol)
     mass = float(H.last_row()[-1])
-    _write_streamed(args.out, H.x_breaks, H.y_breaks, (block for _, block in H.blocks()))
+    save_bi_json(H, args.out)
     print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
     return 0
-
-
-def _write_streamed(path, x_breaks, y_breaks, blocks) -> None:
-    """write_bi_json to a temporary file beside path, renamed to path on success.
-
-    The output is computed while it is written, so an error can come midway;
-    then path is left as it was and the temporary file is removed.  A path
-    that exists and is not a regular file, such as /dev/null, is written in place.
-    """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w") as fh:
-            write_bi_json(fh, x_breaks, y_breaks, blocks)
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            write_bi_json(fh, x_breaks, y_breaks, blocks)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
 
 
 def cmd_root(args) -> int:
@@ -141,9 +119,8 @@ def cmd_root(args) -> int:
         save_bi_json(result.candidate, args.out)
         print(f"wrote {args.out}: valid {args.n}-th root candidate")
         return 0
-    with open(args.out, "w") as fh:
-        json.dump({"divisibility_failure": result.violations}, fh, indent=2)
-        fh.write("\n")
+    with _replacing(args.out) as fh:
+        fh.write(json.dumps({"divisibility_failure": result.violations}, indent=2) + "\n")
     print(f"not {args.n}-divisible; report written to {args.out}:")
     for v in result.violations:
         print(f"  {v}")
@@ -190,7 +167,7 @@ def cmd_ecdf(args) -> int:
 def cmd_plotdata(args) -> int:
     F = load_bi_json(args.path)
     require_valid_bi(F, args.tol)
-    with open(args.out, "w") as fh:
+    with _replacing(args.out) as fh:
         ys = F.y_breaks.tolist()
         for x, row in zip(F.x_breaks.tolist(), F.cdf):
             for y, v in zip(ys, row.tolist()):

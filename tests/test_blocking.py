@@ -1,10 +1,14 @@
 """Row-blocked grid kernels: the same bytes as the whole-array formulas at
 every block size, peak memory of the output plus a few blocks, and one
-validation of each public input."""
+validation of each public input.  CLI output files, streamed or not, are
+written whole or left as they were."""
 
+import builtins
+import errno
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from bifreemax import (
     AffineNormalization,
     BivariateCDF,
     CDFError,
+    UnivariateCDF,
     bifree_max_convolve,
     max_stable_residual,
     merge_grids,
@@ -21,6 +26,7 @@ from bifreemax import (
     nth_root,
     psi_ratio,
     save_bi_json,
+    save_uni_json,
     validate_bi,
 )
 from bifreemax import biconv as biconv_module
@@ -34,6 +40,7 @@ from helpers import (
     nfold_reference,
     nth_root_reference,
     psi_reference,
+    random_bivariate_cdf,
     residual_reference,
     sparse_bivariate_cdf,
 )
@@ -409,6 +416,67 @@ class TestStreamedCli:
                     f"wrote {out}: {n}-fold power, total mass {float(H.cdf[-1, -1])!r}\n")
 
 
+#: Each case of a subcommand that writes --out, with its exit code; "root"
+#: has a valid candidate and "root-report" writes a divisibility report.
+WRITERS = {"biconv": 0, "nfold": 0, "uniconv": 0, "root": 0, "root-report": 1,
+           "ecdf": 0, "plotdata": 0}
+
+
+@pytest.fixture
+def writer_argv(tmp_path):
+    """The argv of each case of WRITERS but its --out, on inputs in tmp_path / "in"."""
+    d = tmp_path / "in"
+    d.mkdir()
+    F, G = next(seeded_pairs(55))
+    save_bi_json(F, d / "f.json")
+    save_bi_json(G, d / "g.json")
+    # marginals above 1/2 make the square root of the 2-fold power valid
+    save_bi_json(nfold(random_bivariate_cdf(np.random.default_rng(56), corner_mass=0.6), 2),
+                 d / "div.json")
+    save_uni_json(UnivariateCDF([0.0, 1.0, 2.0], [0.6, 0.8, 1.0]), d / "u.json")
+    save_uni_json(UnivariateCDF([0.5, 2.0], [0.7, 1.0]), d / "v.json")
+    (d / "s.tsv").write_text("0\t0\n1\t2\n2\t1\n")
+    not_divisible = Path(__file__).parent / "fixtures" / "not_two_divisible_3x3.json"
+    f, g = str(d / "f.json"), str(d / "g.json")
+    return {"biconv": ["biconv", f, g], "nfold": ["nfold", f, "2"],
+            "uniconv": ["uniconv", str(d / "u.json"), str(d / "v.json")],
+            "root": ["root", str(d / "div.json"), "2"],
+            "root-report": ["root", str(not_divisible), "2"],
+            "ecdf": ["ecdf", str(d / "s.tsv")], "plotdata": ["plotdata", f]}
+
+
+def _fail_writes_midway(monkeypatch):
+    """Make every file opened for writing fail its first write, as a full disk
+    does, after half the text reaches the file; returns the opened paths."""
+    opened = []
+    real_open = builtins.open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(Path(file))
+        return FullDisk(fh)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    return opened
+
+
 class TestStreamedCliErrors:
     """An error while the output streams leaves --out as it was and no
     temporary file, and is reported like an error before the output opens."""
@@ -470,6 +538,27 @@ class TestStreamedCliErrors:
         assert reports[0].err == reports[1].err == "error: injected failure\n"
         assert reports[2].err == "error: cdf values must be finite\n"
 
+    @pytest.mark.parametrize("case", WRITERS)
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-out", "old-out"])
+    def test_write_failure_midway(self, writer_argv, monkeypatch, tmp_path, capsys,
+                                  case, existing):
+        out = tmp_path / "out"
+        if existing:
+            out.write_bytes(b"old bytes\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        opened = _fail_writes_midway(monkeypatch)
+        assert main([*writer_argv[case], "--out", str(out)]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        # the output went to one temporary file, now gone
+        assert len(opened) == 1 and opened[0].parent == tmp_path.resolve()
+        assert opened[0].name.startswith("out.") and opened[0].name.endswith(".tmp")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if existing:
+            assert out.read_bytes() == b"old bytes\n"
+        else:
+            assert not out.exists()
+
 
 def test_streamed_output_to_a_device(tmp_path):
     f = tmp_path / "f.json"
@@ -478,6 +567,34 @@ def test_streamed_output_to_a_device(tmp_path):
     assert main(["nfold", str(f), "2", "--out", os.devnull]) == 0
     assert main(["biconv", str(f), str(f), "--out", os.devnull]) == 0
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", [c for c in WRITERS if c not in ("biconv", "nfold")])
+def test_every_output_to_a_device(writer_argv, tmp_path, case):
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*writer_argv[case], "--out", os.devnull]) == WRITERS[case]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", WRITERS)
+def test_symlinked_output_keeps_its_link(writer_argv, tmp_path, case):
+    plain, link = tmp_path / "plain", tmp_path / "link"
+    assert main([*writer_argv[case], "--out", str(plain)]) == WRITERS[case]
+    target = tmp_path / "in" / "target"
+    target.write_bytes(b"old bytes\n")
+    link.symlink_to(target)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*writer_argv[case], "--out", str(link)]) == WRITERS[case]
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", WRITERS)
+def test_missing_output_directory_is_named(writer_argv, tmp_path, capsys, case):
+    out = tmp_path / "missing" / "out"
+    assert main([*writer_argv[case], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestStreamedCliMemory:

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import bifreemax
-from bifreemax import BivariateCDF, UnivariateCDF, load_bi_json, save_bi_json, save_uni_json
+from bifreemax import (
+    BivariateCDF,
+    UnivariateCDF,
+    load_bi_json,
+    save_bi_json,
+    save_uni_json,
+    validate_bi,
+)
 from bifreemax import cdf as cdf_module
 from bifreemax.cdf import MAX_LISTED
 from bifreemax.cli import main
@@ -125,6 +132,20 @@ class TestBiconv:
         bad = tmp_path / "bad.json"
         save_bi_json(BivariateCDF([0, 1], [0, 1], [[0.5, 0.9], [0.9, 1.0]]), bad)
         assert main(["biconv", str(bad), valid_bi, "--out", str(tmp_path / "h.json")]) == 1
+
+    def test_marginal_check_at_a_total_mass_just_below_one(self, tmp_path, capsys):
+        # at a mass of 1 - delta the last column can differ from (F1 + G1 - 1)_+
+        # in the last place, far inside --tol
+        rng = np.random.default_rng(62)
+        f, g, out = (str(tmp_path / f"{name}.json") for name in "fgh")
+        for _ in range(50):
+            F, G = random_bivariate_cdf(rng), random_bivariate_cdf(rng)
+            F = BivariateCDF(F.x_breaks, F.y_breaks, F.cdf * (1.0 - rng.uniform(0.0, 1e-9)))
+            assert validate_bi(F) == [] and validate_bi(G) == []
+            save_bi_json(F, f)
+            save_bi_json(G, g)
+            assert main(["biconv", f, g, "--out", out]) == 0
+            assert "marginal check OK" in capsys.readouterr().out
 
 
 class TestNfoldRoot:
