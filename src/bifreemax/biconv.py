@@ -16,6 +16,12 @@ kernel that builds a CDF from ratio fields (convolution, power, root) is one
 affine map, applied to the input marginals (then clamped at 0) and to the
 input ratio fields, followed by one decode, ``_decode_block``: H1*H2/psi where
 psi is finite and both output marginals are positive, 0 elsewhere.
+
+A kernel's output is a ``cdf.GridRows``, a row source like ``BivariateCDF``:
+it computes its rows block by block when they are read.  ``nfold`` and
+``nth_root`` fill it into an array, CLI ``biconv`` and ``nfold`` stream it
+to their file, and ``max_stable_residual`` pulls its breaks back and reads
+it on the evaluation grid, so the n-fold power is never held.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .cdf import (
     EPS_CDF,
     AffineNormalization,
     BivariateCDF,
+    GridRows,
     _pulled_back,
     _union_grid,
     require_valid_bi,
@@ -46,39 +53,10 @@ class PsiField:
     values: np.ndarray  # +inf and nan sentinels allowed
 
 
-# Every cells-sized kernel below fills one preallocated output a row block at
-# a time (cdf.row_blocks): the ratio field is cell by cell and the marginals
-# are vectors, so a block needs only its own rows.  Peak memory is the output
-# plus one block's temporaries, and the values do not depend on the blocking.
-
-@dataclass(frozen=True)
-class GridRows:
-    """A kernel's output grid, given by its breaks and its row-block function.
-
-    ``block(rows)`` computes the rows ``rows`` (a slice) of the output array.
-    Every step of a kernel is elementwise, so a row has the same bits
-    whichever block computes it: a caller may take the last row first, or
-    stream the blocks to a file without ever holding the whole array.
-    """
-
-    x_breaks: np.ndarray
-    y_breaks: np.ndarray
-    block: Callable[[slice], np.ndarray]
-
-    def last_row(self) -> np.ndarray:
-        nx = self.x_breaks.size
-        return self.block(slice(nx - 1, nx))[0]
-
-    def array(self) -> np.ndarray:
-        """The whole output array, filled one row block at a time."""
-        out = np.empty((self.x_breaks.size, self.y_breaks.size))
-        for rows in row_blocks(*out.shape):
-            out[rows] = self.block(rows)
-        return out
-
-    def to_cdf(self) -> BivariateCDF:
-        return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
-
+# Every cells-sized kernel below computes its output a row block at a time
+# (cdf.row_blocks): the ratio field is cell by cell and the marginals are
+# vectors, so a block needs only its own rows, and its values do not depend on
+# the blocking.  Peak memory is what the caller keeps plus one block.
 
 def _psi_block(c: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Ratio field of the rows ``c`` of a CDF whose marginals there are m1 and m2."""
@@ -176,15 +154,15 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     cells with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself.
     """
     H = nfold_rows(F, n, eps)
-    return F if n == 1 else H.to_cdf()
+    return H if H is F else H.to_cdf()
 
 
-def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
-    """nfold as row blocks; F and n are checked here."""
+def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF | GridRows:
+    """nfold as a row source, F itself at n = 1; F and n are checked here."""
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
     if n == 1:
-        return GridRows(F.x_breaks, F.y_breaks, F.block)
+        return F
     return _affine_rows(F.x_breaks, F.y_breaks, (F,), lambda a: n * a - (n - 1.0))
 
 
@@ -237,10 +215,10 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
 
     The evaluation grid is the union of F's grid and the pulled-back grid
     of the n-fold power.  A max-stable F with the right normalizing
-    sequence drives this to 0 as n grows.
+    sequence drives this to 0 as n grows.  The power is never held: each
+    row block of the evaluation grid computes the rows of it that it reads.
     """
-    Hn = nfold(F, n, eps)
-    H = _pulled_back(Hn, norm, Hn.cdf)
+    H = _pulled_back(nfold_rows(F, n, eps), norm)
     xs, ys = _union_grid(F, H, "max_stable_residual")
     residual = 0.0
     for rows in row_blocks(xs.size, ys.size):

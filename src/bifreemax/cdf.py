@@ -10,6 +10,12 @@ this package ever consume.
 Validation never raises on bad *data*; it returns a list of named
 violations.  Structural problems (non-increasing grids, shape mismatch,
 non-finite entries) are programming errors and raise immediately.
+
+A bivariate grid is read through one kind of row source: its breaks plus
+``block(rows)``, the rows ``rows`` (a slice) of its values.  A
+``BivariateCDF`` gives rows of its array; a ``GridRows`` computes them, as a
+kernel's output does.  Both evaluate, pull back and save through the same
+code, one row block at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,8 +114,33 @@ class UnivariateCDF:
         return out if np.ndim(s) else float(out)
 
 
+class _RowSource:
+    """Evaluation of a bivariate grid given by x_breaks, y_breaks and block(rows)."""
+
+    def evaluate(self, s, t) -> float:
+        """Evaluate F(s, t) at a single point."""
+        return float(self.evaluate_grid([s], [t])[0, 0])
+
+    def evaluate_grid(self, xs, ys) -> np.ndarray:
+        """Evaluate F on the product grid xs x ys; returns a matrix.
+
+        Reads one block: the contiguous row range that the points of xs hit.
+        """
+        xi = _step_index(self.x_breaks, np.asarray(xs, dtype=float))
+        yj = _step_index(self.y_breaks, np.asarray(ys, dtype=float))
+        hit = xi[xi >= 0]
+        if hit.size == 0:   # xs is empty or below the grid
+            return np.zeros((xi.size, yj.size))
+        lo = int(hit.min())
+        rows = self.block(slice(lo, int(hit.max()) + 1))
+        vals = rows[np.ix_(np.maximum(xi - lo, 0), np.maximum(yj, 0))]
+        vals[xi < 0] = 0.0
+        vals[:, yj < 0] = 0.0
+        return vals
+
+
 @dataclass(frozen=True)
-class BivariateCDF:
+class BivariateCDF(_RowSource):
     """Right-continuous distribution function of a probability measure on R^2.
 
     ``cdf[i, j]`` is the value at ``(x_breaks[i], y_breaks[j])``.
@@ -131,26 +163,33 @@ class BivariateCDF:
         object.__setattr__(self, "y_breaks", yb)
         object.__setattr__(self, "cdf", cdf)
 
-    def evaluate(self, s, t) -> float:
-        """Evaluate F(s, t) at a single point."""
-        i = int(_step_index(self.x_breaks, s))
-        j = int(_step_index(self.y_breaks, t))
-        if i < 0 or j < 0:
-            return 0.0
-        return float(self.cdf[i, j])
-
-    def evaluate_grid(self, xs, ys) -> np.ndarray:
-        """Evaluate F on the product grid xs x ys; returns a matrix."""
-        xi = _step_index(self.x_breaks, np.asarray(xs, dtype=float))
-        yj = _step_index(self.y_breaks, np.asarray(ys, dtype=float))
-        vals = self.cdf[np.ix_(np.maximum(xi, 0), np.maximum(yj, 0))]
-        vals[xi < 0] = 0.0
-        vals[:, yj < 0] = 0.0
-        return vals
-
     def block(self, rows: slice) -> np.ndarray:
-        """The rows ``rows`` of cdf, as GridRows.block gives a kernel's output rows."""
+        """The rows ``rows`` of cdf."""
         return self.cdf[rows]
+
+
+@dataclass(frozen=True)
+class GridRows(_RowSource):
+    """A grid given by its breaks and ``block(rows)``, which computes the rows ``rows``.
+
+    Every step of a kernel is elementwise, so a row has the same bits
+    whichever block computes it: a caller may read any rows first, or stream
+    the blocks to a file without ever holding the whole array.
+    """
+
+    x_breaks: np.ndarray
+    y_breaks: np.ndarray
+    block: Callable[[slice], np.ndarray]
+
+    def array(self) -> np.ndarray:
+        """The whole array, filled one row block at a time."""
+        out = np.empty((self.x_breaks.size, self.y_breaks.size))
+        for rows in row_blocks(*out.shape):
+            out[rows] = self.block(rows)
+        return out
+
+    def to_cdf(self) -> BivariateCDF:
+        return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
 
 
 @dataclass(frozen=True)
@@ -163,6 +202,8 @@ class AffineNormalization:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise CDFError("a, b, c and d must be finite")
         if not (self.a > 0 and self.c > 0):
             raise CDFError("scales a and c must be positive")
 
@@ -331,8 +372,8 @@ def merge_grids(F: BivariateCDF, G: BivariateCDF,
             BivariateCDF(xb, yb, G.evaluate_grid(xb, yb)))
 
 
-def _union_grid(F: BivariateCDF, G: BivariateCDF, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis union of two grids, checked against MAX_CELLS for ``what``."""
+def _union_grid(F, G, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis union of two row sources' grids, checked against MAX_CELLS for ``what``."""
     xb = np.union1d(F.x_breaks, G.x_breaks)
     yb = np.union1d(F.y_breaks, G.y_breaks)
     require_cells(xb.size, yb.size, what)
@@ -346,12 +387,22 @@ def affine_transform(F: BivariateCDF, n: AffineNormalization,
     Breakpoints are pulled back through the affine map; values are unchanged.
     """
     require_valid_bi(F, eps)
-    return _pulled_back(F, n, F.cdf.copy())
+    return _pulled_back(F, n)
 
 
-def _pulled_back(F: BivariateCDF, n: AffineNormalization, cdf: np.ndarray) -> BivariateCDF:
-    """F's breakpoints pulled back through n, carrying the values ``cdf``."""
-    return BivariateCDF((F.x_breaks - n.b) / n.a, (F.y_breaks - n.d) / n.c, cdf)
+def _pulled_back(F, n: AffineNormalization):
+    """The row source F with its breaks pulled back through n; its rows are F's.
+
+    Raises CDFError if the pulled-back breaks are not finite and strictly
+    increasing, as when a huge shift collapses them or a tiny scale overflows.
+    """
+    with np.errstate(over="ignore"):
+        xb, yb = (F.x_breaks - n.b) / n.a, (F.y_breaks - n.d) / n.c
+    if not all(np.all(np.isfinite(b)) and np.all(np.diff(b) > 0) for b in (xb, yb)):
+        raise CDFError(f"the normalization (a, b, c, d) = "
+                       f"{tuple(map(float, (n.a, n.b, n.c, n.d)))!r} pulls the grid back "
+                       f"to breaks that are not finite and strictly increasing")
+    return replace(F, x_breaks=xb, y_breaks=yb)
 
 
 def ecdf_from_samples(points) -> BivariateCDF:
@@ -434,37 +485,28 @@ def load_uni_json(path) -> UnivariateCDF:
         raise _bad_file("univariate CDF", path, exc) from exc
 
 
-def save_bi_json(F: BivariateCDF, path) -> None:
-    """Write a BivariateCDF or GridRows F as JSON; path is replaced whole or left as it was."""
-    rows = row_blocks(F.x_breaks.size, F.y_breaks.size)
-    with _replacing(path) as fh:
-        write_bi_json(fh, F.x_breaks, F.y_breaks, map(F.block, rows))
+def save_bi_json(F: BivariateCDF | GridRows, path) -> None:
+    """Write the row source F as bivariate CDF JSON; path is replaced whole or left as it was.
 
-
-def write_bi_json(fh, x_breaks, y_breaks, blocks) -> None:
-    """Write a bivariate CDF JSON text to fh, its cdf array given as row blocks.
-
-    ``blocks`` yields consecutive rows of the array as 2-d arrays; each gets
-    the checks BivariateCDF makes on the whole array, before it is written.
-    Rows go through the C encoder one at a time, so the matrix never exists
-    as Python floats, and the bytes equal json.dump of the dict plus "\n".
+    F's rows are computed and written one row block at a time, and each
+    block gets the checks BivariateCDF makes on the whole array (shape and
+    finiteness) before it is written.  Rows go through the C encoder one at
+    a time, so the matrix never exists as Python floats, and the bytes equal
+    json.dump of the dict plus "\n".
     """
-    xb = _check_breaks(x_breaks, "x_breaks")
-    yb = _check_breaks(y_breaks, "y_breaks")
-    fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
-             f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
-    nrows = 0
-    for block in blocks:
-        block = np.ascontiguousarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != yb.size:
-            raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            raise CDFError("cdf values must be finite")
-        fh.write((", " if nrows else "") + ", ".join(_rows_json(block)))
-        nrows += block.shape[0]
-    if nrows != xb.size:
-        raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-    fh.write("]}\n")
+    with _replacing(path) as fh:
+        xb = _check_breaks(F.x_breaks, "x_breaks")
+        yb = _check_breaks(F.y_breaks, "y_breaks")
+        fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
+                 f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
+        for rows in row_blocks(xb.size, yb.size):
+            block = np.ascontiguousarray(F.block(rows), dtype=float)
+            if block.shape != (rows.stop - rows.start, yb.size):
+                raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                raise CDFError("cdf values must be finite")
+            fh.write((", " if rows.start else "") + ", ".join(_rows_json(block)))
+        fh.write("]}\n")
 
 
 def _rows_json(block: np.ndarray):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,7 @@ from .cdf import (
     AffineNormalization,
     CDFError,
     CDFFormatError,
+    GridRows,
     _replacing,
     ecdf_from_samples,
     load_bi_json,
@@ -36,7 +38,6 @@ from .cdf import (
 )
 from .extremal import free_max_convolve, free_min_convolve
 from .biconv import (
-    GridRows,
     bifree_max_convolve,
     bifree_max_convolve_rows,
     max_stable_residual,
@@ -84,7 +85,7 @@ def cmd_biconv(args) -> int:
     last = H.y_breaks[-1:]
     h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
                     + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
-    m1, m2 = np.empty(H.x_breaks.size), H.last_row()
+    m1, m2 = np.empty(H.x_breaks.size), H.evaluate_grid(H.x_breaks[-1:], H.y_breaks)[0]
     psi = [np.inf, -np.inf]
 
     def block(rows):   # gathers the last column and the psi range on the way out
@@ -106,7 +107,7 @@ def cmd_biconv(args) -> int:
 def cmd_nfold(args) -> int:
     F = load_bi_json(args.path)
     H = nfold_rows(F, args.n, args.tol)
-    mass = float(H.last_row()[-1])
+    mass = H.evaluate(H.x_breaks[-1], H.y_breaks[-1])
     save_bi_json(H, args.out)
     print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
     return 0
@@ -176,8 +177,19 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """The --tol value: a finite number >= 0 (nan fails every comparison)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_tol(p: argparse.ArgumentParser, default: float = EPS_CDF) -> None:
-    p.add_argument("--tol", type=float, default=default,
+    p.add_argument("--tol", type=_tolerance, default=default,
                    help=f"tolerance (default {default})")
 
 

@@ -62,7 +62,7 @@ class ProjectionPairLaw:
         hi = min(self.p, self.q)
         # boundary laws computed in floating point land a few ulp outside;
         # accept them within the near-degenerate margin
-        if self.r < lo - NEAR_DEGENERATE_MARGIN:
+        if not self.r >= lo - NEAR_DEGENERATE_MARGIN:   # nan fails this too
             raise InvalidLawError(
                 f"r = {self.r!r} below Frechet lower bound max(0, p+q-1) = {lo!r}")
         if self.r > hi + NEAR_DEGENERATE_MARGIN:

@@ -32,7 +32,7 @@ from bifreemax import (
 from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
-from bifreemax.cdf import write_bi_json
+from bifreemax.cdf import GridRows
 from bifreemax.cli import main
 from helpers import (
     convolve_reference,
@@ -121,6 +121,15 @@ class TestSameBytesAsWholeArray:
             xs = rng.uniform(F.x_breaks[0] - 2.0, F.x_breaks[-1] + 1.0, rng.integers(1, 30))
             ys = rng.uniform(F.y_breaks[0] - 2.0, F.y_breaks[-1] + 1.0, rng.integers(1, 30))
             assert F.evaluate_grid(xs, ys).tobytes() == evaluate_grid_reference(F, xs, ys).tobytes()
+            # a computed row source of the same grid: also empty and all-below points
+            rows = GridRows(F.x_breaks, F.y_breaks, lambda r, c=F.cdf: c[r].copy())
+            below = F.x_breaks[0] - rng.uniform(0.1, 1.0, rng.integers(1, 4))
+            for px, py in [(xs, ys), (xs[:0], ys), (xs, ys[:0]), (below, ys),
+                           (np.concatenate([below, F.x_breaks[::-1]]),
+                            np.concatenate([[-0.0, 0.0], F.y_breaks]))]:
+                expected = evaluate_grid_reference(F, px, py)
+                got = rows.evaluate_grid(px, py)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_validate_bi_reports(self, blocks, monkeypatch):
         rng = np.random.default_rng(46)
@@ -214,6 +223,27 @@ class TestPeakMemory:
         norm = AffineNormalization(1.0, 0.05, 1.0, 0.05)   # a 512 x 512 union grid
         _, peak = _peak_bytes(lambda: max_stable_residual(F, 2, norm))
         assert peak <= 3 * F.cdf.nbytes
+
+    def test_max_stable_residual_holds_only_blocks(self, grids):
+        F = grids[0]
+        norm = AffineNormalization(1.0, 0.05, 1.0, 0.05)   # a 512 x 512 union grid
+        max_stable_residual(F, 2, norm)   # numpy's first-call allocations
+        _, peak = _peak_bytes(lambda: max_stable_residual(F, 2, norm))
+        # F is held before the trace starts; the whole 2-fold power alone
+        # would be F.cdf.nbytes, the size of BLOCKS_ALLOWED blocks
+        self.assert_output_plus_blocks(peak, np.empty(0))
+
+    def test_max_stable_residual_builds_no_power(self, grids, monkeypatch):
+        F = grids[0]
+        norm = AffineNormalization(1.5, 0.05, 0.75, -0.05)
+
+        def forbidden(*args):
+            raise AssertionError("the whole n-fold power was built")
+
+        monkeypatch.setattr(GridRows, "array", forbidden)
+        monkeypatch.setattr(biconv_module, "nfold", forbidden)
+        for n in (1, 2, 3):
+            assert max_stable_residual(F, n, norm) == residual_reference(F, n, norm)
 
 
 class TestOneDecode:
@@ -345,16 +375,21 @@ class TestStreamedWriter:
             assert out.read_bytes() == _json_bytes(H)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_each_block_is_checked(self, tmp_path, bad):
+    def test_each_block_is_checked(self, monkeypatch, tmp_path, bad):
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 1)   # one row per block
         cdf = np.zeros((4, 3))
         cdf[2, 1] = bad
-        with open(tmp_path / "F.json", "w") as fh, pytest.raises(CDFError, match="finite"):
-            write_bi_json(fh, np.arange(4.0), np.arange(3.0), (cdf[i:i + 1] for i in range(4)))
+        with pytest.raises(CDFError, match="finite"):
+            save_bi_json(GridRows(np.arange(4.0), np.arange(3.0), lambda r: cdf[r]),
+                         tmp_path / "F.json")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (4, 2)])
     def test_block_shapes_are_checked(self, tmp_path, shape):
-        with open(tmp_path / "F.json", "w") as fh, pytest.raises(CDFError, match="shape"):
-            write_bi_json(fh, np.arange(4.0), np.arange(3.0), [np.zeros(shape)])
+        with pytest.raises(CDFError, match="shape"):
+            save_bi_json(GridRows(np.arange(4.0), np.arange(3.0), lambda r: np.zeros(shape)),
+                         tmp_path / "F.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _biconv_stdout(F, G, H, out, tol=EPS_CDF):

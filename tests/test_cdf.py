@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,30 @@ class TestAffineTransform:
             AffineNormalization(0.0, 0.0, 1.0, 0.0)
         with pytest.raises(CDFError):
             AffineNormalization(1.0, 0.0, -2.0, 0.0)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, k, bad):
+        params = [1.0, 0.0, 1.0, 0.0]
+        params[k] = bad
+        with pytest.raises(CDFError, match="a, b, c and d must be finite"):
+            AffineNormalization(*params)
+
+    # a scale so small that the pulled-back breaks overflow, and shifts so
+    # large that they collapse
+    BREAKING = [(1e-320, 0.0, 1.0, 0.0), (1.0, 0.0, 5e-324, 0.0),
+                (2.0, 1e20, 1.0, 0.0), (1.0, 0.0, 1.0, -1e308)]
+
+    @pytest.mark.parametrize("params", BREAKING)
+    def test_normalization_that_breaks_the_grid(self, params):
+        F = BivariateCDF([0.5, 1.0, 2.0], [0.25, 1.0], [[0.2, 0.3], [0.4, 0.6], [0.5, 1.0]])
+        norm = AffineNormalization(*params)
+        message = re.escape(f"the normalization (a, b, c, d) = {params!r} pulls the grid back")
+        for call in (lambda: affine_transform(F, norm), lambda: max_stable_residual(F, 2, norm)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CDFError, match=message):
+                    call()
 
 
 class TestEcdf:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from bifreemax import (
 )
 from bifreemax import cdf as cdf_module
 from bifreemax.cdf import MAX_LISTED
-from bifreemax.cli import main
+from bifreemax.cli import build_parser, main
 from helpers import group_violations, random_bivariate_cdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -204,6 +205,21 @@ class TestNfoldRoot:
 
 
 class TestStability:
+    @pytest.mark.parametrize("norm", [["1", "nan", "1", "0"], ["1", "0", "inf", "0"],
+                                      ["1e-320", "0", "1", "0"], ["2", "1e20", "1", "0"],
+                                      ["1", "0", "1", "1e308"]],
+                             ids=["b-nan", "c-inf", "tiny-a", "huge-b", "huge-d"])
+    def test_normalization_that_breaks_the_grid(self, tmp_path, capsys, norm):
+        f = tmp_path / "F.json"
+        save_bi_json(BivariateCDF([0.5, 1.0, 2.0], [0.25, 1.0],
+                                  [[0.2, 0.3], [0.4, 0.6], [0.5, 1.0]]), f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy warning would raise here
+            assert main(["stability", str(f), "2", *norm]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "a, b, c" in captured.err
+
     def test_identity_case(self, valid_bi, capsys):
         assert main(["stability", valid_bi, "1", "1", "0", "1", "0"]) == 0
         assert float(capsys.readouterr().out) == 0.0
@@ -243,6 +259,47 @@ class TestOracle:
     def test_invalid_triple_names_bound(self, capsys):
         assert main(["oracle", "0.6", "0.7", "0.65", "0.8", "0.5", "0.45"]) == 1
         assert "Frechet" in capsys.readouterr().err
+
+    def test_nan_joint_trace_names_r(self, capsys):
+        assert main(["oracle", "0.6", "0.7", "nan", "0.8", "0.5", "0.45"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: r = nan ") and captured.err.count("\n") == 1
+
+
+#: argv of each subcommand that takes --tol; argparse checks it before any file is read.
+TOL_ARGV = {"validate": ["validate", "F.json", "--kind", "bi"],
+            "uniconv": ["uniconv", "F.json", "G.json", "--out", "H.json"],
+            "biconv": ["biconv", "F.json", "G.json", "--out", "H.json"],
+            "nfold": ["nfold", "F.json", "2", "--out", "H.json"],
+            "root": ["root", "F.json", "2", "--out", "H.json"],
+            "stability": ["stability", "F.json", "2", "1", "0", "1", "0"],
+            "oracle": ["oracle", "0.6", "0.7", "0.5", "0.8", "0.5", "0.45"],
+            "plotdata": ["plotdata", "F.json", "--out", "H.tsv"]}
+
+
+def test_tol_subcommands_are_all_listed():
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert {name for name, p in commands.items()
+            if "--tol" in p._option_string_actions} == set(TOL_ARGV)
+
+
+@pytest.mark.parametrize("command", TOL_ARGV)
+def test_tol_takes_finite_non_negative_numbers(command):
+    for tol, value in [("0", 0.0), ("-0.0", 0.0), ("1e-300", 1e-300), ("0.5", 0.5)]:
+        assert build_parser().parse_args([*TOL_ARGV[command], f"--tol={tol}"]).tol == value
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "x"])
+@pytest.mark.parametrize("command", TOL_ARGV)
+def test_tol_must_be_finite_and_non_negative(tmp_path, monkeypatch, capsys, command, tol):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*TOL_ARGV[command], f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestEcdfPlotdata:

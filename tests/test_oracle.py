@@ -41,6 +41,11 @@ class TestProjectionPairLaw:
         with pytest.raises(InvalidLawError):
             ProjectionPairLaw(1.2, 0.5, 0.5)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_joint_trace_rejected(self, r):
+        with pytest.raises(InvalidLawError, match=r"^r = "):
+            ProjectionPairLaw(0.6, 0.7, r)
+
     def test_near_degenerate_flag(self):
         assert ProjectionPairLaw(0.5, 0.5, 0.5).near_degenerate
         assert not ProjectionPairLaw(0.6, 0.7, 0.45).near_degenerate

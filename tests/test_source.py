@@ -1,6 +1,7 @@
 """Checks on the source of the package, made on its syntax tree with the
-standard library alone: no unused ``from ... import`` name, and no file
-opened for writing outside the one writer, ``cdf._replacing``."""
+standard library alone: no unused ``from ... import`` name, no module-level
+private name that nothing reads, and no file opened for writing outside the
+one writer, ``cdf._replacing``."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,29 @@ def unused_imports(tree):
     return [alias.asname or alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module != "__future__"
             for alias in node.names if (alias.asname or alias.name) not in read]
+
+
+def dead_private_names(trees):
+    """(module, name) of each module-level private name (dunders excepted)
+    bound in one of the trees, a dict of module name to tree, that no tree reads."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [(module, name) for name in names if name.startswith("_")
+                      and not (name.startswith("__") and name.endswith("__"))
+                      and name not in read]
+    return found
 
 
 def _may_write(call):
@@ -59,6 +83,24 @@ def test_the_checks_find_what_they_look_for():
                      "        return open(p, 'r+')\n")
     assert unused_imports(tree) == ["sep"]
     assert write_opens(tree) == [("f", 5), ("f", 5), ("f", 5), ("g", 7)]
+
+
+def test_the_dead_name_check_finds_what_it_looks_for():
+    trees = {"a": ast.parse("_used, _dead, (_pair, _read_in_b) = 1, 2, (3, 4)\n"
+                            "__dunder__ = 5\n"
+                            "class _Unused:\n"
+                            "    _attribute = 6\n"
+                            "def _f():\n"
+                            "    return _used\n"),
+             "b": ast.parse("from a import _f\n"
+                            "import a\n"
+                            "_f(), a._read_in_b\n")}
+    assert dead_private_names(trees) == [("a", "_dead"), ("a", "_pair"), ("a", "_Unused")]
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in _modules()}
+    assert dead_private_names(trees) == []
 
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
