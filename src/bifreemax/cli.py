@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 # The package makes no BLAS calls, but OpenBLAS starts a spinning thread per
@@ -193,6 +194,20 @@ def _add_tol(p: argparse.ArgumentParser, default: float = EPS_CDF) -> None:
                    help=f"tolerance (default {default})")
 
 
+def _add_floats(p: argparse.ArgumentParser, names) -> None:
+    """Float positionals, which may be negative.
+
+    argparse takes an argument that starts with '-' for an option unless
+    the parser's negative-number pattern matches it, and the pattern of
+    Python 3.11 has no exponent, inf or nan, so -1e-3 was an unknown
+    option.  Here every argument that starts like a negative number is a
+    positional, and float() judges it.
+    """
+    for name in names:
+        p.add_argument(name, type=float)
+    p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bifreemax",
@@ -237,16 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="sup-on-grid residual of the normalized n-fold power")
     p.add_argument("path")
     p.add_argument("n", type=int)
-    p.add_argument("a", type=float)
-    p.add_argument("b", type=float)
-    p.add_argument("c", type=float)
-    p.add_argument("d", type=float)
+    _add_floats(p, ("a", "b", "c", "d"))
     _add_tol(p)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("oracle", help="wedge moment by three independent routes")
-    for name in ("p", "q", "r", "p2", "q2", "r2"):
-        p.add_argument(name, type=float)
+    _add_floats(p, ("p", "q", "r", "p2", "q2", "r2"))
     _add_tol(p, default=1e-6)
     p.set_defaults(func=cmd_oracle)
 

@@ -254,79 +254,32 @@ def cauchy_from_atoms(atoms):
     return G
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """Root of ``f`` in the bracket [a, b] by Brent's method.
-
-    A step-for-step port of SciPy's ``brentq.c`` (R. P. Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 4): the same bracket
-    update, interpolation/extrapolation acceptance test, tolerance
-    ``delta = (xtol + rtol*|x|)/2`` and bisection fallback, evaluated in the
-    same order, so the root is bit-identical to SciPy's ``brentq``.
-    Raises ValueError if f(a) and f(b) have the same sign, and
-    LimitConvergenceError after ``maxiter`` iterations.
+def _invert_k_sum(Z: float, p: float, p2: float) -> float:
+    """The z > 0 with K_P(z) + K_P'(z) - 1/z = Z > 2: the positive root of the
+    quadratic a z^2 + 2b z - c = 0 of ``bifree_sum_cauchy``, where a, c > 0.
+    Each coefficient is formed from non-negative terms, and the root is
+    taken in the form that does not cancel.
     """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"f(a) and f(b) must have different signs: "
-                         f"f({xpre!r}) = {fpre!r}, f({xcur!r}) = {fcur!r}")
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # make xcur the best estimate, keeping the bracket [xcur, xblk]
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate (secant)
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate (inverse quadratic)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise LimitConvergenceError(
-        f"Brent root finder did not converge in {maxiter} iterations",
-        [xblk, xcur])
+    lo, hi = min(p, p2), max(p, p2)
+    a = Z * (Z - 2.0)
+    b = (1.0 - hi) - lo
+    c = ((Z - 2.0) + (1.0 - hi) + lo) * ((Z - 1.0) + (hi - lo)) / (Z - 1.0) ** 2
+    s = math.sqrt(b * b + a * c)
+    return c / (b + s) if b >= 0.0 else (s - b) / a
 
 
 def bifree_sum_cauchy(law: ProjectionPairLaw, law2: ProjectionPairLaw):
     """Cauchy-transform evaluator of the sum of two bi-free projection pairs.
 
     For arguments (Z, W) with Z > 2, W > 2 the single-variable K of each
-    coordinate sum is inverted numerically (K_P + K_P' - 1/z is strictly
-    decreasing onto (2, inf)), and the two-variable transform is recovered
-    from the additivity of the reduced R-transform:
+    coordinate sum is inverted in closed form.  K_P + K_P' - 1/z equals
+    1 + (S_p + S_p')/(2z) with S_p = sqrt((z - 1)^2 + 4zp), and squaring
+    K_P + K_P' - 1/z = Z twice leaves one positive root z of
+
+        (Z^2 - 2Z) z^2 + 2(1 - p - p') z - (1 - (p - p')^2/(Z - 1)^2) = 0.
+
+    The two-variable transform is recovered from the additivity of the
+    reduced R-transform:
 
         G(Z, W) = z * w / (1 - Rt(z, w) - Rt'(z, w)).
 
@@ -334,19 +287,6 @@ def bifree_sum_cauchy(law: ProjectionPairLaw, law2: ProjectionPairLaw):
     """
     if not (law.p > 0 and law.q > 0 and law2.p > 0 and law2.q > 0):
         raise ValueError("all marginal traces must be positive")
-
-    def _invert_k_sum(Z: float, p: float, p2: float) -> float:
-        def f(z: float) -> float:
-            return (k_projection_excess(z, p) + k_projection_excess(z, p2)
-                    - 1.0 / z + 2.0 - Z)
-
-        lo, hi = 1e-18, 1.0
-        while f(hi) > 0.0:
-            hi *= 4.0
-            if hi > 1e30:
-                raise LimitConvergenceError(
-                    f"cannot bracket K-inverse at Z = {Z!r}", [])
-        return _brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
 
     def G(Z, W):
         if not (Z > 2.0 and W > 2.0):

@@ -207,8 +207,8 @@ class TestNfoldRoot:
 class TestStability:
     @pytest.mark.parametrize("norm", [["1", "nan", "1", "0"], ["1", "0", "inf", "0"],
                                       ["1e-320", "0", "1", "0"], ["2", "1e20", "1", "0"],
-                                      ["1", "0", "1", "1e308"]],
-                             ids=["b-nan", "c-inf", "tiny-a", "huge-b", "huge-d"])
+                                      ["1", "0", "1", "1e308"], ["1", "0", "1", "-inf"]],
+                             ids=["b-nan", "c-inf", "tiny-a", "huge-b", "huge-d", "d-minus-inf"])
     def test_normalization_that_breaks_the_grid(self, tmp_path, capsys, norm):
         f = tmp_path / "F.json"
         save_bi_json(BivariateCDF([0.5, 1.0, 2.0], [0.25, 1.0],
@@ -236,6 +236,35 @@ class TestStability:
         # brute force: marginals (0.8, 0.9) -> 2-fold (0.6, 0.8)
         expected = abs(0.6 * 0.8 - 0.8 * 0.9)
         assert res == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("shift, plain", [("-1e-3", "-0.001"), ("-1E-3", "-0.001"),
+                                              ("-.5e0", "-0.5")])
+    def test_negative_shift_with_an_exponent(self, product_bi, capsys, shift, plain):
+        assert main(["stability", product_bi, "2", "1", plain, "1", plain]) == 0
+        expected = capsys.readouterr()
+        assert main(["stability", product_bi, "2", "1", shift, "1", shift]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_negative_scale_with_an_exponent(self, product_bi, capsys):
+        assert main(["stability", product_bi, "2", "-1e0", "0", "1", "0"]) == 1
+        assert capsys.readouterr().err == "error: scales a and c must be positive\n"
+
+    def test_tol_after_negative_positionals(self):
+        args = build_parser().parse_args(
+            ["stability", "F.json", "2", "1", "-2e-1", "1", "-1e-3", "--tol", "1e-3"])
+        assert (args.b, args.d, args.tol) == (-0.2, -0.001, 1e-3)
+
+    def test_unknown_option_still_rejected(self, product_bi, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", product_bi, "2", "1", "0", "1", "-x"])
+        assert exc.value.code == 2
+        assert "required: d" in capsys.readouterr().err
+
+    def test_negative_non_number_names_the_argument(self, product_bi, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", product_bi, "2", "1", "0", "1", "-1x"])
+        assert exc.value.code == 2
+        assert "argument d: invalid float value: '-1x'" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -265,6 +294,10 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: r = nan ") and captured.err.count("\n") == 1
+
+    def test_negative_trace_with_an_exponent(self, capsys):
+        assert main(["oracle", "-1e-3", "0.7", "0.5", "0.8", "0.5", "0.45"]) == 1
+        assert capsys.readouterr().err == "error: p must lie in [0, 1], got -0.001\n"
 
 
 #: argv of each subcommand that takes --tol; argparse checks it before any file is read.

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from bifreemax import (
     InvalidLawError,
-    LimitConvergenceError,
     ProjectionPairLaw,
     atom_mass_limit,
     bifree_max_convolve,
@@ -294,38 +294,53 @@ class TestThreeRoutes:
             assert max(values) - min(values) <= 1e-6
 
 
-class TestBrentq:
+def k_sum_root_reference(Z, p, p2):
+    """Positive root of (Z^2 - 2Z) z^2 + 2(1 - p - p') z - (1 - (p - p')^2/(Z - 1)^2),
+    from the exact float inputs in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        Z, p, p2 = map(decimal.Decimal, (Z, p, p2))
+        a = Z * Z - 2 * Z
+        b = 1 - p - p2
+        c = 1 - (p - p2) ** 2 / (Z - 1) ** 2
+        return ((b * b + a * c).sqrt() - b) / a
+
+
+class TestKSumInverse:
     # Z spread over (2, inf): close to 2 the root is large, far from it tiny
-    Z_SPREAD = (2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 1e-6, 2.001, 2.5, 3.0, 10.0,
-                1e3, 1e6, 1e12)
+    Z_SPREAD = (2.0 + 2.0 ** -30, 2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 1e-6, 2.001,
+                2.5, 3.0, 10.0, 1e3, 1e6, 1e12)
+    EDGE_TRACES = [(1.0, 1.0), (1e-9, 1.0), (0.3, 0.7), (0.95, 0.05)]
 
-    def test_matches_scipy_bit_for_bit_on_k_inverse(self, monkeypatch):
-        scipy_optimize = pytest.importorskip("scipy.optimize")
-        ours = oracle._brentq
-        pairs = []
-
-        def both(f, a, b, xtol, rtol, maxiter):
-            root = ours(f, a, b, xtol, rtol, maxiter)
-            pairs.append((root, scipy_optimize.brentq(
-                f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
-            return root
-
-        monkeypatch.setattr(oracle, "_brentq", both)
+    def traces(self):
         rng = np.random.default_rng(3)
+        pairs = list(self.EDGE_TRACES)
         for _ in range(120):
-            G = bifree_sum_cauchy(random_law(rng), random_law(rng))
+            law, law2 = random_law(rng), random_law(rng)
+            pairs += [(law.p, law2.p), (law.q, law2.q)]
+        return pairs
+
+    def test_root_of_the_quadratic_to_rounding(self):
+        worst = 0.0
+        for p, p2 in self.traces():
             for Z in self.Z_SPREAD:
-                G(Z, 2.0 + 10.0 ** rng.uniform(-12, 12))
-        assert len(pairs) == 120 * len(self.Z_SPREAD) * 2
-        assert [a for a, _ in pairs] == [b for _, b in pairs]
+                ref = k_sum_root_reference(Z, p, p2)
+                got = oracle._invert_k_sum(Z, p, p2)
+                worst = max(worst, abs(decimal.Decimal(got) - ref) / ref)
+        assert worst <= 1e-15
 
-    def test_no_sign_change_raises(self):
-        with pytest.raises(ValueError, match="different signs"):
-            oracle._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-300, 8.9e-16, 300)
+    def test_root_inverts_the_k_sum(self):
+        for p, p2 in self.traces():
+            for Z in self.Z_SPREAD:
+                z = oracle._invert_k_sum(Z, p, p2)
+                back = (2.0 + k_projection_excess(z, p) + k_projection_excess(z, p2)
+                        - 1.0 / z)
+                assert back == pytest.approx(Z, rel=1e-12, abs=0.0)
 
-    def test_maxiter_exhaustion_raises(self):
-        with pytest.raises(LimitConvergenceError, match="did not converge"):
-            oracle._brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, 1e-300, 8.9e-16, 3)
 
-    def test_root_at_bracket_end(self):
-        assert oracle._brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-300, 8.9e-16, 300) == 1.0
+def test_atom_route_is_stable_on_random_pairs():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        law, law2 = random_law(rng), random_law(rng)
+        got = atom_mass_limit(bifree_sum_cauchy(law, law2), (2.0, 2.0))
+        assert got == pytest.approx(wedge_moment_closed_form(law, law2), abs=1e-6)

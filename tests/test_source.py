@@ -1,14 +1,29 @@
 """Checks on the source of the package, made on its syntax tree with the
-standard library alone: no unused ``from ... import`` name, no module-level
-private name that nothing reads, and no file opened for writing outside the
-one writer, ``cdf._replacing``."""
+standard library alone: no import of a module outside the package, numpy
+and the standard library, no unused ``from ... import`` name, no
+module-level private name that nothing reads, and no file opened for
+writing outside the one writer, ``cdf._replacing``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bifreemax"
+
+
+def foreign_imports(tree):
+    """Modules imported anywhere in the tree, inside functions too, that are
+    neither relative, nor numpy, nor in the standard library."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] not in allowed]
 
 
 def unused_imports(tree):
@@ -85,6 +100,19 @@ def test_the_checks_find_what_they_look_for():
     assert write_opens(tree) == [("f", 5), ("f", 5), ("f", 5), ("g", 7)]
 
 
+def test_the_import_check_finds_what_it_looks_for():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, numpy as np, scipy\n"
+                     "from . import cdf\n"
+                     "from .cdf import load_bi_json\n"
+                     "from numpy.linalg import norm\n"
+                     "def f():\n"
+                     "    from scipy.optimize import brentq\n"
+                     "    import numpydoc\n"
+                     "    return brentq\n")
+    assert foreign_imports(tree) == ["scipy", "scipy.optimize", "numpydoc"]
+
+
 def test_the_dead_name_check_finds_what_it_looks_for():
     trees = {"a": ast.parse("_used, _dead, (_pair, _read_in_b) = 1, 2, (3, 4)\n"
                             "__dunder__ = 5\n"
@@ -101,6 +129,11 @@ def test_the_dead_name_check_finds_what_it_looks_for():
 def test_every_private_name_is_read():
     trees = {path.name: ast.parse(path.read_text()) for path in _modules()}
     assert dead_private_names(trees) == []
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
