@@ -167,8 +167,14 @@ def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF | 
 
 
 def _check_fold_count(n) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    """n as an int; a ValueError unless n is a positive integer that a float can hold."""
+    try:
+        float(n)   # the kernels take n as a float: an int past 2**1024 overflows
+        ok = int(n) == n and n >= 1   # int() overflows at inf and fails at nan
+    except (OverflowError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"n must be a positive integer that a float can hold, got {n!r}")
     return int(n)
 
 

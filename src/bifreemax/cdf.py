@@ -220,28 +220,31 @@ class AffineNormalization:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _report_kind(out: list[str], kind: str, nrows: int, ncols: int,
-                 mask, line, worst) -> None:
+def _report_kind(out: list[str], kind: str, eps: float, nrows: int, ncols: int,
+                 bounds, line) -> None:
     """Append the first MAX_LISTED violations of one kind, in row-major order.
 
-    The kind is checked on an nrows x ncols array one row block at a time:
-    ``mask(rows)`` flags the violations in those rows and ``line(i, j)``
-    formats one location.  If more remain, one summary line follows with
-    their exact count and the largest ``worst(rows)``: the largest amount by
-    which a value of this kind passes its bound (every reported amount
-    exceeds eps).  ``worst`` is only called when that line is written.
+    The kind is a bound ``lo <= v <= hi`` checked within eps on an nrows x
+    ncols array, one row block at a time: ``bounds(rows)`` gives (v, lo, hi)
+    for those rows, with -inf or inf for a missing bound.  A value violates
+    it where ``v < lo - eps`` or ``v > hi + eps``, and ``line(i, j, value)``
+    formats one violation.  If more than MAX_LISTED remain, one summary line
+    follows with their exact count and the worst amount ``max(lo - v, v - hi)``
+    of a violation, taken in the same pass.
     """
-    count = 0
+    count, worst = 0, -math.inf
     for rows in row_blocks(nrows, ncols):
-        hits = np.flatnonzero(mask(rows))
+        v, lo, hi = bounds(rows)
+        bad = (v < lo - eps) | (v > hi + eps)
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            worst = max(worst, float(np.max(np.maximum(lo - v, v - hi)[bad])))
         for k in hits[:max(0, MAX_LISTED - count)]:
             i, j = divmod(int(k), ncols)
-            out.append(line(rows.start + i, j))
+            out.append(line(rows.start + i, j, v.flat[k]))
         count += hits.size
     if count > MAX_LISTED:
-        amount = max(worst(rows) for rows in row_blocks(nrows, ncols))
-        out.append(f"... and {count - MAX_LISTED} more {kind} violations, "
-                   f"worst {float(amount)!r}")
+        out.append(f"... and {count - MAX_LISTED} more {kind} violations, worst {worst!r}")
 
 
 def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
@@ -251,15 +254,12 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     """
     v = F.values
     out = []
-    _report_kind(out, "out-of-[0,1]", v.size, 1,
-                 lambda r: (v[r] < -eps) | (v[r] > 1.0 + eps),
-                 lambda i, _: f"value out of [0,1] at index {i}: {float(v[i])!r}",
-                 lambda r: max(v[r].max() - 1.0, -v[r].min()))
+    _report_kind(out, "out-of-[0,1]", eps, v.size, 1, lambda r: (v[r], 0.0, 1.0),
+                 lambda i, _, x: f"value out of [0,1] at index {i}: {float(x)!r}")
     d = np.diff(v)
-    _report_kind(out, "monotonicity", d.size, 1, lambda r: d[r] < -eps,
-                 lambda i, _: (f"monotonicity violation at index {i + 1}: "
-                               f"{float(v[i + 1])!r} < {float(v[i])!r}"),
-                 lambda r: -d[r].min())
+    _report_kind(out, "monotonicity", eps, d.size, 1, lambda r: (d[r], 0.0, np.inf),
+                 lambda i, *_: (f"monotonicity violation at index {i + 1}: "
+                                f"{float(v[i + 1])!r} < {float(v[i])!r}"))
     if abs(v[-1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
     return out
@@ -279,41 +279,30 @@ def validate_bi(F: BivariateCDF, eps: float = EPS_CDF) -> list[str]:
     m1, m2 = c[:, -1], c[-1, :]
     out = []
 
-    def dx(r):  # rows r of np.diff(c, axis=0)
-        return np.diff(c[r.start:r.stop + 1], axis=0)
-
-    def dy(r):
-        return np.diff(c[r], axis=1)
-
-    def cell(r):  # rows r of the masses of the adjacent grid cells
+    def cell(r):  # rows r of the masses of the adjacent grid cells, each >= 0
         a = c[r.start:r.stop + 1]
-        return a[1:, 1:] - a[:-1, 1:] - a[1:, :-1] + a[:-1, :-1]
+        return a[1:, 1:] - a[:-1, 1:] - a[1:, :-1] + a[:-1, :-1], 0.0, np.inf
 
-    _report_kind(out, "out-of-[0,1]", nx, ny,
-                 lambda r: (c[r] < -eps) | (c[r] > 1.0 + eps),
-                 lambda i, j: f"value out of [0,1] at ({i},{j}): {float(c[i, j])!r}",
-                 lambda r: max(c[r].max() - 1.0, -c[r].min()))
-    _report_kind(out, "monotonicity along x", nx - 1, ny, lambda r: dx(r) < -eps,
-                 lambda i, j: f"monotonicity violation along x at ({i + 1},{j})",
-                 lambda r: -dx(r).min())
-    _report_kind(out, "monotonicity along y", nx, ny - 1, lambda r: dy(r) < -eps,
-                 lambda i, j: f"monotonicity violation along y at ({i},{j + 1})",
-                 lambda r: -dy(r).min())
+    _report_kind(out, "out-of-[0,1]", eps, nx, ny, lambda r: (c[r], 0.0, 1.0),
+                 lambda i, j, x: f"value out of [0,1] at ({i},{j}): {float(x)!r}")
+    _report_kind(out, "monotonicity along x", eps, nx - 1, ny,
+                 lambda r: (np.diff(c[r.start:r.stop + 1], axis=0), 0.0, np.inf),
+                 lambda i, j, _: f"monotonicity violation along x at ({i + 1},{j})")
+    _report_kind(out, "monotonicity along y", eps, nx, ny - 1,
+                 lambda r: (np.diff(c[r], axis=1), 0.0, np.inf),
+                 lambda i, j, _: f"monotonicity violation along y at ({i},{j + 1})")
     if nx > 1 and ny > 1:
-        _report_kind(out, "rectangle inequality", nx - 1, ny - 1, lambda r: cell(r) < -eps,
-                     lambda i, j: (f"rectangle inequality violation at cell ({i},{j}): "
-                                   f"mass {float(cell(slice(i, i + 1))[0, j])!r}"),
-                     lambda r: -cell(r).min())
+        _report_kind(out, "rectangle inequality", eps, nx - 1, ny - 1, cell,
+                     lambda i, j, x: (f"rectangle inequality violation at cell ({i},{j}): "
+                                      f"mass {float(x)!r}"))
     if abs(c[-1, -1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last,last) = {float(c[-1, -1])!r} != 1")
-    _report_kind(out, "Frechet upper-bound", nx, ny,
-                 lambda r: (c[r] > m1[r, None] + eps) | (c[r] > m2 + eps),
-                 lambda i, j: f"Frechet upper-bound violation at ({i},{j})",
-                 lambda r: (c[r] - np.minimum(m1[r, None], m2)).max())
-    _report_kind(out, "Frechet lower-bound", nx, ny,
-                 lambda r: c[r] < m1[r, None] + m2 - 1.0 - eps,
-                 lambda i, j: f"Frechet lower-bound violation at ({i},{j})",
-                 lambda r: (m1[r, None] + m2 - 1.0 - c[r]).max())
+    _report_kind(out, "Frechet upper-bound", eps, nx, ny,
+                 lambda r: (c[r], -np.inf, np.minimum(m1[r, None], m2)),
+                 lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})")
+    _report_kind(out, "Frechet lower-bound", eps, nx, ny,
+                 lambda r: (c[r], m1[r, None] + m2 - 1.0, np.inf),
+                 lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})")
     return out
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 
 from bifreemax import BivariateCDF, CDFFormatError, ProjectionPairLaw, UnivariateCDF
+from bifreemax.cdf import EPS_CDF, MAX_LISTED
 
 
 def random_breaks(rng, size):
@@ -109,6 +110,124 @@ def group_violations(lines):
         kind = next(k for k, start in VIOLATION_KINDS.items() if line.startswith(start))
         groups.setdefault(kind, ([], None))[0].append(line)
     return groups
+
+
+# Whole-array forms of the validators, with the separate violation mask and
+# worst amount of each kind that they had before the kinds became bounds:
+# the references the blocked reports must match line for line.
+
+def _reference_kind(out, kind, mask, line, worst):
+    hits = np.argwhere(mask)
+    for index in hits[:MAX_LISTED]:
+        out.append(line(*map(int, index)))
+    if len(hits) > MAX_LISTED:
+        out.append(f"... and {len(hits) - MAX_LISTED} more {kind} violations, "
+                   f"worst {float(worst())!r}")
+
+
+def validate_uni_reference(F, eps=EPS_CDF):
+    v = F.values
+    out = []
+    _reference_kind(out, "out-of-[0,1]", (v < -eps) | (v > 1.0 + eps),
+                    lambda i: f"value out of [0,1] at index {i}: {float(v[i])!r}",
+                    lambda: max(v.max() - 1.0, -v.min()))
+    d = np.diff(v)
+    _reference_kind(out, "monotonicity", d < -eps,
+                    lambda i: (f"monotonicity violation at index {i + 1}: "
+                               f"{float(v[i + 1])!r} < {float(v[i])!r}"),
+                    lambda: -d.min())
+    if abs(v[-1] - 1.0) > eps:
+        out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
+    return out
+
+
+def validate_bi_reference(F, eps=EPS_CDF):
+    c = F.cdf
+    nx, ny = c.shape
+    m1, m2 = c[:, -1][:, None], c[-1, :]
+    dx, dy = np.diff(c, axis=0), np.diff(c, axis=1)
+    cell = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
+    out = []
+    _reference_kind(out, "out-of-[0,1]", (c < -eps) | (c > 1.0 + eps),
+                    lambda i, j: f"value out of [0,1] at ({i},{j}): {float(c[i, j])!r}",
+                    lambda: max(c.max() - 1.0, -c.min()))
+    _reference_kind(out, "monotonicity along x", dx < -eps,
+                    lambda i, j: f"monotonicity violation along x at ({i + 1},{j})",
+                    lambda: -dx.min())
+    _reference_kind(out, "monotonicity along y", dy < -eps,
+                    lambda i, j: f"monotonicity violation along y at ({i},{j + 1})",
+                    lambda: -dy.min())
+    if nx > 1 and ny > 1:
+        _reference_kind(out, "rectangle inequality", cell < -eps,
+                        lambda i, j: (f"rectangle inequality violation at cell ({i},{j}): "
+                                      f"mass {float(cell[i, j])!r}"),
+                        lambda: -cell.min())
+    if abs(c[-1, -1] - 1.0) > eps:
+        out.append(f"total-mass violation: F(last,last) = {float(c[-1, -1])!r} != 1")
+    _reference_kind(out, "Frechet upper-bound", (c > m1 + eps) | (c > m2 + eps),
+                    lambda i, j: f"Frechet upper-bound violation at ({i},{j})",
+                    lambda: (c - np.minimum(m1, m2)).max())
+    _reference_kind(out, "Frechet lower-bound", c < m1 + m2 - 1.0 - eps,
+                    lambda i, j: f"Frechet lower-bound violation at ({i},{j})",
+                    lambda: (m1 + m2 - 1.0 - c).max())
+    return out
+
+
+def ulp_shifted(rng, x):
+    """x moved by a random whole number of ulps in [-3, 3], elementwise."""
+    x = np.array(x, dtype=float)
+    steps = rng.integers(-3, 4, x.shape)
+    for k in range(3):
+        x = np.where(steps > k, np.nextafter(x, np.inf), x)
+        x = np.where(steps < -k, np.nextafter(x, -np.inf), x)
+    return x
+
+
+def boundary_values(rng, n, eps, extra=()):
+    """n values within a few ulps of 0, 1, -eps, 1 + eps or a value of extra, or noise."""
+    levels = np.array([0.0, 1.0, -eps, 1.0 + eps, *extra])
+    values = ulp_shifted(rng, levels[rng.integers(0, levels.size, n)])
+    noise = rng.random(n) < 0.2
+    values[noise] = rng.uniform(-0.5, 1.5, np.count_nonzero(noise))
+    return values
+
+
+def boundary_univariate_values(rng, eps, max_size=30):
+    """Values whose neighbours sit a few ulps around each bound of validate_uni."""
+    v = boundary_values(rng, int(rng.integers(1, max_size + 1)), eps)
+    for i in range(1, v.size):   # some steps of 0 or -eps, give or take ulps
+        if rng.random() < 0.4:
+            v[i] = ulp_shifted(rng, v[i - 1] - eps * rng.integers(0, 2))
+    return v
+
+
+def boundary_bivariate_cdf(rng, eps, max_size=14):
+    """A grid whose values sit a few ulps around each bound of validate_bi, plus noise.
+
+    The marginals (last column and row) come first; every other value is
+    near 0, 1, -eps, 1 + eps, a Frechet bound or that bound moved by eps,
+    its neighbour above or to the left (less eps), or the value that gives its
+    cell zero mass (less eps), or it is noise.
+    """
+    nx, ny = (int(k) for k in rng.integers(1, max_size + 1, 2))
+    c = np.empty((nx, ny))
+    c[:, -1] = boundary_values(rng, nx, eps)
+    c[-1, :] = boundary_values(rng, ny, eps)
+    c[-1, -1] = ulp_shifted(rng, rng.choice([1.0, 1.0 - eps, 1.0 + eps]))
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            upper = min(c[i, -1], c[-1, j])
+            lower = c[i, -1] + c[-1, j] - 1.0
+            near = [upper, upper + eps, lower, lower - eps]
+            if i:
+                near += [c[i - 1, j], c[i - 1, j] - eps]
+            if j:
+                near += [c[i, j - 1], c[i, j - 1] - eps]
+            if i and j:
+                zero = c[i - 1, j] + c[i, j - 1] - c[i - 1, j - 1]
+                near += [zero, zero - eps]
+            c[i, j] = boundary_values(rng, 1, eps, near)[0]
+    return BivariateCDF(np.arange(float(nx)), np.arange(float(ny)), c)
 
 
 def sparse_bivariate_cdf(rng, nx, ny, zero_share, offset=0.0):

@@ -193,6 +193,16 @@ class TestNfold:
         with pytest.raises(ValueError):
             nfold(F, 0)
 
+    @pytest.mark.parametrize("n", [float("inf"), 10 ** 400], ids=["inf", "10**400"])
+    @pytest.mark.parametrize("op", [
+        nfold, nth_root,
+        lambda F, n: max_stable_residual(F, n, AffineNormalization.identity())],
+        ids=["nfold", "nth_root", "max_stable_residual"])
+    def test_rejects_counts_a_float_cannot_hold(self, op, n):
+        F = BivariateCDF([0.0], [0.0], [[1.0]])
+        with pytest.raises(ValueError, match="positive integer that a float can hold"):
+            op(F, n)
+
 
 class TestNthRoot:
     def test_product_two_root(self):

@@ -28,6 +28,7 @@ from bifreemax import (
     save_bi_json,
     save_uni_json,
     validate_bi,
+    validate_uni,
 )
 from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
@@ -35,6 +36,8 @@ from bifreemax import cli as cli_module
 from bifreemax.cdf import GridRows
 from bifreemax.cli import main
 from helpers import (
+    boundary_bivariate_cdf,
+    boundary_univariate_values,
     convolve_reference,
     evaluate_grid_reference,
     nfold_reference,
@@ -43,6 +46,8 @@ from helpers import (
     random_bivariate_cdf,
     residual_reference,
     sparse_bivariate_cdf,
+    validate_bi_reference,
+    validate_uni_reference,
 )
 
 
@@ -267,6 +272,48 @@ class TestOneDecode:
             calls.clear()
             H = call()
             assert len(calls) == len(list(cdf_module.row_blocks(*H.cdf.shape)))
+
+
+class TestReportsAsBounds:
+    """validate_bi and validate_uni give the lines of the whole-array masks
+    and worst amounts, and read each kind's row blocks once."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+    @pytest.mark.parametrize("cells", [1, 2 ** 30], ids=["one row", "whole grid"])
+    def test_same_lines_as_the_reference_near_every_bound(self, monkeypatch, eps, cells):
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+        rng = np.random.default_rng(57)
+        summaries = 0
+        for _ in range(150):
+            F = boundary_bivariate_cdf(rng, eps)
+            v = boundary_univariate_values(rng, eps)
+            U = UnivariateCDF(np.arange(float(v.size)), v)
+            bi, uni = validate_bi(F, eps), validate_uni(U, eps)
+            assert bi == validate_bi_reference(F, eps)
+            assert uni == validate_uni_reference(U, eps)
+            summaries += sum(line.startswith("... and ") for line in bi + uni)
+        assert summaries >= 150   # the worst amounts are compared too
+
+    def test_one_pass_per_kind(self, monkeypatch):
+        passes = []
+        real = cdf_module.row_blocks
+
+        def spy(nrows, ncols):
+            passes.append(None)
+            return real(nrows, ncols)
+
+        monkeypatch.setattr(cdf_module, "row_blocks", spy)
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 64)
+        rng = np.random.default_rng(12)
+        c = rng.uniform(-0.5, 1.5, (40, 30))
+        v = rng.uniform(-0.5, 1.5, 200)
+        for validate, F, kinds in [
+                (validate_bi, BivariateCDF(np.arange(40.0), np.arange(30.0), c), 6),
+                (validate_uni, UnivariateCDF(np.arange(200.0), v), 2)]:
+            passes.clear()
+            report = validate(F)
+            assert sum(line.startswith("... and ") for line in report) == kinds
+            assert len(passes) == kinds
 
 
 class TestValidateOnce:

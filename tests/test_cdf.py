@@ -124,6 +124,19 @@ class TestBoundedReports:
         assert [line.split(":")[0] for line in listed] == [
             f"monotonicity violation at index {i}" for i in first]
 
+    def test_worst_is_that_of_a_violation(self, monkeypatch):
+        # 1 + eps rounds to a value more than eps above 1 that the bound
+        # passes: its amount is not the worst, whatever the block size
+        eps = 1e-9
+        above, below = 1.0 + eps, np.nextafter(-eps, -1.0)
+        assert not above > 1.0 + eps and above - 1.0 > -below > eps
+        v = np.array([below] * 11 + [above, 1.0])
+        summary = f"... and 1 more out-of-[0,1] violations, worst {float(-below)!r}"
+        for cells in (1, 2 ** 30):
+            monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+            assert summary in validate_uni(UnivariateCDF(np.arange(13.0), v), eps)
+            assert summary in validate_bi(BivariateCDF(np.arange(13.0), [0.0], v[:, None]), eps)
+
     def test_ten_listed_in_full_eleven_summed_up(self):
         # row 2 raised above 1 in its first k columns
         def report(k):

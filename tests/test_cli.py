@@ -204,6 +204,21 @@ class TestNfoldRoot:
         assert len(stdouts[0]) == len(stdouts[1]) == 1 + sum(reports[0].values())
 
 
+    @pytest.mark.parametrize("command", [["nfold", "--out", "h.json"],
+                                         ["root", "--out", "h.json"],
+                                         ["stability", "1", "0", "1", "0"]],
+                             ids=["nfold", "root", "stability"])
+    def test_count_a_float_cannot_hold_exit_1(self, valid_bi, tmp_path, monkeypatch, capsys,
+                                              command):
+        monkeypatch.chdir(tmp_path)
+        name, *rest = command
+        assert main([name, valid_bi, str(10 ** 400), *rest]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: n must be a positive integer")
+        assert not (tmp_path / "h.json").exists()
+
+
 class TestStability:
     @pytest.mark.parametrize("norm", [["1", "nan", "1", "0"], ["1", "0", "inf", "0"],
                                       ["1e-320", "0", "1", "0"], ["2", "1e20", "1", "0"],
