@@ -406,15 +406,18 @@ def ecdf_from_samples(points) -> BivariateCDF:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise CDFError("samples must be (x, y) pairs")
     # Summed-area table (Crow 1984): count the samples per grid cell, then
-    # take running sums along both axes.
+    # take running sums along both axes.  The counts are float64, so one
+    # array becomes the CDF in place; sums of integers below 2^53 are exact,
+    # so its bits are those of integer counts / N.
     xb, xi = np.unique(pts[:, 0], return_inverse=True)
     yb, yi = np.unique(pts[:, 1], return_inverse=True)
     require_cells(xb.size, yb.size, "ecdf_from_samples")
-    counts = np.bincount(xi * yb.size + yi, minlength=xb.size * yb.size)
-    counts = counts.reshape(xb.size, yb.size)
+    counts = np.bincount(xi * yb.size + yi, weights=np.ones(pts.shape[0]),
+                         minlength=xb.size * yb.size).reshape(xb.size, yb.size)
     np.cumsum(counts, axis=0, out=counts)
     np.cumsum(counts, axis=1, out=counts)
-    return BivariateCDF(xb, yb, counts / pts.shape[0])
+    counts /= pts.shape[0]
+    return BivariateCDF(xb, yb, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +482,9 @@ def save_bi_json(F: BivariateCDF | GridRows, path) -> None:
 
     F's rows are computed and written one row block at a time, and each
     block gets the checks BivariateCDF makes on the whole array (shape and
-    finiteness) before it is written.  Rows go through the C encoder one at
-    a time, so the matrix never exists as Python floats, and the bytes equal
-    json.dump of the dict plus "\n".
+    finiteness) before it is written.  Rows go through the C encoder and
+    are written one at a time, so the matrix never exists as Python floats
+    or as one block's text, and the bytes equal json.dump of the dict plus "\n".
     """
     with _replacing(path) as fh:
         xb = _check_breaks(F.x_breaks, "x_breaks")
@@ -494,7 +497,8 @@ def save_bi_json(F: BivariateCDF | GridRows, path) -> None:
                 raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
             if not (np.isfinite(block.min()) and np.isfinite(block.max())):
                 raise CDFError("cdf values must be finite")
-            fh.write((", " if rows.start else "") + ", ".join(_rows_json(block)))
+            for i, text in enumerate(_rows_json(block), rows.start):
+                fh.write(", " + text if i else text)
         fh.write("]}\n")
 
 
@@ -528,6 +532,29 @@ def _float_row(value):
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return value
+
+
+def _filled_rows(rows, xb, yb):
+    """The rows (an iterator) as one float64 array while they fit, else as a list.
+
+    When xb and yb are lists, of nx and ny elements with nx*ny <= MAX_CELLS,
+    each row is copied into one preallocated (nx, ny) array as it comes, so
+    the rows are never held twice.  From the first row that is not a float64
+    array of shape (ny,), or that is row nx + 1, the rows come as a list, the
+    array's rows first.  np.asarray of the result gives what np.asarray of
+    the list of all rows would, but that no rows give shape (0, ny), not
+    (0,); neither fits a grid.
+    """
+    if not (isinstance(xb, list) and isinstance(yb, list)) or len(xb) * len(yb) > MAX_CELLS:
+        return list(rows)
+    out = np.empty((len(xb), len(yb)))
+    n = 0
+    for row in rows:
+        if n == len(out) or not (isinstance(row, np.ndarray) and row.shape == out.shape[1:]):
+            return [*out[:n], row, *rows]
+        out[n] = row
+        n += 1
+    return out[:n]
 
 
 class _JSONStream:
@@ -605,8 +632,10 @@ class _JSONStream:
     def json_object(self, rows_key: str) -> dict:
         """The whole text, which must be one object.
 
-        The value of rows_key, if it is an array, comes as a list of its
-        elements, each as a float64 array when it converts to one.
+        The value of rows_key, if it is an array, comes as its elements, each
+        as a float64 array when it converts to one: as one array filled row
+        by row if x_breaks and y_breaks came before it (see _filled_rows),
+        else as a list.
         """
         data = {}
         self.expect("{")
@@ -620,7 +649,8 @@ class _JSONStream:
                                          f"{self.offset + self.pos}")
                 self.expect(":")
                 if key == rows_key and self.peek() == "[":
-                    data[key] = [_float_row(v) for v in self.items()]
+                    data[key] = _filled_rows(map(_float_row, self.items()),
+                                             data.get("x_breaks"), data.get("y_breaks"))
                 else:
                     data[key] = self.value()
                 if self.expect(",}") == "}":
@@ -633,9 +663,11 @@ class _JSONStream:
 def load_bi_json(path) -> BivariateCDF:
     """Read a file written by save_bi_json, or any JSON text json.load reads the same.
 
-    The cdf array is decoded one row at a time into float64 rows, which are
-    stacked at the end: the load peaks at about twice the array plus the
+    The cdf array is decoded one row at a time into float64 rows.  When the
+    breaks come first, as save_bi_json writes them, each row is copied into
+    one preallocated array, and the load peaks at about the array plus the
     buffer and one row as Python floats, not at a multiple of the file.
+    Otherwise the rows are stacked at the end, which holds them twice.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -721,3 +721,16 @@ class TestStreamedCliMemory:
         assert code == 0
         # peak after the load: the input plus blocks, not plus the output
         assert peak < F.cdf.nbytes + F.cdf.nbytes // 2
+
+    @pytest.mark.parametrize("argv", [["validate", "--kind", "bi"],
+                                      ["stability", "2", "2", "0.5", "2", "0.5"]],
+                             ids=["validate", "stability"])
+    def test_call_holds_its_input_once(self, files, argv, capsys):
+        """A call on a saved file peaks at its input plus the loader's buffer and
+        blocks, not at the input twice."""
+        d, F = files
+        call = [argv[0], str(d / "f.json"), *argv[1:]]
+        main(call)   # the first call in a process also imports what numpy loads lazily
+        code, peak = _peak_bytes(lambda: main(call))
+        assert code == 0, capsys.readouterr()
+        assert peak < 1.5 * F.cdf.nbytes

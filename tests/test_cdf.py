@@ -388,6 +388,20 @@ class TestEcdf:
         assert F.cdf.shape == (3000, 3000)
         assert peak <= 4 * F.cdf.nbytes
 
+    def test_counts_become_the_cdf_in_place(self):
+        # the counts and the CDF are one array, not an int64 table and its quotient;
+        # the first call in a process also imports what numpy loads lazily
+        pts = np.random.default_rng(23).normal(size=(800, 2))
+        ecdf_from_samples(pts[:2])
+        tracemalloc.start()
+        try:
+            F = ecdf_from_samples(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.cdf.shape == (800, 800)
+        assert peak <= F.cdf.nbytes + 2 ** 20
+
 
 class TestCellBudget:
     def test_ecdf_over_budget(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,67 @@ def test_load_peaks_near_the_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * F.cdf.nbytes + 4 * 2 ** 20
+
+
+def test_load_peaks_at_the_array_plus_the_buffer(tmp_path):
+    """With the breaks first, as save_bi_json writes them, the rows are held once."""
+    n = 512
+    rng = np.random.default_rng(3)
+    path = tmp_path / "F.json"
+    save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
+    F, peak = _load_peak(path)
+    assert peak <= F.cdf.nbytes + 2 ** 20
+
+
+# Key orders and documents that fill the preallocated array, leave it, or must not make it.
+ORDER_DOCUMENTS = {
+    "cdf-first": '{"cdf": [[0, 0.5], [0.5, 1]], "x_breaks": [0, 1], "y_breaks": [0, 1]}',
+    "cdf-between": '{"x_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]], "y_breaks": [0, 1]}',
+    "x-repeated-shorter": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
+                          '"cdf": [[0, 0.5], [0.5, 1]], "x_breaks": [0, 1]}',
+    "x-repeated-longer": SPLICED + '[[0, 0.5], [0.5, 0.5], [0.5, 1]], "x_breaks": [0, 1, 2]}',
+    "fewer-rows": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
+    "no-rows": SPLICED + "[]}",
+    "more-rows": SPLICED + "[[0, 0.5], [0.5, 1], [0.5, 1]]}",
+    "middle-row-short": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
+                        '"cdf": [[0, 0.5], [0.5], [0.5, 1]]}',
+    "middle-row-long": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
+                       '"cdf": [[0, 0.5], [0.5, 0.5, 0.5], [0.5, 1]]}',
+    "string-rows": SPLICED + '[["0", "0.5"], ["0.5", "1"]]}',
+    "bool-rows": SPLICED + "[[false, false], [true, true]]}",
+    "null-rows": SPLICED + "[[0, 0.5], [null, 1]]}",
+    "x-string": '{"x_breaks": "01", "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
+    "x-number": '{"x_breaks": 2, "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
+}
+
+
+def _exact_outcome(loader, path):
+    """The bytes a loader gives, or the message of the CDFFormatError it raises."""
+    try:
+        F = loader(path)
+    except CDFFormatError as exc:
+        return str(exc)
+    return _outcome(lambda p: F, path)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_DOCUMENTS))
+def test_key_order_and_row_fit_match_json_load(name, chunk, tmp_path):
+    path = tmp_path / "F.json"
+    path.write_text(ORDER_DOCUMENTS[name])
+    assert _exact_outcome(load_bi_json, path) == _exact_outcome(load_bi_json_reference, path)
+
+
+def test_breaks_over_the_budget_do_not_preallocate(tmp_path):
+    """Breaks of more than MAX_CELLS cells with a one-row cdf load no grid-sized array."""
+    n = math.isqrt(cdf_module.MAX_CELLS) + 1
+    breaks = json.dumps(list(range(n)))
+    path = tmp_path / "F.json"
+    path.write_text(f'{{"x_breaks": {breaks}, "y_breaks": {breaks}, "cdf": [[1.0]]}}')
+    want = _exact_outcome(load_bi_json_reference, path)
+    with pytest.raises(CDFFormatError) as got:
+        _load_peak(path)
+    assert str(got.value) == want
+    assert got.value.peak < 2 ** 20
 
 
 def _error(path):
