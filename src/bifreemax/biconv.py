@@ -20,8 +20,9 @@ psi is finite and both output marginals are positive, 0 elsewhere.
 A kernel's output is a ``cdf.GridRows``, a row source like ``BivariateCDF``:
 it computes its rows block by block when they are read.  ``nfold`` and
 ``nth_root`` fill it into an array, CLI ``biconv`` and ``nfold`` stream it
-to their file, and ``max_stable_residual`` pulls its breaks back and reads
-it on the evaluation grid, so the n-fold power is never held.
+to their file, CLI ``root`` validates it in one pass and streams it to its
+file if it is valid, and ``max_stable_residual`` pulls its breaks back and
+reads it on the evaluation grid, so the n-fold power is never held.
 """
 
 from __future__ import annotations
@@ -203,7 +204,15 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     It is decoded like the convolution and the power: the +inf sentinel
     gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
     If the candidate is returned valid, its n-fold convolution recovers F.
+    The candidate is filled into an array and validated in one pass; CLI
+    ``root`` validates ``nth_root_rows`` instead and never holds it.
     """
+    candidate = nth_root_rows(F, n, eps).to_cdf()
+    return NthRootResult(candidate, validate_bi(candidate, eps))
+
+
+def nth_root_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
+    """nth_root's candidate as row blocks, not validated; F and n are checked here."""
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
 
@@ -211,8 +220,7 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
         r = (a + n - 1.0) / n
         return np.where(np.isnan(r), 1.0, r)   # 0/0 cells: ratio 1
 
-    candidate = _affine_rows(F.x_breaks, F.y_breaks, (F,), root).to_cdf()
-    return NthRootResult(candidate, validate_bi(candidate, eps))
+    return _affine_rows(F.x_breaks, F.y_breaks, (F,), root)
 
 
 def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,

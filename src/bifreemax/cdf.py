@@ -192,6 +192,17 @@ class GridRows(_RowSource):
         return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
 
 
+def _checked_block(F, rows: slice, ncols: int) -> np.ndarray:
+    """F.block(rows) as a C-contiguous float64 array, with the checks BivariateCDF
+    makes on a whole array: shape and finiteness."""
+    block = np.ascontiguousarray(F.block(rows), dtype=float)
+    if block.shape != (rows.stop - rows.start, ncols):
+        raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
+    if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        raise CDFError("cdf values must be finite")
+    return block
+
+
 @dataclass(frozen=True)
 class AffineNormalization:
     """Per-axis affine change of variables (s, t) -> (a*s + b, c*t + d)."""
@@ -220,90 +231,112 @@ class AffineNormalization:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _report_kind(out: list[str], kind: str, eps: float, nrows: int, ncols: int,
-                 bounds, line) -> None:
-    """Append the first MAX_LISTED violations of one kind, in row-major order.
+class _Kind:
+    """One kind of violation: a bound ``lo <= v <= hi`` checked within eps.
 
-    The kind is a bound ``lo <= v <= hi`` checked within eps on an nrows x
-    ncols array, one row block at a time: ``bounds(rows)`` gives (v, lo, hi)
-    for those rows, with -inf or inf for a missing bound.  A value violates
-    it where ``v < lo - eps`` or ``v > hi + eps``, and ``line(i, j, value)``
-    formats one violation.  If more than MAX_LISTED remain, one summary line
-    follows with their exact count and the worst amount ``max(lo - v, v - hi)``
-    of a violation, taken in the same pass.
+    ``check(row0, v, lo, hi)`` takes the 2-d rows of v from row row0 on, with
+    lo and hi broadcast against them (-inf or inf for a missing bound).  A
+    value violates the bound where ``v < lo - eps`` or ``v > hi + eps``.  Fed
+    the rows in order, the kind keeps its first MAX_LISTED violations in
+    row-major order, formatted by ``line(i, j, value)``, their exact count and
+    the worst amount ``max(lo - v, v - hi)`` of a violation.
     """
-    count, worst = 0, -math.inf
-    for rows in row_blocks(nrows, ncols):
-        v, lo, hi = bounds(rows)
-        bad = (v < lo - eps) | (v > hi + eps)
-        hits = np.flatnonzero(bad)
-        if hits.size:
-            worst = max(worst, float(np.max(np.maximum(lo - v, v - hi)[bad])))
-        for k in hits[:max(0, MAX_LISTED - count)]:
+
+    def __init__(self, name: str, eps: float, line):
+        self.name, self.eps, self.line = name, eps, line
+        self.lines, self.count, self.worst = [], 0, -math.inf
+
+    def check(self, row0: int, v: np.ndarray, lo, hi) -> None:
+        # v < lo - eps implies v < lo, and v > hi + eps implies v > hi: so the
+        # bounds are shifted by eps only where v is past them, and no array of
+        # the block's size is made beside a bound.  Two such arrays freed
+        # together make glibc hand them back, to fault them in at the next block.
+        shape, ncols = v.shape, v.shape[1]
+        past = np.flatnonzero((v < lo) | (v > hi))
+        v, lo, hi = (np.broadcast_to(x, shape).flat[past] for x in (v, lo, hi))
+        bad = (v < lo - self.eps) | (v > hi + self.eps)
+        if bad.any():
+            self.worst = max(self.worst, float(np.max(np.maximum(lo - v, v - hi)[bad])))
+        hits = past[bad]
+        for k, value in zip(hits[:max(0, MAX_LISTED - self.count)], v[bad]):
             i, j = divmod(int(k), ncols)
-            out.append(line(rows.start + i, j, v.flat[k]))
-        count += hits.size
-    if count > MAX_LISTED:
-        out.append(f"... and {count - MAX_LISTED} more {kind} violations, worst {worst!r}")
+            self.lines.append(self.line(row0 + i, j, value))
+        self.count += hits.size
+
+    def report(self) -> list[str]:
+        """The listed lines, then, if more than MAX_LISTED, one summary line."""
+        if self.count <= MAX_LISTED:
+            return self.lines
+        return [*self.lines, f"... and {self.count - MAX_LISTED} more {self.name} "
+                             f"violations, worst {self.worst!r}"]
 
 
 def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     """Check the distribution-function axioms; returns named violations.
 
     At most MAX_LISTED locations are listed per kind, then a summary line.
+    Both kinds are checked in one pass over row blocks of the values.
     """
     v = F.values
-    out = []
-    _report_kind(out, "out-of-[0,1]", eps, v.size, 1, lambda r: (v[r], 0.0, 1.0),
+    in01 = _Kind("out-of-[0,1]", eps,
                  lambda i, _, x: f"value out of [0,1] at index {i}: {float(x)!r}")
-    d = np.diff(v)
-    _report_kind(out, "monotonicity", eps, d.size, 1, lambda r: (d[r], 0.0, np.inf),
-                 lambda i, *_: (f"monotonicity violation at index {i + 1}: "
-                                f"{float(v[i + 1])!r} < {float(v[i])!r}"))
+    rising = _Kind("monotonicity", eps,
+                   lambda i, *_: (f"monotonicity violation at index {i + 1}: "
+                                  f"{float(v[i + 1])!r} < {float(v[i])!r}"))
+    for rows in row_blocks(v.size, 1):
+        lo = max(rows.start - 1, 0)   # the value before the block, for its first step
+        in01.check(rows.start, v[rows, None], 0.0, 1.0)
+        rising.check(lo, np.diff(v[lo:rows.stop, None], axis=0), 0.0, np.inf)
+    out = in01.report() + rising.report()
     if abs(v[-1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
     return out
 
 
-def validate_bi(F: BivariateCDF, eps: float = EPS_CDF) -> list[str]:
-    """Check the bivariate distribution-function axioms.
+def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
+    """Check the bivariate distribution-function axioms of the row source F.
 
     The rectangle inequality is checked on adjacent grid cells only;
     general rectangles are sums of adjacent cells, so adjacency suffices.
     At most MAX_LISTED locations are listed per kind, then a summary line
-    with the count of the rest and the worst amount.  Every invariant is
-    computed one row block at a time, so no temporary is cells-sized.
+    with the count of the rest and the worst amount.
+
+    One pass: the last row (the y-marginal) is read first, as a one-row
+    block, then each row block with the row before it, and every kind is
+    checked on that one read.  So no temporary is cells-sized, and a
+    ``GridRows``, such as a root candidate, is checked without being held.
+    Each block gets the checks BivariateCDF makes on a whole array.
     """
-    c = F.cdf
-    nx, ny = c.shape
-    m1, m2 = c[:, -1], c[-1, :]
-    out = []
-
-    def cell(r):  # rows r of the masses of the adjacent grid cells, each >= 0
-        a = c[r.start:r.stop + 1]
-        return a[1:, 1:] - a[:-1, 1:] - a[1:, :-1] + a[:-1, :-1], 0.0, np.inf
-
-    _report_kind(out, "out-of-[0,1]", eps, nx, ny, lambda r: (c[r], 0.0, 1.0),
+    nx, ny = F.x_breaks.size, F.y_breaks.size
+    in01 = _Kind("out-of-[0,1]", eps,
                  lambda i, j, x: f"value out of [0,1] at ({i},{j}): {float(x)!r}")
-    _report_kind(out, "monotonicity along x", eps, nx - 1, ny,
-                 lambda r: (np.diff(c[r.start:r.stop + 1], axis=0), 0.0, np.inf),
-                 lambda i, j, _: f"monotonicity violation along x at ({i + 1},{j})")
-    _report_kind(out, "monotonicity along y", eps, nx, ny - 1,
-                 lambda r: (np.diff(c[r], axis=1), 0.0, np.inf),
-                 lambda i, j, _: f"monotonicity violation along y at ({i},{j + 1})")
-    if nx > 1 and ny > 1:
-        _report_kind(out, "rectangle inequality", eps, nx - 1, ny - 1, cell,
-                     lambda i, j, x: (f"rectangle inequality violation at cell ({i},{j}): "
-                                      f"mass {float(x)!r}"))
-    if abs(c[-1, -1] - 1.0) > eps:
-        out.append(f"total-mass violation: F(last,last) = {float(c[-1, -1])!r} != 1")
-    _report_kind(out, "Frechet upper-bound", eps, nx, ny,
-                 lambda r: (c[r], -np.inf, np.minimum(m1[r, None], m2)),
-                 lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})")
-    _report_kind(out, "Frechet lower-bound", eps, nx, ny,
-                 lambda r: (c[r], m1[r, None] + m2 - 1.0, np.inf),
-                 lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})")
-    return out
+    along_x = _Kind("monotonicity along x", eps,
+                    lambda i, j, _: f"monotonicity violation along x at ({i + 1},{j})")
+    along_y = _Kind("monotonicity along y", eps,
+                    lambda i, j, _: f"monotonicity violation along y at ({i},{j + 1})")
+    cells = _Kind("rectangle inequality", eps,
+                  lambda i, j, x: (f"rectangle inequality violation at cell ({i},{j}): "
+                                   f"mass {float(x)!r}"))
+    upper = _Kind("Frechet upper-bound", eps,
+                  lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})")
+    lower = _Kind("Frechet lower-bound", eps,
+                  lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})")
+    m2 = _checked_block(F, slice(nx - 1, nx), ny)[0]
+    for rows in row_blocks(nx, ny):
+        lo = max(rows.start - 1, 0)   # the row before the block, for its first steps
+        a = _checked_block(F, slice(lo, rows.stop), ny)
+        c, m1 = a[rows.start - lo:], a[rows.start - lo:, -1:]
+        in01.check(rows.start, c, 0.0, 1.0)
+        along_x.check(lo, np.diff(a, axis=0), 0.0, np.inf)
+        along_y.check(rows.start, np.diff(c, axis=1), 0.0, np.inf)
+        # the masses of the adjacent grid cells, each >= 0
+        cells.check(lo, a[1:, 1:] - a[:-1, 1:] - a[1:, :-1] + a[:-1, :-1], 0.0, np.inf)
+        upper.check(rows.start, c, -np.inf, np.minimum(m1, m2))
+        lower.check(rows.start, c, m1 + m2 - 1.0, np.inf)
+    out = in01.report() + along_x.report() + along_y.report() + cells.report()
+    if abs(m2[-1] - 1.0) > eps:
+        out.append(f"total-mass violation: F(last,last) = {float(m2[-1])!r} != 1")
+    return out + upper.report() + lower.report()
 
 
 def require_valid_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> UnivariateCDF:
@@ -342,7 +375,7 @@ def marginals(F: BivariateCDF, eps: float = EPS_CDF) -> tuple[UnivariateCDF, Uni
 
 def merge_uni_grids(F: UnivariateCDF, G: UnivariateCDF) -> tuple[UnivariateCDF, UnivariateCDF]:
     """Re-express both univariate CDFs on the union of their grids."""
-    breaks = np.union1d(F.breaks, G.breaks)
+    breaks = _unique(np.concatenate((F.breaks, G.breaks)))
     return (UnivariateCDF(breaks, F.evaluate(breaks)),
             UnivariateCDF(breaks, G.evaluate(breaks)))
 
@@ -361,10 +394,37 @@ def merge_grids(F: BivariateCDF, G: BivariateCDF,
             BivariateCDF(xb, yb, G.evaluate_grid(xb, yb)))
 
 
+def _unique(values: np.ndarray, inverse: bool = False):
+    """np.unique(values) of a 1-d float array, and with inverse its return_inverse.
+
+    np.unique calls np.ma.is_masked, whose first call imports numpy.ma: about
+    20 ms of a fresh process.  This makes np.unique's own sorts, so the bits
+    are the same: ndarray.sort() without the inverse and
+    argsort(kind="quicksort") with it.  The sort decides which of -0.0 and
+    0.0 comes first and is kept.  All nans count as one, as in np.unique.
+    """
+    values = np.ravel(values)   # contiguous, as np.unique's flatten() makes it
+    if inverse:
+        perm = values.argsort(kind="quicksort")
+        aux = values[perm]
+    else:
+        aux = np.sort(values)
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    if aux.size and np.isnan(aux[-1]):   # sorted last: keep the first nan only
+        keep[np.searchsorted(aux, aux[-1], side="left") + 1:] = False
+    if not inverse:
+        return aux[keep]
+    index = np.empty(keep.shape, dtype=np.intp)
+    index[perm] = np.cumsum(keep) - 1
+    return aux[keep], index
+
+
 def _union_grid(F, G, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis union of two row sources' grids, checked against MAX_CELLS for ``what``."""
-    xb = np.union1d(F.x_breaks, G.x_breaks)
-    yb = np.union1d(F.y_breaks, G.y_breaks)
+    xb = _unique(np.concatenate((F.x_breaks, G.x_breaks)))
+    yb = _unique(np.concatenate((F.y_breaks, G.y_breaks)))
     require_cells(xb.size, yb.size, what)
     return xb, yb
 
@@ -409,8 +469,8 @@ def ecdf_from_samples(points) -> BivariateCDF:
     # take running sums along both axes.  The counts are float64, so one
     # array becomes the CDF in place; sums of integers below 2^53 are exact,
     # so its bits are those of integer counts / N.
-    xb, xi = np.unique(pts[:, 0], return_inverse=True)
-    yb, yi = np.unique(pts[:, 1], return_inverse=True)
+    xb, xi = _unique(pts[:, 0], inverse=True)
+    yb, yi = _unique(pts[:, 1], inverse=True)
     require_cells(xb.size, yb.size, "ecdf_from_samples")
     counts = np.bincount(xi * yb.size + yi, weights=np.ones(pts.shape[0]),
                          minlength=xb.size * yb.size).reshape(xb.size, yb.size)
@@ -492,12 +552,7 @@ def save_bi_json(F: BivariateCDF | GridRows, path) -> None:
         fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
                  f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
         for rows in row_blocks(xb.size, yb.size):
-            block = np.ascontiguousarray(F.block(rows), dtype=float)
-            if block.shape != (rows.stop - rows.start, yb.size):
-                raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-                raise CDFError("cdf values must be finite")
-            for i, text in enumerate(_rows_json(block), rows.start):
+            for i, text in enumerate(_rows_json(_checked_block(F, rows, yb.size)), rows.start):
                 fh.write(", " + text if i else text)
         fh.write("]}\n")
 

@@ -43,7 +43,7 @@ from .biconv import (
     bifree_max_convolve_rows,
     max_stable_residual,
     nfold_rows,
-    nth_root,
+    nth_root_rows,
     psi_range,
 )
 from .oracle import (
@@ -116,15 +116,17 @@ def cmd_nfold(args) -> int:
 
 def cmd_root(args) -> int:
     F = load_bi_json(args.path)
-    result = nth_root(F, args.n, args.tol)
-    if result.ok:
-        save_bi_json(result.candidate, args.out)
+    # validated in one pass and, if valid, computed again as it is written
+    candidate = nth_root_rows(F, args.n, args.tol)
+    violations = validate_bi(candidate, args.tol)
+    if not violations:
+        save_bi_json(candidate, args.out)
         print(f"wrote {args.out}: valid {args.n}-th root candidate")
         return 0
     with _replacing(args.out) as fh:
-        fh.write(json.dumps({"divisibility_failure": result.violations}, indent=2) + "\n")
+        fh.write(json.dumps({"divisibility_failure": violations}, indent=2) + "\n")
     print(f"not {args.n}-divisible; report written to {args.out}:")
-    for v in result.violations:
+    for v in violations:
         print(f"  {v}")
     return 1
 

@@ -294,7 +294,41 @@ class TestReportsAsBounds:
             summaries += sum(line.startswith("... and ") for line in bi + uni)
         assert summaries >= 150   # the worst amounts are compared too
 
-    def test_one_pass_per_kind(self, monkeypatch):
+
+class TestOnePassValidation:
+    """validate_bi reads any row source once: the last row, then each row
+    block with the row before it, checking every kind on that one read."""
+
+    @staticmethod
+    def sources(F):
+        """F, and a GridRows that computes F's rows as they are read."""
+        return F, GridRows(F.x_breaks, F.y_breaks, lambda r, c=F.cdf: c[r].copy())
+
+    @staticmethod
+    def grids(seed):
+        """Boundary grids at eps = 1e-9 and seeded pairs with noise on half their cells."""
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            yield boundary_bivariate_cdf(rng, EPS_CDF)
+        for F, G in seeded_pairs(seed, 10):
+            for X in (F, G):
+                noise = rng.normal(0.0, 0.3, X.cdf.shape) * (rng.random(X.cdf.shape) < 0.5)
+                yield BivariateCDF(X.x_breaks, X.y_breaks, X.cdf + noise)
+
+    @pytest.mark.parametrize("rows", [1, 2, None, 2 ** 30],
+                             ids=["one row", "two rows", "default", "whole grid"])
+    def test_same_lines_as_the_reference(self, monkeypatch, rows):
+        summaries = 0
+        for F in self.grids(58):
+            if rows is not None:
+                monkeypatch.setattr(cdf_module, "BLOCK_CELLS", rows * F.y_breaks.size)
+            expected = validate_bi_reference(F)
+            for X in self.sources(F):
+                assert validate_bi(X) == expected
+            summaries += sum(line.startswith("... and ") for line in expected)
+        assert summaries >= 20   # the worst amounts are compared too
+
+    def test_one_pass_for_every_kind(self, monkeypatch):
         passes = []
         real = cdf_module.row_blocks
 
@@ -313,7 +347,39 @@ class TestReportsAsBounds:
             passes.clear()
             report = validate(F)
             assert sum(line.startswith("... and ") for line in report) == kinds
-            assert len(passes) == kinds
+            assert len(passes) == 1
+
+    @pytest.mark.parametrize("cells", [1, 64, 10 ** 6])
+    def test_one_read_per_block_and_the_last_row(self, monkeypatch, cells):
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+        c = np.random.default_rng(13).uniform(-0.5, 1.5, (40, 30))
+        F, rows = self.sources(BivariateCDF(np.arange(40.0), np.arange(30.0), c))
+        reads = []
+        real_block = BivariateCDF.block
+
+        def spy(self, r):
+            reads.append((r.start, r.stop))
+            return real_block(self, r)
+
+        monkeypatch.setattr(BivariateCDF, "block", spy)
+        counted = GridRows(rows.x_breaks, rows.y_breaks,
+                           lambda r: reads.append((r.start, r.stop)) or rows.block(r))
+        blocks = [(max(r.start - 1, 0), r.stop) for r in cdf_module.row_blocks(40, 30)]
+        for X in (F, counted):
+            reads.clear()
+            validate_bi(X)
+            assert reads == [(39, 40), *blocks]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_block_is_checked(self, monkeypatch, bad):
+        """A GridRows gets the finiteness check to_cdf() makes, with its message."""
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 1)   # one row per block
+        cdf = np.zeros((4, 3))
+        cdf[2, 1] = bad
+        rows = GridRows(np.arange(4.0), np.arange(3.0), lambda r: cdf[r])
+        for call in (rows.to_cdf, lambda: validate_bi(rows)):
+            with pytest.raises(CDFError, match="cdf values must be finite"):
+                call()
 
 
 class TestValidateOnce:
@@ -696,6 +762,9 @@ class TestStreamedCliMemory:
         d = tmp_path_factory.mktemp("streamed")
         save_bi_json(F, d / "f.json")
         save_bi_json(G, d / "g.json")
+        # marginals above 1/2 make the square root of the 2-fold power valid
+        save_bi_json(nfold(random_bivariate_cdf(rng, 512, 512, corner_mass=0.6), 2),
+                     d / "div.json")
         return d, F
 
     def test_biconv_peaks_below_its_output(self, files):
@@ -722,15 +791,20 @@ class TestStreamedCliMemory:
         # peak after the load: the input plus blocks, not plus the output
         assert peak < F.cdf.nbytes + F.cdf.nbytes // 2
 
-    @pytest.mark.parametrize("argv", [["validate", "--kind", "bi"],
-                                      ["stability", "2", "2", "0.5", "2", "0.5"]],
-                             ids=["validate", "stability"])
-    def test_call_holds_its_input_once(self, files, argv, capsys):
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["validate", "f.json", "--kind", "bi"], 0),
+        (["stability", "f.json", "2", "2", "0.5", "2", "0.5"], 0),
+        (["root", "div.json", "2", "--out", "root.json"], 0),
+        (["root", "f.json", "2", "--out", "report.json"], 1),
+    ], ids=["validate", "stability", "root-candidate", "root-report"])
+    def test_call_holds_its_input_once(self, files, argv, exit_code, capsys):
         """A call on a saved file peaks at its input plus the loader's buffer and
-        blocks, not at the input twice."""
+        blocks, not at the input twice; root never holds its candidate."""
         d, F = files
-        call = [argv[0], str(d / "f.json"), *argv[1:]]
+        call = [str(d / a) if a.endswith(".json") else a for a in argv]
         main(call)   # the first call in a process also imports what numpy loads lazily
         code, peak = _peak_bytes(lambda: main(call))
-        assert code == 0, capsys.readouterr()
+        assert code == exit_code, capsys.readouterr()
         assert peak < 1.5 * F.cdf.nbytes
+        if argv[0] == "root":   # the candidate or the report was written
+            assert ("divisibility_failure" in (d / argv[-1]).read_text()) == bool(exit_code)

@@ -2,13 +2,21 @@
 standard library alone: no import of a module outside the package, numpy
 and the standard library, no unused ``from ... import`` name, no
 module-level private name that nothing reads, and no file opened for
-writing outside the one writer, ``cdf._replacing``."""
+writing outside the one writer, ``cdf._replacing``.  And what the source
+imports at run time: no call of the CLI loads ``numpy.ma``."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bifreemax import BivariateCDF, UnivariateCDF, save_bi_json, save_uni_json
+from bifreemax.cdf import _unique
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bifreemax"
 
@@ -145,3 +153,51 @@ def test_only_the_writer_opens_a_file_for_writing():
     found = {(path.name, function) for path in _modules()
              for function, _ in write_opens(ast.parse(path.read_text()))}
     assert found == {("cdf.py", "_replacing")}
+
+
+def test_no_call_imports_numpy_ma(tmp_path):
+    """np.unique and np.union1d import numpy.ma; a call that merges grids or
+    builds an ECDF must not, in a fresh process (numpy 2 loads it lazily)."""
+    f, u, s = tmp_path / "f.json", tmp_path / "u.json", tmp_path / "s.tsv"
+    save_bi_json(BivariateCDF([0.0, 1.0], [0.0, 2.0], [[0.5, 0.6], [0.7, 1.0]]), f)
+    save_uni_json(UnivariateCDF([0.0, 1.0], [0.6, 1.0]), u)
+    s.write_text("0\t0\n1\t2\n1\t0\n")
+    out = str(tmp_path / "out")
+    calls = [["oracle", "0.3", "0.4", "0.2", "0.5", "0.6", "0.3"],
+             ["uniconv", str(u), str(u), "--out", out],
+             ["biconv", str(f), str(f), "--out", out],
+             ["stability", str(f), "2", "1", "0.5", "1", "0.5"],
+             ["ecdf", str(s), "--out", out]]
+    code = ("import json, sys, numpy\n"
+            "with_numpy = 'numpy.ma' in sys.modules\n"
+            "from bifreemax.cli import main\n"
+            "codes = [main(call) for call in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([with_numpy, codes, 'numpy.ma' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env,
+                         capture_output=True, text=True, check=True)
+    with_numpy, codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(calls), run.stdout
+    if with_numpy:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert not loaded
+
+
+def test_unique_has_the_bits_of_numpy():
+    """cdf._unique against np.union1d and np.unique(return_inverse=True) on
+    values with duplicates, both zeros, subnormals and, for the inverse, nans."""
+    rng = np.random.default_rng(59)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1.0 + 2.0 ** -52])
+    for _ in range(300):
+        # rounded normals repeat too; sizes past 16 leave the insertion sort
+        a, b = (np.where(rng.random(k) < 0.3, rng.normal(size=k).round(1),
+                         rng.choice(special, k)) for k in rng.integers(0, 300, 2))
+        union = _unique(np.concatenate((a, b)))
+        assert union.tobytes() == np.union1d(a, b).tobytes()
+        samples = np.concatenate((a, b, np.full(rng.integers(0, 3), np.nan)))
+        rng.shuffle(samples)
+        values, index = _unique(samples, inverse=True)
+        ref_values, ref_index = np.unique(samples, return_inverse=True)
+        assert values.tobytes() == ref_values.tobytes()
+        assert np.array_equal(index, ref_index.ravel())
