@@ -11,11 +11,11 @@ ratio field is affine under the convolution, n-fold powers and formula-level
 n-th roots have exact closed forms.
 
 Sentinel conventions in the ratio field: a cell with F <= 0 vanishes, with
-``+inf`` where the marginal product is positive and ``nan`` elsewhere.  Every
-kernel that builds a CDF from ratio fields (convolution, power, root) is one
-affine map, applied to the input marginals (then clamped at 0) and to the
-input ratio fields, followed by one decode, ``_decode_block``: H1*H2/psi where
-psi is finite and both output marginals are positive, 0 elsewhere.
+``+inf`` where the marginal product is positive and ``nan`` (0/0) elsewhere.
+Every kernel is one map ``a -> (sum w_i*a_i - (sum w_i - q))/q``, which sends
+1 to 1, on the input marginals (then clamped at 0) and ratio fields, with
+ratio 1 at 0/0 cells, and one decode, ``_decode_block``: H1*H2/psi where psi
+is finite and both output marginals are positive, 0 elsewhere.
 
 A kernel's output is a ``cdf.GridRows``, a row source like ``BivariateCDF``:
 it computes its rows block by block when they are read.  ``nfold`` and
@@ -27,7 +27,6 @@ reads it on the evaluation grid, so the n-fold power is never held.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +58,12 @@ class PsiField:
 # vectors, so a block needs only its own rows, and its values do not depend on
 # the blocking.  Peak memory is what the caller keeps plus one block.
 
-def _psi_block(c: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Ratio field of the rows ``c`` of a CDF whose marginals there are m1 and m2."""
-    num = m1[:, None] * m2[None, :]
+def _psi_block(c: np.ndarray, m2: np.ndarray, undefined: float = np.nan) -> np.ndarray:
+    """Ratio field of the rows c of a CDF whose last row is m2; ``undefined`` at 0/0."""
+    num = c[:, -1:] * m2[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = num / c
-    return np.where(c > 0.0, psi, np.where(num > 0.0, np.inf, np.nan))
+    return np.where(c > 0.0, psi, np.where(num > 0.0, np.inf, undefined))
 
 
 def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -76,21 +75,22 @@ def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray) -> np.ndarray
 
 
 def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...],
-                 affine: Callable[..., np.ndarray]) -> GridRows:
-    """The kernel on xs x ys whose map ``affine`` takes one array per input.
+                 weights: tuple[int, ...], q: int = 1) -> GridRows:
+    """The kernel's map, one weight per input and divisor q; inputs read on xs x ys."""
+    def affine(arrays):   # updated in place after the first product
+        out = weights[0] * arrays[0]
+        for w, a in zip(weights[1:], arrays[1:]):
+            out += w * a
+        out -= sum(weights) - float(q)
+        return np.divide(out, q, out=out)
 
-    The output marginals are ``max(0, affine(input marginals))`` and the
-    output ratio field is ``affine(input ratio fields)``, decoded one row
-    block at a time.  Every input is read on xs x ys through evaluate_grid.
-    """
-    m1 = [X.evaluate_grid(xs, ys[-1:])[:, 0] for X in inputs]
+    h1 = np.maximum(0.0, affine([X.evaluate_grid(xs, ys[-1:])[:, 0] for X in inputs]))
     m2 = [X.evaluate_grid(xs[-1:], ys)[0] for X in inputs]
-    h1, h2 = np.maximum(0.0, affine(*m1)), np.maximum(0.0, affine(*m2))
+    h2 = np.maximum(0.0, affine(m2))
 
     def block(rows):
-        psi = [_psi_block(X.evaluate_grid(xs[rows], ys), f1[rows], f2)
-               for X, f1, f2 in zip(inputs, m1, m2)]
-        return _decode_block(h1[rows], h2, affine(*psi))
+        psi = [_psi_block(X.evaluate_grid(xs[rows], ys), f2, 1.0) for X, f2 in zip(inputs, m2)]
+        return _decode_block(h1[rows], h2, affine(psi))
 
     return GridRows(xs, ys, block)
 
@@ -98,9 +98,7 @@ def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...
 def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
     """Ratio field F1*F2/F; where F <= 0, +inf if F1*F2 > 0 and nan otherwise."""
     require_valid_bi(F, eps)
-    c = F.cdf
-    m1, m2 = c[:, -1], c[-1, :]
-    psi = GridRows(F.x_breaks, F.y_breaks, lambda r: _psi_block(c[r], m1[r], m2))
+    psi = GridRows(F.x_breaks, F.y_breaks, lambda r: _psi_block(F.cdf[r], F.cdf[-1]))
     return PsiField(F.x_breaks, F.y_breaks, psi.array())
 
 
@@ -112,7 +110,7 @@ def psi_range(c: np.ndarray, m2: np.ndarray, lo: float = np.inf,
     blocks from (inf, -inf), this gives the smallest and largest finite
     ratio, or lo > hi if none is finite.  Nothing is validated.
     """
-    psi = _psi_block(c, c[:, -1], m2)
+    psi = _psi_block(c, m2)
     finite = psi[np.isfinite(psi)]
     if finite.size:
         lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
@@ -124,9 +122,9 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
     """Bi-free max-convolution H of two bivariate distribution functions.
 
     The marginals of H are the univariate free max-convolutions
-    ``(F_j + G_j - 1)_+`` of the input marginals; wherever the ratio field
-    ``psi_F + psi_G - 1`` is finite (so F > 0 and G > 0) and both H
-    marginals are positive,
+    ``(F_j + G_j - 1)_+`` of the input marginals (the kernel's map with
+    weights (1, 1) and q = 1); wherever the ratio field ``psi_F + psi_G - 1``
+    is finite and both H marginals are positive (so F > 0 and G > 0),
 
         H = H1 * H2 / (psi_F + psi_G - 1),
 
@@ -142,17 +140,16 @@ def bifree_max_convolve_rows(F: BivariateCDF, G: BivariateCDF,
     require_valid_bi(F, eps)
     require_valid_bi(G, eps)
     xs, ys = _union_grid(F, G, "bifree_max_convolve")
-    return _affine_rows(xs, ys, (F, G), lambda f, g: f + g - 1.0)
+    return _affine_rows(xs, ys, (F, G), (1, 1))
 
 
 def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     """n-fold bi-free max-convolution of F with itself.
 
-    Computed through the closed form, the one map ``n*a - (n-1)`` applied
-    to the marginals (then clamped at 0) and to the ratio field, and decoded
-    like the pairwise convolution, rather than n-1 pairwise convolutions;
-    so ``nfold(F, 2)`` is ``bifree_max_convolve(F, F)`` byte for byte, and
-    cells with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself.
+    Computed through the closed form, the kernel's map with weights (n,) and
+    q = 1, ``n*a - (n-1)``, rather than n-1 pairwise convolutions; so
+    ``nfold(F, 2)`` is ``bifree_max_convolve(F, F)`` byte for byte, and cells
+    with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself.
     """
     H = nfold_rows(F, n, eps)
     return H if H is F else H.to_cdf()
@@ -164,7 +161,7 @@ def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF | 
     n = _check_fold_count(n)
     if n == 1:
         return F
-    return _affine_rows(F.x_breaks, F.y_breaks, (F,), lambda a: n * a - (n - 1.0))
+    return _affine_rows(F.x_breaks, F.y_breaks, (F,), (n,))
 
 
 def _check_fold_count(n) -> int:
@@ -198,9 +195,9 @@ class NthRootResult:
 def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """The unique ratio-affine n-th root candidate of F under the convolution.
 
-    The one map ``(a + n - 1)/n`` is applied to the marginals (then clamped
-    at 0) and to the ratio field, whose 0/0-undefined cells (``nan``, F <= 0
-    with a vanishing marginal product) take the independent value, ratio 1.
+    The kernel's map has weights (1,) and q = n: ``(a + (n-1))/n``, rounded
+    once.  Only the root decodes 0/0 cells (F <= 0, marginal product 0), where
+    every kernel puts ratio 1, the independent value.
     It is decoded like the convolution and the power: the +inf sentinel
     gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
     If the candidate is returned valid, its n-fold convolution recovers F.
@@ -215,12 +212,7 @@ def nth_root_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
     """nth_root's candidate as row blocks, not validated; F and n are checked here."""
     require_valid_bi(F, eps)
     n = _check_fold_count(n)
-
-    def root(a):
-        r = (a + n - 1.0) / n
-        return np.where(np.isnan(r), 1.0, r)   # 0/0 cells: ratio 1
-
-    return _affine_rows(F.x_breaks, F.y_breaks, (F,), root)
+    return _affine_rows(F.x_breaks, F.y_breaks, (F,), (1,), n)
 
 
 def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,

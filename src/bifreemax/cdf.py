@@ -184,21 +184,21 @@ class GridRows(_RowSource):
     def array(self) -> np.ndarray:
         """The whole array, filled one row block at a time."""
         out = np.empty((self.x_breaks.size, self.y_breaks.size))
-        for rows in row_blocks(*out.shape):
-            out[rows] = self.block(rows)
+        for rows in row_blocks(*out.shape):   # shape checked, values not: psi has sentinels
+            out[rows] = _checked_block(self, rows, out.shape[1], finite=False)
         return out
 
     def to_cdf(self) -> BivariateCDF:
         return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
 
 
-def _checked_block(F, rows: slice, ncols: int) -> np.ndarray:
+def _checked_block(F, rows: slice, ncols: int, finite: bool = True) -> np.ndarray:
     """F.block(rows) as a C-contiguous float64 array, with the checks BivariateCDF
-    makes on a whole array: shape and finiteness."""
+    makes on a whole array: shape and, if finite, finiteness."""
     block = np.ascontiguousarray(F.block(rows), dtype=float)
     if block.shape != (rows.stop - rows.start, ncols):
         raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-    if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+    if finite and not (np.isfinite(block.min()) and np.isfinite(block.max())):
         raise CDFError("cdf values must be finite")
     return block
 
@@ -236,10 +236,11 @@ class _Kind:
 
     ``check(row0, v, lo, hi)`` takes the 2-d rows of v from row row0 on, with
     lo and hi broadcast against them (-inf or inf for a missing bound).  A
-    value violates the bound where ``v < lo - eps`` or ``v > hi + eps``.  Fed
-    the rows in order, the kind keeps its first MAX_LISTED violations in
-    row-major order, formatted by ``line(i, j, value)``, their exact count and
-    the worst amount ``max(lo - v, v - hi)`` of a violation.
+    value violates the bound where its amount ``max(lo - v, v - hi)`` exceeds
+    eps in exact arithmetic, with a Frechet bound taken as the float it rounds
+    to.  Fed the rows in order, the kind keeps its first MAX_LISTED violations
+    in row-major order, formatted by ``line(i, j, value)``, their exact count
+    and their worst amount, rounded once.
     """
 
     def __init__(self, name: str, eps: float, line):
@@ -247,16 +248,20 @@ class _Kind:
         self.lines, self.count, self.worst = [], 0, -math.inf
 
     def check(self, row0: int, v: np.ndarray, lo, hi) -> None:
-        # v < lo - eps implies v < lo, and v > hi + eps implies v > hi: so the
-        # bounds are shifted by eps only where v is past them, and no array of
-        # the block's size is made beside a bound.  Two such arrays freed
-        # together make glibc hand them back, to fault them in at the next block.
+        # Amounts are taken only where v is past its bound, so no array of the
+        # block's size is made beside a bound: two such arrays freed together
+        # make glibc hand them back, to fault them in at the next block.
         shape, ncols = v.shape, v.shape[1]
         past = np.flatnonzero((v < lo) | (v > hi))
         v, lo, hi = (np.broadcast_to(x, shape).flat[past] for x in (v, lo, hi))
-        bad = (v < lo - self.eps) | (v > hi + self.eps)
+        amount = np.maximum(lo - v, v - hi)
+        bad = amount > self.eps
+        for k in np.flatnonzero(amount == self.eps):   # rounded to eps: past it iff e > 0,
+            a, b = (lo[k], v[k]) if lo[k] - v[k] == self.eps else (v[k], hi[k])
+            s = a - b   # where a - b = s + e exactly (Knuth's two-sum)
+            bad[k] = (a - (s - (s - a))) - (b + (s - a)) > 0.0
         if bad.any():
-            self.worst = max(self.worst, float(np.max(np.maximum(lo - v, v - hi)[bad])))
+            self.worst = max(self.worst, float(amount[bad].max()))
         hits = past[bad]
         for k, value in zip(hits[:max(0, MAX_LISTED - self.count)], v[bad]):
             i, j = divmod(int(k), ncols)
@@ -490,6 +495,8 @@ def _bad_file(what: str, path, exc: Exception) -> CDFFormatError:
         reason = "nested too deeply"
     elif isinstance(exc, UnicodeDecodeError):
         reason = f"not UTF-8 text ({exc.reason})"
+    elif isinstance(exc, KeyError):
+        reason = f"missing key {exc}"
     else:
         reason = str(exc)
     return CDFFormatError(f"bad {what} file {path}: {reason}")

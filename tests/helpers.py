@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -116,6 +117,15 @@ def group_violations(lines):
 # worst amount of each kind that they had before the kinds became bounds:
 # the references the blocked reports must match line for line.
 
+def exceeds(a, b, eps):
+    """Elementwise a - b > eps in exact arithmetic: Fraction decides where a - b rounds to eps."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = a - b > eps
+    for k in zip(*np.nonzero(a - b == eps)):
+        out[k] = Fraction(float(a[k])) - Fraction(float(b[k])) > Fraction(eps)
+    return out
+
+
 def _reference_kind(out, kind, mask, line, worst):
     hits = np.argwhere(mask)
     for index in hits[:MAX_LISTED]:
@@ -128,7 +138,7 @@ def _reference_kind(out, kind, mask, line, worst):
 def validate_uni_reference(F, eps=EPS_CDF):
     v = F.values
     out = []
-    _reference_kind(out, "out-of-[0,1]", (v < -eps) | (v > 1.0 + eps),
+    _reference_kind(out, "out-of-[0,1]", exceeds(0.0, v, eps) | exceeds(v, 1.0, eps),
                     lambda i: f"value out of [0,1] at index {i}: {float(v[i])!r}",
                     lambda: max(v.max() - 1.0, -v.min()))
     d = np.diff(v)
@@ -148,7 +158,7 @@ def validate_bi_reference(F, eps=EPS_CDF):
     dx, dy = np.diff(c, axis=0), np.diff(c, axis=1)
     cell = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
     out = []
-    _reference_kind(out, "out-of-[0,1]", (c < -eps) | (c > 1.0 + eps),
+    _reference_kind(out, "out-of-[0,1]", exceeds(0.0, c, eps) | exceeds(c, 1.0, eps),
                     lambda i, j: f"value out of [0,1] at ({i},{j}): {float(c[i, j])!r}",
                     lambda: max(c.max() - 1.0, -c.min()))
     _reference_kind(out, "monotonicity along x", dx < -eps,
@@ -164,10 +174,10 @@ def validate_bi_reference(F, eps=EPS_CDF):
                         lambda: -cell.min())
     if abs(c[-1, -1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last,last) = {float(c[-1, -1])!r} != 1")
-    _reference_kind(out, "Frechet upper-bound", (c > m1 + eps) | (c > m2 + eps),
+    _reference_kind(out, "Frechet upper-bound", exceeds(c, np.minimum(m1, m2), eps),
                     lambda i, j: f"Frechet upper-bound violation at ({i},{j})",
                     lambda: (c - np.minimum(m1, m2)).max())
-    _reference_kind(out, "Frechet lower-bound", c < m1 + m2 - 1.0 - eps,
+    _reference_kind(out, "Frechet lower-bound", exceeds(m1 + m2 - 1.0, c, eps),
                     lambda i, j: f"Frechet lower-bound violation at ({i},{j})",
                     lambda: (m1 + m2 - 1.0 - c).max())
     return out
@@ -292,9 +302,9 @@ def nfold_reference(F, n):
 
 def nth_root_reference(F, n):
     f1, f2 = F.cdf[:, -1], F.cdf[-1, :]
-    r1 = (f1 + n - 1.0) / n
-    r2 = (f2 + n - 1.0) / n
-    psi_n = (psi_reference(F.cdf) + n - 1.0) / n
+    r1 = (f1 + (n - 1.0)) / n
+    r2 = (f2 + (n - 1.0)) / n
+    psi_n = (psi_reference(F.cdf) + (n - 1.0)) / n
     prod = r1[:, None] * r2[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         cells = prod / psi_n
@@ -309,3 +319,21 @@ def residual_reference(F, n, norm):
     ys = np.union1d(F.y_breaks, H.y_breaks)
     return float(np.max(np.abs(evaluate_grid_reference(H, xs, ys)
                                - evaluate_grid_reference(F, xs, ys))))
+
+
+def dyadic_max_stable_cdf(theta, h, K=60):
+    """A bi-free max-stable law on the breaks 0..K, exact in binary.
+
+    The marginals are free-exponential in base 2, F_j(k) = 1 - 2^-k with
+    F_j(K) = 1, and the ratio field is psi - 1 = theta * h(1 - F_1, 1 - F_2)
+    for an h that is positively 1-homogeneous and 0 on the axes, so that
+    psi(s, last) = 1.  The n-fold power at n = 2^m, pulled back by
+    (1, m, 1, m), is F again in exact arithmetic, except near the top break.
+    """
+    u = 2.0 ** -np.arange(K + 1.0)
+    u[-1] = 0.0
+    f = 1.0 - u
+    num = f[:, None] * f[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.where(num > 0.0, num / (1.0 + theta * h(u[:, None], u[None, :])), 0.0)
+    return BivariateCDF(np.arange(K + 1.0), np.arange(K + 1.0), cdf)

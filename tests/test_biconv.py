@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from bifreemax import (
 )
 from helpers import (
     convolve_reference,
+    dyadic_max_stable_cdf,
     random_breaks,
     random_bivariate_cdf,
     sparse_bivariate_cdf,
@@ -254,6 +257,18 @@ class TestNthRoot:
         assert any("rectangle" in v for v in res.violations)
 
 
+def test_root_marginals_are_correctly_rounded():
+    """(f + (n - 1))/n rounds once: each root marginal is the float nearest
+    the exact value, so within 0.5 ulp of it."""
+    rng = np.random.default_rng(30)
+    for n in (2, 64, 2 ** 20):
+        for _ in range(20):
+            F = random_bivariate_cdf(rng, max_size=8)
+            H = nth_root(F, n).candidate.cdf
+            for f, r in ((F.cdf[:, -1], H[:, -1]), (F.cdf[-1, :], H[-1, :])):
+                assert r.tolist() == [float((Fraction(x) + n - 1) / n) for x in f.tolist()]
+
+
 # Valid grids whose cells lie in [-eps, 0): kernels treat them as vanishing.
 M = 0.5 + 2e-10
 EDGE = BivariateCDF([0, 1], [0, 1], [[-1e-10, M], [M, 1.0]])
@@ -356,6 +371,31 @@ class TestMaxStableResidual:
         expected = np.max(np.abs(h - F.cdf))
         assert res == pytest.approx(expected, abs=1e-15)
         assert res > 0.0
+
+
+# h positively 1-homogeneous and 0 on the axes: the bi-free analogues of a
+# Pickands dependence function, for dyadic_max_stable_cdf
+DEPENDENCE = {"min": np.minimum,
+              "harmonic": lambda u, v: np.where(u + v > 0.0, u * v / (u + v), 0.0)}
+
+
+class TestDyadicMaxStableFamily:
+    @pytest.mark.parametrize("h", sorted(DEPENDENCE))
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, -0.25, 0.0])
+    def test_valid_and_max_stable(self, h, theta):
+        F = dyadic_max_stable_cdf(theta, DEPENDENCE[h])
+        exact = [1.0 - 2.0 ** -k for k in range(60)] + [1.0]
+        assert F.cdf[:, -1].tolist() == exact and F.cdf[-1, :].tolist() == exact
+        assert validate_bi(F) == []
+        for m in range(1, 41):
+            n = 2 ** m
+            norm = AffineNormalization(1.0, m, 1.0, m)
+            assert max_stable_residual(F, n, norm) <= 2 * n * 2.0 ** -53, m
+
+    @pytest.mark.parametrize("h", sorted(DEPENDENCE))
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
+    def test_positive_theta_is_not_a_law(self, h, theta):
+        assert validate_bi(dyadic_max_stable_cdf(theta, DEPENDENCE[h])) != []
 
 
 @pytest.fixture

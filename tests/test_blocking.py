@@ -381,6 +381,13 @@ class TestOnePassValidation:
             with pytest.raises(CDFError, match="cdf values must be finite"):
                 call()
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (5, 3), (4, 2)])
+    def test_array_checks_each_block_shape(self, shape):
+        """A block of the wrong shape raises CDFError; (1, 3) is not broadcast."""
+        rows = GridRows(np.arange(4.0), np.arange(3.0), lambda r: np.full(shape, 0.5))
+        with pytest.raises(CDFError, match="shape"):
+            rows.to_cdf()
+
 
 class TestValidateOnce:
     """Each public call validates each of its inputs once; internal steps

@@ -1,6 +1,8 @@
+import itertools
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,17 +127,73 @@ class TestBoundedReports:
             f"monotonicity violation at index {i}" for i in first]
 
     def test_worst_is_that_of_a_violation(self, monkeypatch):
-        # 1 + eps rounds to a value more than eps above 1 that the bound
-        # passes: its amount is not the worst, whatever the block size
+        # 1 + eps rounds to a value more than eps above 1: it is listed, and
+        # its amount is the worst, whatever the block size
         eps = 1e-9
         above, below = 1.0 + eps, np.nextafter(-eps, -1.0)
-        assert not above > 1.0 + eps and above - 1.0 > -below > eps
-        v = np.array([below] * 11 + [above, 1.0])
-        summary = f"... and 1 more out-of-[0,1] violations, worst {float(-below)!r}"
+        assert above - 1.0 > -below > eps
+        v = np.array([above] + [below] * 11 + [1.0])
+        summary = f"... and 2 more out-of-[0,1] violations, worst {above - 1.0!r}"
         for cells in (1, 2 ** 30):
             monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
-            assert summary in validate_uni(UnivariateCDF(np.arange(13.0), v), eps)
-            assert summary in validate_bi(BivariateCDF(np.arange(13.0), [0.0], v[:, None]), eps)
+            uni = validate_uni(UnivariateCDF(np.arange(13.0), v), eps)
+            assert f"value out of [0,1] at index 0: {above!r}" in uni and summary in uni
+            bi = validate_bi(BivariateCDF(np.arange(13.0), [0.0], v[:, None]), eps)
+            assert f"value out of [0,1] at (0,0): {above!r}" in bi and summary in bi
+
+    def test_within_eps_is_exact(self):
+        """A value at bound +- eps +- k ulp, k = 0, 1, 2, is listed iff it is
+        more than eps past its bound in exact arithmetic, for every kind."""
+        rng = np.random.default_rng(16)
+
+        def near(bound, eps, sign, k):
+            v = bound + sign * eps
+            for _ in range(k):
+                v = np.nextafter(v, rng.choice([-np.inf, np.inf]))
+            return float(v)
+
+        def past(lo, v, hi, eps):   # max(lo - v, v - hi) > eps, exactly
+            return ((lo > -np.inf and Fraction(lo) - Fraction(v) > Fraction(eps))
+                    or (hi < np.inf and Fraction(v) - Fraction(hi) > Fraction(eps)))
+
+        # (kind, start of its line, values or grid of v, exact lo and hi of v)
+        def cases(v, a, p, r, q, t):
+            yield "uni", "value out of [0,1]", [v, 1.0], 0.0, 1.0
+            yield "uni", "monotonicity", [a, v, max(v, 1.0)], a, np.inf
+            yield "bi", "value out of [0,1]", [[v, 0.5], [0.5, 1.0]], 0.0, 1.0
+            yield "bi", "monotonicity violation along x", [[a, 1.0], [v, 1.0]], a, np.inf
+            yield "bi", "monotonicity violation along y", [[a, v], [1.0, 1.0]], a, np.inf
+            yield "bi", "rectangle", [[0.0, 0.0], [a, v]], a, np.inf
+            yield "bi", "Frechet upper", [[v, p], [r, 1.0]], -np.inf, min(p, r)
+            # q + t, 1 - q and their sum less 1 are exact: q and t are multiples of 2^-52
+            yield "bi", "Frechet lower", [[v, q + t], [1 - q, 1.0]], t, np.inf
+
+        def dyadic(eps, top):   # k 2^-52 below top, or of the size of eps and either sign
+            if rng.random() < 0.5:
+                return float(rng.integers(1, top * 2 ** 52) * 2.0 ** -52)
+            return float(round(eps * rng.uniform(-2, 2) * 2.0 ** 52) * 2.0 ** -52)
+
+        listed = {True: 0, False: 0}
+        for _ in range(40):
+            eps = float(rng.choice([EPS_CDF, rng.uniform(1e-12, 1e-6)]))
+            a = float(rng.uniform(0.25, 0.75))
+            p, r, t = dyadic(eps, 1), dyadic(eps, 1), dyadic(eps, 0.25)
+            q = float(rng.integers(2 ** 50, 2 ** 51) * 2.0 ** -52)
+            for kind, start, _, lo, hi in cases(0.5, a, p, r, q, t):
+                for bound, sign, k in itertools.product({lo, hi} - {-np.inf, np.inf},
+                                                        (-1, 1), range(3)):
+                    v = near(bound, eps, sign, k)
+                    values = next(c for c in cases(v, a, p, r, q, t)
+                                  if c[:2] == (kind, start))[2]
+                    if kind == "uni":
+                        report = validate_uni(UnivariateCDF(np.arange(3.0)[:len(values)],
+                                                            values), eps)
+                    else:
+                        report = validate_bi(BivariateCDF([0.0, 1.0], [0.0, 1.0], values), eps)
+                    got = any(line.startswith(start) for line in report)
+                    assert got == past(lo, v, hi, eps), (kind, start, values, eps)
+                    listed[got] += 1
+        assert min(listed.values()) > 400
 
     def test_ten_listed_in_full_eleven_summed_up(self):
         # row 2 raised above 1 in its first k columns

@@ -305,3 +305,10 @@ class TestMalformedInputExit2:
                         f'"breaks": [0], "values": [{big}]}}')
         err = self._run(capsys, ["validate", str(path), "--kind", kind], path)
         assert "too large" in err
+
+    @pytest.mark.parametrize("kind, key", [("bi", "cdf"), ("uni", "values")])
+    def test_missing_key_is_named(self, tmp_path, capsys, kind, key):
+        path = tmp_path / "F.json"
+        path.write_text('{"x_breaks": [0], "y_breaks": [0], "breaks": [0]}')
+        err = self._run(capsys, ["validate", str(path), "--kind", kind], path)
+        assert err.endswith(f": missing key '{key}'\n")
