@@ -11,7 +11,7 @@ ratio field is affine under the convolution, n-fold powers and formula-level
 n-th roots have exact closed forms.
 
 Sentinel conventions in the ratio field: a cell with F <= 0 vanishes, with
-``+inf`` where the marginal product is positive and ``nan`` (0/0) elsewhere.
+``+inf`` where both marginals are positive and ``nan`` (0/0) elsewhere.
 Every kernel is one map ``a -> (sum w_i*a_i - (sum w_i - q))/q``, which sends
 1 to 1, on the input marginals (then clamped at 0) and ratio fields, with
 ratio 1 at 0/0 cells, and one decode, ``_decode_block``: H1*H2/psi where psi
@@ -36,7 +36,9 @@ from .cdf import (
     AffineNormalization,
     BivariateCDF,
     GridRows,
+    _OnGrid,
     _pulled_back,
+    _Scratch,
     _union_grid,
     require_valid_bi,
     row_blocks,
@@ -56,64 +58,113 @@ class PsiField:
 # Every cells-sized kernel below computes its output a row block at a time
 # (cdf.row_blocks): the ratio field is cell by cell and the marginals are
 # vectors, so a block needs only its own rows, and its values do not depend on
-# the blocking.  Peak memory is what the caller keeps plus one block.
+# the blocking.  Each step writes in place or through out= into a scratch set
+# of one block (cdf._Scratch), reused from block to block, so peak memory is
+# what the caller keeps plus a few blocks, and a block allocates nothing of
+# its size.
 
-def _psi_block(c: np.ndarray, m2: np.ndarray, undefined: float = np.nan) -> np.ndarray:
-    """Ratio field of the rows c of a CDF whose last row is m2; ``undefined`` at 0/0."""
-    num = c[:, -1:] * m2[None, :]
+def _psi_block(c: np.ndarray, m2: np.ndarray, undefined: float,
+               out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Ratio field of the rows c of a CDF whose last row is m2, into out.
+
+    A cell c <= 0 gets +inf where both of its marginals are positive and
+    ``undefined`` (0/0) elsewhere; mask is bool scratch of c's shape.
+    """
+    np.multiply(c[:, -1:], m2, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = num / c
-    return np.where(c > 0.0, psi, np.where(num > 0.0, np.inf, undefined))
+        np.divide(out, c, out=out)
+    np.greater(c, 0.0, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(out, undefined, where=mask)
+    # decided on the marginals, not on their product, which can underflow
+    np.logical_and(mask, c[:, -1:] > 0.0, out=mask)
+    np.logical_and(mask, m2 > 0.0, out=mask)
+    np.copyto(out, np.inf, where=mask)
+    return out
 
 
-def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """H1*H2/psi where psi is finite and both marginals are positive, 0 elsewhere."""
-    active = np.isfinite(psi) & (h1[:, None] > 0.0) & (h2[None, :] > 0.0)
+def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray,
+                  prod: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """H1*H2/psi where psi is finite and both marginals are positive, 0 elsewhere.
+
+    Written into psi; prod and mask are float and bool scratch of its shape.
+    """
+    np.isfinite(psi, out=mask)
+    np.logical_and(mask, h1[:, None] > 0.0, out=mask)
+    np.logical_and(mask, h2 > 0.0, out=mask)
+    np.multiply(h1[:, None], h2, out=prod)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cells = h1[:, None] * h2[None, :] / psi
-    return np.where(active, cells, 0.0)
+        np.divide(prod, psi, out=psi)
+    np.logical_not(mask, out=mask)
+    np.copyto(psi, 0.0, where=mask)
+    return psi
 
 
 def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...],
                  weights: tuple[int, ...], q: int = 1) -> GridRows:
-    """The kernel's map, one weight per input and divisor q; inputs read on xs x ys."""
-    def affine(arrays):   # updated in place after the first product
-        out = weights[0] * arrays[0]
-        for w, a in zip(weights[1:], arrays[1:]):
-            out += w * a
-        out -= sum(weights) - float(q)
-        return np.divide(out, q, out=out)
+    """The kernel's map, one weight per input and divisor q; inputs read on xs x ys.
 
-    h1 = np.maximum(0.0, affine([X.evaluate_grid(xs, ys[-1:])[:, 0] for X in inputs]))
+    A block is a view of the kernel's scratch, valid until the next read.
+    """
+    shift = sum(weights) - float(q)
+
+    def affine(arrays):   # in place: into the first array, scaling the others
+        arrays = iter(arrays)
+        out = next(arrays)
+        if weights[0] != 1:   # 1*a and a/1 are a, bit for bit
+            np.multiply(weights[0], out, out=out)
+        for w, a in zip(weights[1:], arrays):
+            if w != 1:
+                np.multiply(w, a, out=a)
+            out += a
+        out -= shift
+        return out if q == 1 else np.divide(out, q, out=out)
+
+    h1 = np.maximum(0.0, affine(X.evaluate_grid(xs, ys[-1:])[:, 0] for X in inputs))
     m2 = [X.evaluate_grid(xs[-1:], ys)[0] for X in inputs]
-    h2 = np.maximum(0.0, affine(m2))
+    h2 = np.maximum(0.0, affine(f2.copy() for f2 in m2))
+    reads = [_OnGrid(X, xs, ys) for X in inputs]
+    scratch = _Scratch(xs.size, ys.size)
 
-    def block(rows):
-        psi = [_psi_block(X.evaluate_grid(xs[rows], ys), f2, 1.0) for X, f2 in zip(inputs, m2)]
-        return _decode_block(h1[rows], h2, affine(psi))
+    def block(rows):   # each input's ratio field is made as the map takes it
+        shape = (rows.stop - rows.start, ys.size)
+        mask = scratch("mask", shape, bool)
+        psi = affine(_psi_block(X.block(rows, scratch, "input"), f2, 1.0,
+                                scratch("term" if k else "psi", shape), mask)
+                     for k, (X, f2) in enumerate(zip(reads, m2)))
+        return _decode_block(h1[rows], h2, psi, scratch("term", shape), mask)
 
     return GridRows(xs, ys, block)
 
 
 def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
-    """Ratio field F1*F2/F; where F <= 0, +inf if F1*F2 > 0 and nan otherwise."""
+    """Ratio field F1*F2/F; where F <= 0, +inf if F1 > 0 and F2 > 0, and nan otherwise."""
     require_valid_bi(F, eps)
-    psi = GridRows(F.x_breaks, F.y_breaks, lambda r: _psi_block(F.cdf[r], F.cdf[-1]))
-    return PsiField(F.x_breaks, F.y_breaks, psi.array())
+    scratch = _Scratch(*F.cdf.shape)
+
+    def block(r):
+        shape = (r.stop - r.start, F.y_breaks.size)
+        return _psi_block(F.cdf[r], F.cdf[-1], np.nan, scratch("psi", shape),
+                          scratch("mask", shape, bool))
+
+    return PsiField(F.x_breaks, F.y_breaks, GridRows(F.x_breaks, F.y_breaks, block).array())
 
 
-def psi_range(c: np.ndarray, m2: np.ndarray, lo: float = np.inf,
+def psi_range(c: np.ndarray, m2: np.ndarray, scratch: _Scratch, lo: float = np.inf,
               hi: float = -np.inf) -> tuple[float, float]:
     """(lo, hi) widened to the finite values of the ratio field of the rows c.
 
     c are rows of a kernel output whose last row is m2; folded over all row
     blocks from (inf, -inf), this gives the smallest and largest finite
-    ratio, or lo > hi if none is finite.  Nothing is validated.
+    ratio, or lo > hi if none is finite.  Nothing is validated.  The ratio
+    field is computed into ``scratch``, which the fold passes to every call.
     """
-    psi = _psi_block(c, m2)
-    finite = psi[np.isfinite(psi)]
-    if finite.size:
-        lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
+    mask = scratch("mask", c.shape, bool)
+    psi = _psi_block(c, m2, np.nan, scratch("psi", c.shape), mask)
+    finite = np.isfinite(psi, out=mask)
+    if finite.any():
+        lo = min(lo, float(np.min(psi, where=finite, initial=np.inf)))
+        hi = max(hi, float(np.max(psi, where=finite, initial=-np.inf)))
     return lo, hi
 
 
@@ -196,7 +247,7 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """The unique ratio-affine n-th root candidate of F under the convolution.
 
     The kernel's map has weights (1,) and q = n: ``(a + (n-1))/n``, rounded
-    once.  Only the root decodes 0/0 cells (F <= 0, marginal product 0), where
+    once.  Only the root decodes 0/0 cells (F <= 0, a marginal <= 0), where
     every kernel puts ratio 1, the independent value.
     It is decoded like the convolution and the power: the +inf sentinel
     gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
@@ -226,8 +277,11 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     """
     H = _pulled_back(nfold_rows(F, n, eps), norm)
     xs, ys = _union_grid(F, H, "max_stable_residual")
+    h, f = _OnGrid(H, xs, ys), _OnGrid(F, xs, ys)
+    scratch = _Scratch(xs.size, ys.size)
     residual = 0.0
     for rows in row_blocks(xs.size, ys.size):
-        diff = H.evaluate_grid(xs[rows], ys) - F.evaluate_grid(xs[rows], ys)
-        residual = max(residual, float(np.max(np.abs(diff))))
+        diff = scratch("diff", (rows.stop - rows.start, ys.size))
+        np.subtract(h.block(rows, scratch, "H"), f.block(rows, scratch, "F"), out=diff)
+        residual = max(residual, float(np.max(np.abs(diff, out=diff))))
     return residual

@@ -39,8 +39,8 @@ MAX_LISTED = 10
 #: Largest grid, in cells, an operation may allocate: 256 MiB per float64 array.
 MAX_CELLS = 2 ** 25
 
-#: Cells per row block of a grid kernel: 512 KiB per float64 temporary.
-BLOCK_CELLS = 2 ** 16
+#: Cells per row block of a grid kernel: 128 KiB per float64 scratch buffer.
+BLOCK_CELLS = 2 ** 14
 
 #: Characters read per refill of the JSON loader's text buffer.
 JSON_CHUNK_CHARS = 2 ** 16
@@ -76,13 +76,42 @@ def _check_breaks(breaks: np.ndarray, name: str) -> np.ndarray:
 def row_blocks(nrows: int, ncols: int):
     """Consecutive row slices of an nrows x ncols grid, about BLOCK_CELLS cells each.
 
-    Grid kernels compute each block's temporaries and write or reduce them
-    before the next block, so a call's peak memory is its output plus one
-    block.  Elementwise operations and max/min do not depend on the blocking.
+    Grid kernels compute each block into a few scratch buffers of one block
+    (``_Scratch``), reused from block to block, and write or reduce it before
+    the next block, so a call's peak memory is its output plus a few blocks
+    and a block allocates nothing of its size.  Elementwise operations and
+    max/min do not depend on the blocking.
     """
-    step = max(1, BLOCK_CELLS // max(ncols, 1))
+    step = _block_rows(ncols)
     for lo in range(0, nrows, step):
         yield slice(lo, min(lo + step, nrows))
+
+
+def _block_rows(ncols: int) -> int:
+    """Rows per row block of a grid of ncols columns."""
+    return max(1, BLOCK_CELLS // max(ncols, 1))
+
+
+class _Scratch:
+    """Named buffers of one row block of an nrows x ncols grid, reused from block to block.
+
+    ``scratch(name, shape, dtype)`` is a C-contiguous view of the buffer
+    ``name``.  The buffer is allocated at its first use, at the size of the
+    grid's largest row block or more if asked for, and replaced by a larger
+    one when a read asks for more rows than one block.  Its values are those
+    its last user left, so every user writes a view before it reads it.
+    """
+
+    def __init__(self, nrows: int, ncols: int):
+        self.cells = min(nrows, _block_rows(ncols)) * ncols
+        self._buffers = {}
+
+    def __call__(self, name: str, shape: tuple[int, int], dtype=float) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(max(size, self.cells), dtype)
+        return buf[:size].reshape(shape)
 
 
 def _step_index(breaks: np.ndarray, s) -> np.ndarray:
@@ -139,6 +168,41 @@ class _RowSource:
         return vals
 
 
+class _OnGrid:
+    """The row source X read on the increasing grid xs x ys, a row block at a time.
+
+    On X's own grid a block is ``X.block(rows)`` itself; on another grid it
+    is gathered into a scratch buffer, with the values of evaluate_grid.
+    """
+
+    def __init__(self, X, xs: np.ndarray, ys: np.ndarray):
+        self.X, self.ny = X, ys.size
+        self.own = np.array_equal(xs, X.x_breaks) and np.array_equal(ys, X.y_breaks)
+        if not self.own:   # points below the grid come first, and read 0
+            xi, yj = _step_index(X.x_breaks, xs), _step_index(X.y_breaks, ys)
+            self.xi, self.x_below = np.maximum(xi, 0), int(np.count_nonzero(xi < 0))
+            self.yj, self.y_below = np.maximum(yj, 0), int(np.count_nonzero(yj < 0))
+
+    def block(self, rows: slice, scratch: _Scratch, name: str) -> np.ndarray:
+        """The rows ``rows`` on the grid, valid until the next read of X or of name."""
+        if self.own:
+            return self.X.block(rows)
+        out = scratch(name, (rows.stop - rows.start, self.ny))
+        if rows.stop <= self.x_below:
+            out.fill(0.0)
+            return out
+        xi = self.xi[rows]
+        lo = int(xi[0])
+        src = self.X.block(slice(lo, int(xi[-1]) + 1))
+        picked = scratch("gather", (out.shape[0], src.shape[1]))
+        # indices are in range, and mode="raise" would buffer out
+        np.take(src, xi - lo, axis=0, out=picked, mode="clip")
+        np.take(picked, self.yj, axis=1, out=out, mode="clip")
+        out[:max(0, self.x_below - rows.start)] = 0.0
+        out[:, :self.y_below] = 0.0
+        return out
+
+
 @dataclass(frozen=True)
 class BivariateCDF(_RowSource):
     """Right-continuous distribution function of a probability measure on R^2.
@@ -174,7 +238,12 @@ class GridRows(_RowSource):
 
     Every step of a kernel is elementwise, so a row has the same bits
     whichever block computes it: a caller may read any rows first, or stream
-    the blocks to a file without ever holding the whole array.
+    the blocks to a file without ever holding the whole array.  A kernel's
+    ``block(rows)`` is a view of its scratch, valid until the next read:
+    a caller that keeps a row past the next read copies it, and one thread
+    at a time reads a kernel's output.  A read of more
+    rows than one block, such as ``evaluate_grid`` over the whole grid,
+    grows the scratch to that read.
     """
 
     x_breaks: np.ndarray
@@ -234,39 +303,69 @@ class AffineNormalization:
 class _Kind:
     """One kind of violation: a bound ``lo <= v <= hi`` checked within eps.
 
-    ``check(row0, v, lo, hi)`` takes the 2-d rows of v from row row0 on, with
-    lo and hi broadcast against them (-inf or inf for a missing bound).  A
-    value violates the bound where its amount ``max(lo - v, v - hi)`` exceeds
-    eps in exact arithmetic, with a Frechet bound taken as the float it rounds
-    to.  Fed the rows in order, the kind keeps its first MAX_LISTED violations
-    in row-major order, formatted by ``line(i, j, value)``, their exact count
-    and their worst amount, rounded once.
+    ``check(row0, v, lo, hi, scratch)`` takes the 2-d rows of v from row row0
+    on, with lo <= hi broadcast against them (-inf or inf for a missing
+    bound).  A value violates the bound where its amount ``max(lo - v, v -
+    hi)`` exceeds eps in exact arithmetic, with a Frechet bound taken as the
+    float it rounds to.  Fed the rows in order, the kind keeps its first
+    MAX_LISTED violations in row-major order, formatted by ``line(i, j,
+    value)``, their exact count and their worst amount, rounded once.  It
+    works in the block-sized masks and amounts of ``scratch``, and makes no
+    array as long as the violations.  A block returns at once where no value
+    is past its bound: after its min or max for a scalar bound, after one or
+    two comparisons for a Frechet bound.
     """
 
     def __init__(self, name: str, eps: float, line):
         self.name, self.eps, self.line = name, eps, line
         self.lines, self.count, self.worst = [], 0, -math.inf
 
-    def check(self, row0: int, v: np.ndarray, lo, hi) -> None:
-        # Amounts are taken only where v is past its bound, so no array of the
-        # block's size is made beside a bound: two such arrays freed together
-        # make glibc hand them back, to fault them in at the next block.
+    def check(self, row0: int, v: np.ndarray, lo, hi, scratch: _Scratch) -> None:
         shape, ncols = v.shape, v.shape[1]
-        past = np.flatnonzero((v < lo) | (v > hi))
-        v, lo, hi = (np.broadcast_to(x, shape).flat[past] for x in (v, lo, hi))
-        amount = np.maximum(lo - v, v - hi)
-        bad = amount > self.eps
-        for k in np.flatnonzero(amount == self.eps):   # rounded to eps: past it iff e > 0,
-            a, b = (lo[k], v[k]) if lo[k] - v[k] == self.eps else (v[k], hi[k])
-            s = a - b   # where a - b = s + e exactly (Knuth's two-sum)
-            bad[k] = (a - (s - (s - a))) - (b + (s - a)) > 0.0
-        if bad.any():
-            self.worst = max(self.worst, float(amount[bad].max()))
-        hits = past[bad]
-        for k, value in zip(hits[:max(0, MAX_LISTED - self.count)], v[bad]):
+        if v.size == 0:
+            return
+        has_lo = not (np.ndim(lo) == 0 and lo == -math.inf)
+        has_hi = not (np.ndim(hi) == 0 and hi == math.inf)
+        if np.ndim(lo) == np.ndim(hi) == 0:   # rounding is monotone, so no amount
+            # rounds to eps or more unless that of the smallest or largest value does
+            if not ((has_lo and lo - v.min() >= self.eps) or (has_hi and v.max() - hi >= self.eps)):
+                return
+        past, bad = scratch("past", shape, bool), scratch("bad", shape, bool)
+        if has_lo:
+            np.less(v, lo, out=past)
+        if has_hi:   # bad holds the values above hi until past is their union
+            np.greater(v, hi, out=bad if has_lo else past)
+            if has_lo:
+                np.logical_or(past, bad, out=past)
+        if not past.any():
+            return
+        # past lo <= hi on one side only: the amount is lo - v or v - hi
+        amount = scratch("amount", shape)
+        if has_lo:
+            np.subtract(lo, v, out=amount)
+        if has_hi:
+            np.subtract(v, hi, out=amount, where=bad if has_lo else True)
+        np.equal(amount, self.eps, out=bad)
+        np.logical_and(bad, past, out=bad)
+        ties = np.flatnonzero(bad) if bad.any() else ()
+        np.greater(amount, self.eps, out=bad)
+        np.logical_and(bad, past, out=bad)
+        lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+        for k in ties:   # rounded to eps: past it iff e > 0,
             i, j = divmod(int(k), ncols)
-            self.lines.append(self.line(row0 + i, j, value))
-        self.count += hits.size
+            a, b = (lo[i, j], v[i, j]) if lo[i, j] - v[i, j] == self.eps else (v[i, j], hi[i, j])
+            s = a - b   # where a - b = s + e exactly (Knuth's two-sum)
+            bad[i, j] = (a - (s - (s - a))) - (b + (s - a)) > 0.0
+        count = np.count_nonzero(bad)
+        if not count:
+            return
+        self.worst = max(self.worst, float(np.max(amount, where=bad, initial=-math.inf)))
+        flat, k = bad.ravel(), -1
+        for _ in range(min(count, max(0, MAX_LISTED - self.count))):
+            k += 1 + int(np.argmax(flat[k + 1:]))   # the next violation in row-major order
+            i, j = divmod(k, ncols)
+            self.lines.append(self.line(row0 + i, j, v[i, j]))
+        self.count += count
 
     def report(self) -> list[str]:
         """The listed lines, then, if more than MAX_LISTED, one summary line."""
@@ -288,10 +387,13 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     rising = _Kind("monotonicity", eps,
                    lambda i, *_: (f"monotonicity violation at index {i + 1}: "
                                   f"{float(v[i + 1])!r} < {float(v[i])!r}"))
+    scratch = _Scratch(v.size, 1)
     for rows in row_blocks(v.size, 1):
         lo = max(rows.start - 1, 0)   # the value before the block, for its first step
-        in01.check(rows.start, v[rows, None], 0.0, 1.0)
-        rising.check(lo, np.diff(v[lo:rows.stop, None], axis=0), 0.0, np.inf)
+        in01.check(rows.start, v[rows, None], 0.0, 1.0, scratch)
+        step = np.subtract(v[lo + 1:rows.stop, None], v[lo:rows.stop - 1, None],
+                           out=scratch("diff", (rows.stop - lo - 1, 1)))
+        rising.check(lo, step, 0.0, np.inf, scratch)
     out = in01.report() + rising.report()
     if abs(v[-1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
@@ -310,7 +412,10 @@ def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
     block, then each row block with the row before it, and every kind is
     checked on that one read.  So no temporary is cells-sized, and a
     ``GridRows``, such as a root candidate, is checked without being held.
-    Each block gets the checks BivariateCDF makes on a whole array.
+    Each block gets the checks BivariateCDF makes on a whole array.  The
+    differences, cell masses and Frechet bounds of a block are computed into
+    one scratch set, reused from block to block, so a block allocates
+    nothing of its size, however many of its values violate.
     """
     nx, ny = F.x_breaks.size, F.y_breaks.size
     in01 = _Kind("out-of-[0,1]", eps,
@@ -326,18 +431,26 @@ def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
                   lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})")
     lower = _Kind("Frechet lower-bound", eps,
                   lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})")
-    m2 = _checked_block(F, slice(nx - 1, nx), ny)[0]
+    # a GridRows block is valid until the next read: the last row is kept
+    m2 = _checked_block(F, slice(nx - 1, nx), ny)[0].copy()
+    scratch = _Scratch(nx, ny)
     for rows in row_blocks(nx, ny):
         lo = max(rows.start - 1, 0)   # the row before the block, for its first steps
         a = _checked_block(F, slice(lo, rows.stop), ny)
         c, m1 = a[rows.start - lo:], a[rows.start - lo:, -1:]
-        in01.check(rows.start, c, 0.0, 1.0)
-        along_x.check(lo, np.diff(a, axis=0), 0.0, np.inf)
-        along_y.check(rows.start, np.diff(c, axis=1), 0.0, np.inf)
-        # the masses of the adjacent grid cells, each >= 0
-        cells.check(lo, a[1:, 1:] - a[:-1, 1:] - a[1:, :-1] + a[:-1, :-1], 0.0, np.inf)
-        upper.check(rows.start, c, -np.inf, np.minimum(m1, m2))
-        lower.check(rows.start, c, m1 + m2 - 1.0, np.inf)
+        in01.check(rows.start, c, 0.0, 1.0, scratch)
+        d = np.subtract(a[1:], a[:-1], out=scratch("d", (a.shape[0] - 1, ny)))
+        along_x.check(lo, d, 0.0, np.inf, scratch)
+        d = np.subtract(c[:, 1:], c[:, :-1], out=scratch("d", (c.shape[0], ny - 1)))
+        along_y.check(rows.start, d, 0.0, np.inf, scratch)
+        # the masses ((a11 - a01) - a10) + a00 of the adjacent grid cells, each >= 0
+        d = np.subtract(a[1:, 1:], a[:-1, 1:], out=scratch("d", (a.shape[0] - 1, ny - 1)))
+        np.subtract(d, a[1:, :-1], out=d)
+        cells.check(lo, np.add(d, a[:-1, :-1], out=d), 0.0, np.inf, scratch)
+        d = scratch("d", c.shape)
+        upper.check(rows.start, c, -np.inf, np.minimum(m1, m2, out=d), scratch)
+        np.add(m1, m2, out=d)
+        lower.check(rows.start, c, np.subtract(d, 1.0, out=d), np.inf, scratch)
     out = in01.report() + along_x.report() + along_y.report() + cells.report()
     if abs(m2[-1] - 1.0) > eps:
         out.append(f"total-mass violation: F(last,last) = {float(m2[-1])!r} != 1")

@@ -27,6 +27,7 @@ from .cdf import (
     CDFFormatError,
     GridRows,
     _replacing,
+    _Scratch,
     ecdf_from_samples,
     load_bi_json,
     load_samples_tsv,
@@ -87,12 +88,12 @@ def cmd_biconv(args) -> int:
     h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
                     + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
     m1, m2 = np.empty(H.x_breaks.size), H.evaluate_grid(H.x_breaks[-1:], H.y_breaks)[0]
-    psi = [np.inf, -np.inf]
+    psi, scratch = [np.inf, -np.inf], _Scratch(H.x_breaks.size, H.y_breaks.size)
 
     def block(rows):   # gathers the last column and the psi range on the way out
         b = H.block(rows)
         m1[rows] = b[:, -1]
-        psi[:] = psi_range(b, m2, *psi)
+        psi[:] = psi_range(b, m2, scratch, *psi)
         return b
 
     save_bi_json(GridRows(H.x_breaks, H.y_breaks, block), args.out)

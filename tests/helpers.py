@@ -244,7 +244,7 @@ def sparse_bivariate_cdf(rng, nx, ny, zero_share, offset=0.0):
     """Random valid CDF whose cell masses are 0 with probability zero_share.
 
     Zero masses give cells with F = 0, so both ratio-field sentinels occur:
-    +inf where the marginal product is positive and nan where it is 0.
+    +inf where both marginals are positive and nan where one is 0.
     """
     masses = rng.uniform(0.05, 1.0, (nx, ny)) * (rng.random((nx, ny)) >= zero_share)
     masses[-1, -1] += 0.1
@@ -266,11 +266,14 @@ def evaluate_grid_reference(F, xs, ys):
 
 
 def psi_reference(cdf):
-    num = cdf[:, -1][:, None] * cdf[-1, :][None, :]
+    m1, m2 = cdf[:, -1][:, None], cdf[-1, :][None, :]
+    num = m1 * m2
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = num / cdf
-    psi = np.where((cdf == 0.0) & (num > 0.0), np.inf, psi)
-    psi = np.where((cdf == 0.0) & (num == 0.0), np.nan, psi)
+    # both marginals positive, not their product, which can underflow
+    positive = (m1 > 0.0) & (m2 > 0.0)
+    psi = np.where((cdf == 0.0) & positive, np.inf, psi)
+    psi = np.where((cdf == 0.0) & ~positive, np.nan, psi)
     return psi
 
 

@@ -23,6 +23,8 @@ from bifreemax import (
 from helpers import (
     convolve_reference,
     dyadic_max_stable_cdf,
+    nth_root_reference,
+    psi_reference,
     random_breaks,
     random_bivariate_cdf,
     sparse_bivariate_cdf,
@@ -52,8 +54,8 @@ class TestPsiRatio:
         assert np.isnan(psi[0, 0])
 
     def test_negative_cell_vanishes(self):
-        # cells within eps below 0: +inf where the marginal product is
-        # positive, nan where it is not, like cells at 0
+        # cells within eps below 0: +inf where both marginals are
+        # positive, nan where they are not, like cells at 0
         F = BivariateCDF([0, 1], [0, 1], [[-1e-10, 0.4], [0.5, 1.0]])
         assert np.isposinf(psi_ratio(F).values[0, 0])
         G = BivariateCDF([0, 1], [0, 1], [[0.0, -1e-12], [0.5, 1.0]])
@@ -108,6 +110,21 @@ class TestBifreeMaxConvolve:
         H = bifree_max_convolve(F, G)
         # H1(0) = (0.6 + 0.4 - 1)_+ = 0 forces the whole first row to 0
         assert np.all(H.cdf[0, :] == 0.0)
+
+    def test_underflowing_marginal_product_is_not_0_over_0(self):
+        # F(0, 0) = 0 with marginals 1e-200 > 0, whose product underflows to 0:
+        # the cell is a +inf ratio, which decodes to 0, not a 0/0 one
+        F = BivariateCDF([0, 1], [0, 1], [[0.0, 1e-200], [1e-200, 1.0]])
+        G = BivariateCDF([0, 1], [0, 1], np.full((2, 2), 1.0 + 5e-10))
+        assert validate_bi(F) == [] and validate_bi(G) == []
+        assert psi_ratio(F).values[0, 0] == np.inf
+        assert np.isposinf(psi_reference(F.cdf)[0, 0])
+        H = bifree_max_convolve(F, G)
+        assert H.cdf[0, 0] == 0.0 and convolve_reference(F, G)[0, 0] == 0.0
+        assert H.cdf.tobytes() == convolve_reference(F, G).tobytes()
+        root = nth_root(F, 2).candidate
+        assert root.cdf[0, 0] == 0.0 and nth_root_reference(F, 2)[0, 0] == 0.0
+        assert root.cdf.tobytes() == nth_root_reference(F, 2).tobytes()
 
     def test_invalid_inputs_rejected(self):
         bad = BivariateCDF([0, 1], [0, 1], [[0.5, 0.9], [0.9, 1.0]])

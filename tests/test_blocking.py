@@ -33,7 +33,8 @@ from bifreemax import (
 from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
-from bifreemax.cdf import GridRows
+from bifreemax.biconv import bifree_max_convolve_rows, nfold_rows, nth_root_rows
+from bifreemax.cdf import MAX_LISTED, GridRows
 from bifreemax.cli import main
 from helpers import (
     boundary_bivariate_cdf,
@@ -249,6 +250,68 @@ class TestPeakMemory:
         monkeypatch.setattr(biconv_module, "nfold", forbidden)
         for n in (1, 2, 3):
             assert max_stable_residual(F, n, norm) == residual_reference(F, n, norm)
+
+
+class TestScratchReuse:
+    """Kernels and validate_bi compute every row block into one scratch set:
+    memory does not grow with the number of violations, and a read larger
+    than a block grows the scratch without leaking stale rows."""
+
+    BLOCK = 4096
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", self.BLOCK)
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        """A valid 256 x 256 grid F, not 2-divisible: its square-root candidate
+        violates the rectangle inequality in 89 % of its cells; and a
+        2-divisible grid of the same size."""
+        rng = np.random.default_rng(61)
+        F = sparse_bivariate_cdf(rng, 256, 256, 0.95)
+        return F, nfold(random_bivariate_cdf(rng, 256, 256, 0.6), 2)
+
+    @staticmethod
+    def warm_peak(call):
+        call()   # numpy's first-call allocations
+        return _peak_bytes(call)
+
+    def test_validate_bi_peak_does_not_grow_with_violations(self, grids):
+        F = grids[0]
+        root = BivariateCDF(F.x_breaks, F.y_breaks, nth_root_reference(F, 2))
+        c = root.cdf
+        assert np.mean(c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1] < -EPS_CDF) >= 0.3
+        clean, clean_peak = self.warm_peak(lambda: validate_bi(F))
+        bad, bad_peak = self.warm_peak(lambda: validate_bi(root))
+        assert clean == [] and len(bad) > MAX_LISTED
+        assert abs(bad_peak - clean_peak) < 8 * self.BLOCK
+
+    def test_root_peak_does_not_grow_with_violations(self, grids):
+        F, divisible = grids
+        ok, ok_peak = self.warm_peak(lambda: validate_bi(nth_root_rows(divisible, 2)))
+        bad, bad_peak = self.warm_peak(lambda: validate_bi(nth_root_rows(F, 2)))
+        assert ok == [] and len(bad) > MAX_LISTED
+        assert abs(bad_peak - ok_peak) < 8 * self.BLOCK
+
+    @pytest.mark.parametrize("n", [3, None], ids=["nfold", "convolve"])
+    def test_read_larger_than_a_block(self, grids, n):
+        F = grids[0]
+        if n is None:   # on the union grid, so the inputs are gathered
+            G = BivariateCDF(F.x_breaks + 0.05, F.y_breaks + 0.05, grids[1].cdf)
+            H, expected = bifree_max_convolve_rows(F, G), convolve_reference(F, G)
+        else:
+            H, expected = nfold_rows(F, n), nfold_reference(F, n)
+        assert expected.size > 4 * self.BLOCK
+        whole = H.evaluate_grid(H.x_breaks, H.y_breaks)
+        assert whole.tobytes() == expected.tobytes()
+        blocks = list(cdf_module.row_blocks(*expected.shape))
+        for rows in blocks + blocks[::-1]:
+            assert H.block(rows).tobytes() == expected[rows].tobytes()
+        again = H.evaluate_grid(H.x_breaks, H.y_breaks)
+        assert H.block(blocks[0]).tobytes() == expected[blocks[0]].tobytes()
+        # evaluate_grid's result is a copy: later reads leave it as it was
+        assert whole.tobytes() == again.tobytes() == expected.tobytes()
 
 
 class TestOneDecode:
