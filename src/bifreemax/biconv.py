@@ -101,10 +101,16 @@ def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray,
 
 
 def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...],
-                 weights: tuple[int, ...], q: int = 1) -> GridRows:
+                 weights: tuple[int, ...], q: int = 1, scratch: _Scratch | None = None) -> GridRows:
     """The kernel's map, one weight per input and divisor q; inputs read on xs x ys.
 
-    A block is a view of the kernel's scratch, valid until the next read.
+    A block is a view of the kernel's scratch buffer "psi", valid until the
+    next read; a caller that passes ``scratch`` may use its "term" and "mask"
+    between reads, as ``psi_range`` does.
+
+    The output x-marginal of a block is mapped from the last column of each
+    input's block, and the y-marginal from each input's last row, read
+    first: so a block reads no input rows but its own and the last.
     """
     shift = sum(weights) - float(q)
 
@@ -120,19 +126,26 @@ def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...
         out -= shift
         return out if q == 1 else np.divide(out, q, out=out)
 
-    h1 = np.maximum(0.0, affine(X.evaluate_grid(xs, ys[-1:])[:, 0] for X in inputs))
     m2 = [X.evaluate_grid(xs[-1:], ys)[0] for X in inputs]
     h2 = np.maximum(0.0, affine(f2.copy() for f2 in m2))
     reads = [_OnGrid(X, xs, ys) for X in inputs]
-    scratch = _Scratch(xs.size, ys.size)
+    scratch = scratch or _Scratch(xs.size, ys.size)
+    cols = np.empty((len(inputs), xs.size))   # each input's last column, for h1
 
     def block(rows):   # each input's ratio field is made as the map takes it
         shape = (rows.stop - rows.start, ys.size)
         mask = scratch("mask", shape, bool)
-        psi = affine(_psi_block(X.block(rows, scratch, "input"), f2, 1.0,
-                                scratch("term" if k else "psi", shape), mask)
-                     for k, (X, f2) in enumerate(zip(reads, m2)))
-        return _decode_block(h1[rows], h2, psi, scratch("term", shape), mask)
+
+        def terms():
+            for k, (X, f2) in enumerate(zip(reads, m2)):
+                c = X.block(rows, scratch, "input")
+                cols[k, rows] = c[:, -1]
+                yield _psi_block(c, f2, 1.0, scratch("term" if k else "psi", shape), mask)
+
+        psi = affine(terms())
+        h1 = affine(cols[:, rows])
+        np.maximum(0.0, h1, out=h1)
+        return _decode_block(h1, h2, psi, scratch("term", shape), mask)
 
     return GridRows(xs, ys, block)
 
@@ -157,10 +170,11 @@ def psi_range(c: np.ndarray, m2: np.ndarray, scratch: _Scratch, lo: float = np.i
     c are rows of a kernel output whose last row is m2; folded over all row
     blocks from (inf, -inf), this gives the smallest and largest finite
     ratio, or lo > hi if none is finite.  Nothing is validated.  The ratio
-    field is computed into ``scratch``, which the fold passes to every call.
+    field is computed into the "term" and "mask" of ``scratch``, which the
+    fold passes to every call: c may be a block of a kernel that shares it.
     """
     mask = scratch("mask", c.shape, bool)
-    psi = _psi_block(c, m2, np.nan, scratch("psi", c.shape), mask)
+    psi = _psi_block(c, m2, np.nan, scratch("term", c.shape), mask)
     finite = np.isfinite(psi, out=mask)
     if finite.any():
         lo = min(lo, float(np.min(psi, where=finite, initial=np.inf)))
@@ -201,6 +215,14 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     q = 1, ``n*a - (n-1)``, rather than n-1 pairwise convolutions; so
     ``nfold(F, 2)`` is ``bifree_max_convolve(F, F)`` byte for byte, and cells
     with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself.
+
+    Error budget: the power multiplies the defects ``1 - F_j`` and the ratio
+    excess ``psi - 1`` by n, so a stored input with rounding u gives up to
+    about n*u at the output, through psi as through the marginals.  That is
+    the conditioning of the power, not the algorithm, which adds a few
+    rounding errors of its own: on a max-stable law whose values are exact
+    in binary, the power at n = 2^m, m <= 40, is within 2*n*2^-53 of the
+    exact one.
     """
     H = nfold_rows(F, n, eps)
     return H if H is F else H.to_cdf()
@@ -254,6 +276,15 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     If the candidate is returned valid, its n-fold convolution recovers F.
     The candidate is filled into an array and validated in one pass; CLI
     ``root`` validates ``nth_root_rows`` instead and never holds it.
+
+    Error budget: the root divides the defects and the ratio excess by n, so
+    it adds only a few rounding errors to what its input carries.  But an
+    input that is itself a stored n-fold power carries up to about n*u
+    through psi, where u is the rounding of the law it was raised from, so
+    ``nth_root(nfold(F, n), n)`` recovers F to about n*u: the conditioning
+    of the power, not the algorithm.  It recovers F only where the power's
+    marginals are positive; at breaks where a marginal of the power is 0,
+    the ratio field is 0/0 and the joint values are lost.
     """
     candidate = nth_root_rows(F, n, eps).to_cdf()
     return NthRootResult(candidate, validate_bi(candidate, eps))
@@ -274,6 +305,10 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     of the n-fold power.  A max-stable F with the right normalizing
     sequence drives this to 0 as n grows.  The power is never held: each
     row block of the evaluation grid computes the rows of it that it reads.
+
+    Error budget: the residual holds the power's error, up to about n*u for
+    a stored F with rounding u (see ``nfold``), so a max-stable F reads about
+    n*u, not 0: the conditioning of the power, not the algorithm.
     """
     H = _pulled_back(nfold_rows(F, n, eps), norm)
     xs, ys = _union_grid(F, H, "max_stable_residual")

@@ -400,6 +400,63 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     return out
 
 
+class _BiValidator:
+    """validate_bi's checks, fed the rows of an nx x ny grid whose last row is m2.
+
+    ``feed(start, a)`` takes the rows ``start`` on, after the row before them
+    if start > 0, in row order.  Fed every row once, in blocks of any size,
+    ``report()`` is validate_bi's report: the kinds keep their lines in
+    row-major order, and counts and worst amounts do not depend on the
+    blocking.  The differences, cell masses and Frechet bounds of a block
+    are computed into one scratch set, reused from block to block, so a
+    block allocates nothing of its size, however many of its values violate.
+    """
+
+    def __init__(self, nx: int, ny: int, m2: np.ndarray, eps: float):
+        self.m2, self.eps, self.scratch = m2, eps, _Scratch(nx, ny)
+        self.kinds = [
+            _Kind("out-of-[0,1]", eps,
+                  lambda i, j, x: f"value out of [0,1] at ({i},{j}): {float(x)!r}"),
+            _Kind("monotonicity along x", eps,
+                  lambda i, j, _: f"monotonicity violation along x at ({i + 1},{j})"),
+            _Kind("monotonicity along y", eps,
+                  lambda i, j, _: f"monotonicity violation along y at ({i},{j + 1})"),
+            _Kind("rectangle inequality", eps,
+                  lambda i, j, x: (f"rectangle inequality violation at cell ({i},{j}): "
+                                   f"mass {float(x)!r}")),
+            _Kind("Frechet upper-bound", eps,
+                  lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})"),
+            _Kind("Frechet lower-bound", eps,
+                  lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})"),
+        ]
+
+    def feed(self, start: int, a: np.ndarray) -> None:
+        in01, along_x, along_y, cells, upper, lower = self.kinds
+        m2, scratch, ny = self.m2, self.scratch, a.shape[1]
+        lo = max(start - 1, 0)   # the row before the block, for its first steps
+        c, m1 = a[start - lo:], a[start - lo:, -1:]
+        in01.check(start, c, 0.0, 1.0, scratch)
+        d = np.subtract(a[1:], a[:-1], out=scratch("d", (a.shape[0] - 1, ny)))
+        along_x.check(lo, d, 0.0, np.inf, scratch)
+        d = np.subtract(c[:, 1:], c[:, :-1], out=scratch("d", (c.shape[0], ny - 1)))
+        along_y.check(start, d, 0.0, np.inf, scratch)
+        # the masses ((a11 - a01) - a10) + a00 of the adjacent grid cells, each >= 0
+        d = np.subtract(a[1:, 1:], a[:-1, 1:], out=scratch("d", (a.shape[0] - 1, ny - 1)))
+        np.subtract(d, a[1:, :-1], out=d)
+        cells.check(lo, np.add(d, a[:-1, :-1], out=d), 0.0, np.inf, scratch)
+        d = scratch("d", c.shape)
+        upper.check(start, c, -np.inf, np.minimum(m1, m2, out=d), scratch)
+        np.add(m1, m2, out=d)
+        lower.check(start, c, np.subtract(d, 1.0, out=d), np.inf, scratch)
+
+    def report(self) -> list[str]:
+        in01, along_x, along_y, cells, upper, lower = self.kinds
+        out = in01.report() + along_x.report() + along_y.report() + cells.report()
+        if abs(self.m2[-1] - 1.0) > self.eps:
+            out.append(f"total-mass violation: F(last,last) = {float(self.m2[-1])!r} != 1")
+        return out + upper.report() + lower.report()
+
+
 def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
     """Check the bivariate distribution-function axioms of the row source F.
 
@@ -409,52 +466,18 @@ def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
     with the count of the rest and the worst amount.
 
     One pass: the last row (the y-marginal) is read first, as a one-row
-    block, then each row block with the row before it, and every kind is
-    checked on that one read.  So no temporary is cells-sized, and a
-    ``GridRows``, such as a root candidate, is checked without being held.
-    Each block gets the checks BivariateCDF makes on a whole array.  The
-    differences, cell masses and Frechet bounds of a block are computed into
-    one scratch set, reused from block to block, so a block allocates
-    nothing of its size, however many of its values violate.
+    block, then each row block with the row before it, and a ``_BiValidator``
+    checks every kind on that one read.  So no temporary is cells-sized, and
+    a ``GridRows``, such as a root candidate, is checked without being held.
+    Each block gets the checks BivariateCDF makes on a whole array.
     """
     nx, ny = F.x_breaks.size, F.y_breaks.size
-    in01 = _Kind("out-of-[0,1]", eps,
-                 lambda i, j, x: f"value out of [0,1] at ({i},{j}): {float(x)!r}")
-    along_x = _Kind("monotonicity along x", eps,
-                    lambda i, j, _: f"monotonicity violation along x at ({i + 1},{j})")
-    along_y = _Kind("monotonicity along y", eps,
-                    lambda i, j, _: f"monotonicity violation along y at ({i},{j + 1})")
-    cells = _Kind("rectangle inequality", eps,
-                  lambda i, j, x: (f"rectangle inequality violation at cell ({i},{j}): "
-                                   f"mass {float(x)!r}"))
-    upper = _Kind("Frechet upper-bound", eps,
-                  lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})")
-    lower = _Kind("Frechet lower-bound", eps,
-                  lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})")
     # a GridRows block is valid until the next read: the last row is kept
     m2 = _checked_block(F, slice(nx - 1, nx), ny)[0].copy()
-    scratch = _Scratch(nx, ny)
+    check = _BiValidator(nx, ny, m2, eps)
     for rows in row_blocks(nx, ny):
-        lo = max(rows.start - 1, 0)   # the row before the block, for its first steps
-        a = _checked_block(F, slice(lo, rows.stop), ny)
-        c, m1 = a[rows.start - lo:], a[rows.start - lo:, -1:]
-        in01.check(rows.start, c, 0.0, 1.0, scratch)
-        d = np.subtract(a[1:], a[:-1], out=scratch("d", (a.shape[0] - 1, ny)))
-        along_x.check(lo, d, 0.0, np.inf, scratch)
-        d = np.subtract(c[:, 1:], c[:, :-1], out=scratch("d", (c.shape[0], ny - 1)))
-        along_y.check(rows.start, d, 0.0, np.inf, scratch)
-        # the masses ((a11 - a01) - a10) + a00 of the adjacent grid cells, each >= 0
-        d = np.subtract(a[1:, 1:], a[:-1, 1:], out=scratch("d", (a.shape[0] - 1, ny - 1)))
-        np.subtract(d, a[1:, :-1], out=d)
-        cells.check(lo, np.add(d, a[:-1, :-1], out=d), 0.0, np.inf, scratch)
-        d = scratch("d", c.shape)
-        upper.check(rows.start, c, -np.inf, np.minimum(m1, m2, out=d), scratch)
-        np.add(m1, m2, out=d)
-        lower.check(rows.start, c, np.subtract(d, 1.0, out=d), np.inf, scratch)
-    out = in01.report() + along_x.report() + along_y.report() + cells.report()
-    if abs(m2[-1] - 1.0) > eps:
-        out.append(f"total-mass violation: F(last,last) = {float(m2[-1])!r} != 1")
-    return out + upper.report() + lower.report()
+        check.feed(rows.start, _checked_block(F, slice(max(rows.start - 1, 0), rows.stop), ny))
+    return check.report()
 
 
 def require_valid_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> UnivariateCDF:
@@ -746,10 +769,11 @@ class _JSONStream:
         self.offset = 0  # characters of the file before buf
 
     def _fill(self, size: int) -> None:
-        chunk = self.fh.read(size)
+        rest = self.buf[self.pos:]
         self.offset += self.pos
-        self.buf = self.buf[self.pos:] + chunk
-        self.pos = 0
+        self.buf, self.pos = "", 0   # the read text is let go before more is read
+        chunk = self.fh.read(size)
+        self.buf = rest + chunk
         self.eof = not chunk
 
     def peek(self) -> str:
@@ -804,6 +828,25 @@ class _JSONStream:
             if self.expect(",]") == "]":
                 return
 
+    def members(self):
+        """The keys of the next value, an object, one at a time.
+
+        The caller reads each key's value before it asks for the next key.
+        """
+        self.expect("{")
+        if self.peek() == "}":
+            self.pos += 1
+            return
+        while True:
+            key = self.value()
+            if not isinstance(key, str):
+                raise CDFFormatError(f"expecting a property name before char "
+                                     f"{self.offset + self.pos}")
+            self.expect(":")
+            yield key
+            if self.expect(",}") == "}":
+                return
+
     def json_object(self, rows_key: str) -> dict:
         """The whole text, which must be one object.
 
@@ -813,26 +856,34 @@ class _JSONStream:
         else as a list.
         """
         data = {}
-        self.expect("{")
-        if self.peek() == "}":
-            self.pos += 1
-        else:
-            while True:
-                key = self.value()
-                if not isinstance(key, str):
-                    raise CDFFormatError(f"expecting a property name before char "
-                                         f"{self.offset + self.pos}")
-                self.expect(":")
-                if key == rows_key and self.peek() == "[":
-                    data[key] = _filled_rows(map(_float_row, self.items()),
-                                             data.get("x_breaks"), data.get("y_breaks"))
-                else:
-                    data[key] = self.value()
-                if self.expect(",}") == "}":
-                    break
+        for key in self.members():
+            if key == rows_key and self.peek() == "[":
+                data[key] = _filled_rows(map(_float_row, self.items()),
+                                         data.get("x_breaks"), data.get("y_breaks"))
+            else:
+                data[key] = self.value()
         if self.peek():
             raise CDFFormatError(f"extra data at char {self.offset + self.pos}")
         return data
+
+
+def _cdf_array(rows, yb) -> np.ndarray:
+    """np.asarray(rows, dtype=float); where the rows are ragged, an error naming the first
+    row whose length is not that of y_breaks (of row 0 if y_breaks is not a list)."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:
+        if isinstance(rows, (list, np.ndarray)):
+            lengths = [len(row) if isinstance(row, list) or np.ndim(row) else None
+                       for row in rows]
+            expected = len(yb) if isinstance(yb, list) else lengths[0]
+            for i, n in enumerate(lengths):
+                if n is None:
+                    raise ValueError(f"cdf row {i} is not an array") from None
+                if n != expected:
+                    raise ValueError(f"cdf row {i} has {n} values, "
+                                     f"expected {expected}") from None
+        raise
 
 
 def load_bi_json(path) -> BivariateCDF:
@@ -849,7 +900,7 @@ def load_bi_json(path) -> BivariateCDF:
             data = _JSONStream(fh).json_object("cdf")
         return BivariateCDF(np.asarray(data["x_breaks"], dtype=float),
                             np.asarray(data["y_breaks"], dtype=float),
-                            np.asarray(data["cdf"], dtype=float))
+                            _cdf_array(data["cdf"], data["y_breaks"]))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise _bad_file("bivariate CDF", path, exc) from exc
 

@@ -26,8 +26,10 @@ from .cdf import (
     CDFError,
     CDFFormatError,
     GridRows,
+    InvalidCDFError,
     _replacing,
     _Scratch,
+    _union_grid,
     ecdf_from_samples,
     load_bi_json,
     load_samples_tsv,
@@ -40,8 +42,8 @@ from .cdf import (
 )
 from .extremal import free_max_convolve, free_min_convolve
 from .biconv import (
+    _affine_rows,
     bifree_max_convolve,
-    bifree_max_convolve_rows,
     max_stable_residual,
     nfold_rows,
     nth_root_rows,
@@ -55,6 +57,7 @@ from .oracle import (
     wedge_moment_closed_form,
     wedge_moment_limit,
 )
+from .rowstream import _RowStream, _Unstreamable
 
 
 def cmd_validate(args) -> int:
@@ -82,23 +85,51 @@ def cmd_uniconv(args) -> int:
 
 def cmd_biconv(args) -> int:
     F = load_bi_json(args.pathF)
+    violations = validate_bi(F, args.tol)
+    if not violations:
+        try:   # G is read in one pass, as the kernel reaches its rows
+            with _RowStream(args.pathG, args.tol) as G:
+                return _biconv(F, G, args)
+        except _Unstreamable:
+            pass
+    # F is invalid, or G is not a file that one pass reads: G is loaded whole
     G = load_bi_json(args.pathG)
-    H = bifree_max_convolve_rows(F, G, args.tol)
-    last = H.y_breaks[-1:]
-    h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
-                    + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
-    m1, m2 = np.empty(H.x_breaks.size), H.evaluate_grid(H.x_breaks[-1:], H.y_breaks)[0]
-    psi, scratch = [np.inf, -np.inf], _Scratch(H.x_breaks.size, H.y_breaks.size)
+    if violations:
+        raise InvalidCDFError(violations)
+    return _biconv(F, require_valid_bi(G, args.tol), args)
 
-    def block(rows):   # gathers the last column and the psi range on the way out
-        b = H.block(rows)
-        m1[rows] = b[:, -1]
-        psi[:] = psi_range(b, m2, scratch, *psi)
-        return b
 
-    save_bi_json(GridRows(H.x_breaks, H.y_breaks, block), args.out)
+def _biconv(F, G, args) -> int:
+    """Write the convolution of the valid F with G, a valid BivariateCDF or a
+    _RowStream, which is validated on the pass; then the marginal and psi report."""
+    streamed = isinstance(G, _RowStream)
+    try:
+        xs, ys = _union_grid(F, G, "bifree_max_convolve")
+        scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
+        H = _affine_rows(xs, ys, (F, G), (1, 1), scratch=scratch)
+        m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
+        psi = [np.inf, -np.inf]
+
+        def block(rows):   # gathers the last column and the psi range on the way out
+            b = H.block(rows)
+            m1[rows] = b[:, -1]
+            psi[:] = psi_range(b, m2, scratch, *psi)
+            if streamed and rows.stop == xs.size:   # before the output replaces --out
+                G.finish()
+            return b
+
+        save_bi_json(GridRows(xs, ys, block), args.out)
+    except _Unstreamable:
+        raise
+    except Exception:
+        if streamed:   # a malformed or invalid G reports first, as when it is loaded whole
+            G.finish()
+        raise
+    last = ys[-1:]
+    g1 = (G.last_column() if streamed else G).evaluate_grid(xs, last)[:, 0]
+    h1 = np.maximum(0.0, F.evaluate_grid(xs, last)[:, 0] + g1 - 1.0)
     ok = np.all(np.abs(m1 - h1) <= args.tol)
-    print(f"wrote {args.out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
+    print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
           f"total mass {float(m2[-1])!r}, marginal check {'OK' if ok else 'FAILED'}")
     # max |psi - 1| is at the smallest or the largest psi
     if psi[0] <= psi[1] and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:

@@ -59,11 +59,31 @@ def load_bi_json_reference(path) -> BivariateCDF:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        return BivariateCDF(np.asarray(data["x_breaks"], dtype=float),
-                            np.asarray(data["y_breaks"], dtype=float),
-                            np.asarray(data["cdf"], dtype=float))
+        xb = np.asarray(data["x_breaks"], dtype=float)
+        yb = np.asarray(data["y_breaks"], dtype=float)
+        try:
+            cdf = np.asarray(data["cdf"], dtype=float)
+        except ValueError as exc:   # ragged rows are named, with their length
+            raise ValueError(_ragged_row(data["cdf"], data["y_breaks"]) or exc) from exc
+        return BivariateCDF(xb, yb, cdf)
     except (KeyError, TypeError, ValueError) as exc:
         raise CDFFormatError(f"bad bivariate CDF file {path}: {exc}") from exc
+
+
+def _ragged_row(rows, y_breaks):
+    """What is wrong with the first row of the decoded JSON rows that does not
+    have len(y_breaks) values (row 0's length if y_breaks is not a list), or None."""
+    if not isinstance(rows, list):
+        return None
+    want = len(y_breaks) if isinstance(y_breaks, list) else None
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            return f"cdf row {i} is not an array"
+        if want is None:
+            want = len(row)
+        if len(row) != want:
+            return f"cdf row {i} has {len(row)} values, expected {want}"
+    return None
 
 
 def ecdf_reference(points):

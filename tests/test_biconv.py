@@ -410,6 +410,24 @@ class TestDyadicMaxStableFamily:
             assert max_stable_residual(F, n, norm) <= 2 * n * 2.0 ** -53, m
 
     @pytest.mark.parametrize("h", sorted(DEPENDENCE))
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, -0.25, 0.0])
+    def test_root_of_the_power_recovers_f(self, h, theta):
+        """nth_root(nfold(F, n), n) is F within 2*n*2^-53 on the breaks k > m, n = 2^m.
+
+        The power's marginals at break k are 1 - 2^(m - k): clamped to 0 below
+        m and exactly 0 at m, where the ratio field is 0/0, so no root brings
+        back the joint values of those rows and columns.  From m = 24 on the
+        power of most of these laws fails validation within eps (a rectangle
+        mass of -1.9e-9), the n*u of the budget, so m stops at 20.
+        """
+        F = dyadic_max_stable_cdf(theta, DEPENDENCE[h])
+        for m in range(1, 21):
+            n = 2 ** m
+            back = nth_root(nfold(F, n), n).candidate.cdf
+            error = np.max(np.abs(back[m + 1:, m + 1:] - F.cdf[m + 1:, m + 1:]))
+            assert error <= 2 * n * 2.0 ** -53, m
+
+    @pytest.mark.parametrize("h", sorted(DEPENDENCE))
     @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
     def test_positive_theta_is_not_a_law(self, h, theta):
         assert validate_bi(dyadic_max_stable_cdf(theta, DEPENDENCE[h])) != []

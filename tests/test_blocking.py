@@ -491,15 +491,25 @@ class TestValidateOnce:
         res = nth_root(pair[0], 2)
         assert [id(X) for X in validated] == [id(pair[0]), id(res.candidate)]
 
-    def test_cli(self, validated, pair, tmp_path):
+    def test_cli(self, pair, tmp_path, monkeypatch):
+        # biconv validates F with validate_bi and G on its one-pass read:
+        # both report through the validator they feed
+        reports = []
+        real = cdf_module._BiValidator.report
+
+        def spy(validator):
+            reports.append(validator)
+            return real(validator)
+
+        monkeypatch.setattr(cdf_module._BiValidator, "report", spy)
         f, g = tmp_path / "f.json", tmp_path / "g.json"
         save_bi_json(pair[0], f)
         save_bi_json(pair[1], g)
         assert main(["biconv", str(f), str(g), "--out", str(tmp_path / "h.json")]) == 0
-        assert len(validated) == 2
-        validated.clear()
+        assert len(reports) == 2
+        reports.clear()
         assert main(["stability", str(f), "3", "1.5", "0.1", "0.5", "-0.2"]) == 0
-        assert len(validated) == 1
+        assert len(reports) == 1
 
 
 def _json_bytes(F):

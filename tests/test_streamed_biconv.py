@@ -1,0 +1,286 @@
+"""CLI ``biconv`` reads its second input G in one pass: the same exit code,
+stdout, stderr and output bytes as loading both inputs whole, on every input,
+and memory of one input plus blocks."""
+
+import builtins
+import os
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bifreemax import (
+    EPS_CDF,
+    BivariateCDF,
+    CDFError,
+    CDFFormatError,
+    bifree_max_convolve,
+    load_bi_json,
+    save_bi_json,
+)
+from bifreemax import cdf as cdf_module
+from bifreemax import cli as cli_module
+from bifreemax.cli import main
+from helpers import sparse_bivariate_cdf
+from test_blocking import _biconv_stdout, _stream_cases
+from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
+
+#: A valid F for documents used as G; its grid is not G's.
+F_FOR_DOCUMENTS = BivariateCDF([-1.0, 0.5], [0.5, 2.0], [[0.1, 0.3], [0.4, 1.0]])
+
+
+def library_outcome(f, g, out, shown_out, tol=EPS_CDF):
+    """Exit code, stdout, stderr and output bytes of load_bi_json of both
+    inputs, bifree_max_convolve and save_bi_json to out, or of their error,
+    as CLI biconv reports them with ``--out shown_out``."""
+    try:
+        F, G = load_bi_json(f), load_bi_json(g)
+        H = bifree_max_convolve(F, G, tol)
+        save_bi_json(H, out)
+    except (CDFFormatError, OSError) as exc:
+        return 2, "", f"error: {exc}\n", None
+    except (CDFError, ValueError) as exc:
+        return 1, "", f"error: {exc}\n", None
+    return 0, _biconv_stdout(F, G, H, shown_out, tol), "", out.read_bytes()
+
+
+def cli_outcome(f, g, out, capsys):
+    """The same four things for ``biconv f g --out out``; out must not exist."""
+    code = main(["biconv", str(f), str(g), "--out", str(out)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+@pytest.fixture
+def compare(tmp_path, capsys):
+    """compare(f, g): assert the CLI gives the library's outcome, leaves no
+    temporary file, and return the outcome."""
+    ref, out = tmp_path / "ref.json", tmp_path / "out.json"
+
+    def run(f, g):
+        want = library_outcome(f, g, ref, out)
+        ref.unlink(missing_ok=True)
+        before = sorted(tmp_path.iterdir())
+        got = cli_outcome(f, g, out, capsys)
+        out.unlink(missing_ok=True)
+        assert got == want
+        assert sorted(tmp_path.iterdir()) == before
+        return got
+    return run
+
+
+@pytest.fixture
+def whole_loads(monkeypatch):
+    """The paths that CLI biconv loads whole; G is streamed when only F is."""
+    paths = []
+    real = cli_module.load_bi_json
+
+    def spy(path):
+        paths.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(cli_module, "load_bi_json", spy)
+    return paths
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, cdf_module.BLOCK_CELLS])
+def test_seeded_pairs_at_every_block_size(compare, whole_loads, monkeypatch, tmp_path, cells):
+    monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    for F, G in _stream_cases():
+        save_bi_json(F, f)
+        save_bi_json(G, g)
+        for pair in ((f, g), (g, f)):
+            whole_loads.clear()
+            assert compare(*pair)[0] == 0
+            assert whole_loads == [str(pair[0])]   # G was read in one pass
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_every_loader_document_as_g(compare, monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(F_FOR_DOCUMENTS, f)
+    codes = set()
+    for text in [*DOCUMENTS.values(), *ORDER_DOCUMENTS.values()]:
+        g.write_text(text)
+        codes.add(compare(f, g)[0])
+    assert codes == {0, 1, 2}
+
+
+G_TEXT = ('{"x_breaks": [0, 1], "y_breaks": [0, 1], '
+          '"cdf": [[0.25, 0.5], [0.5, 1.0]]')
+
+
+@pytest.mark.parametrize("text, streamed", [
+    (G_TEXT + "}\n", True),
+    (G_TEXT + ', "note": "after cdf"}', False),
+    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False),
+    (G_TEXT + ', "cdf": [[0.2], [0.5, 1.0]]}', False),
+    (G_TEXT + "}\n{}", False),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0 ]]") + " \t\r\n}\r\n", True),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1e400]]") + "}", False),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True),   # invalid: exit 1
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5, 0.75]") + "}", False),
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False),   # malformed and invalid
+], ids=["saved", "key-after-cdf", "second-cdf", "second-cdf-ragged", "trailing-object",
+        "extra-row", "white-space", "overflow-in-last-row", "invalid", "long-first-row",
+        "bad-number-first-row"])
+def test_layouts(compare, whole_loads, tmp_path, text, streamed):
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(F_FOR_DOCUMENTS, f)
+    g.write_text(text)
+    compare(f, g)
+    assert (whole_loads == [str(f)]) == streamed
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 32])
+def test_last_row_longer_than_the_buffer(compare, whole_loads, monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    rng = np.random.default_rng(71)
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(sparse_bivariate_cdf(rng, 5, 60, 0.3), f)
+    save_bi_json(sparse_bivariate_cdf(rng, 4, 60, 0.3, offset=0.05), g)
+    assert len(g.read_text().rsplit("[", 1)[1]) > 16 * chunk
+    assert compare(f, g)[0] == 0
+    assert whole_loads == [str(f)]
+
+
+def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkeypatch,
+                                                     tmp_path):
+    """A tail row that differs from the row the pass ends on drops the
+    streamed output and loads G whole."""
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(F_FOR_DOCUMENTS, f)
+    g.write_text(G_TEXT + "}\n")
+    from bifreemax import rowstream
+    real = rowstream._tail_row
+    monkeypatch.setattr(rowstream, "_tail_row", lambda path, ny: real(path, ny) * 0.5)
+    assert compare(f, g)[0] == 0
+    assert whole_loads == [str(f), str(g)]
+
+
+def test_g_from_a_pipe(compare, whole_loads, tmp_path, capsys):
+    """A pipe is not streamed: G is loaded whole, with the same output."""
+    f, g, fifo = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "g.fifo"
+    F, G = list(_stream_cases())[-1]
+    save_bi_json(F, f)
+    save_bi_json(G, g)
+    _, want_out, _, want_bytes = compare(f, g)   # the same G from its file
+    whole_loads.clear()
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(g.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    out = tmp_path / "out.json"
+    try:
+        code = main(["biconv", str(f), str(fifo), "--out", str(out)])
+    finally:
+        writer.join(timeout=10)
+    assert code == 0
+    assert whole_loads == [str(f), str(fifo)]
+    assert capsys.readouterr().out == want_out
+    assert out.read_bytes() == want_bytes
+
+
+def test_invalid_f_with_a_malformed_g_exits_2(compare, tmp_path):
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(BivariateCDF([0, 1], [0, 1], [[0.5, 0.9], [0.9, 1.0]]), f)
+    for text in (G_TEXT + "}x", G_TEXT[:-3]):
+        g.write_text(text)
+        code, _, err, _ = compare(f, g)
+        assert code == 2 and str(g) in err
+
+
+def test_grid_over_the_budget_reports_an_invalid_g_first(compare, monkeypatch, tmp_path):
+    """Over MAX_CELLS, an invalid G still reports first, as when it is loaded whole."""
+    monkeypatch.setattr(cdf_module, "MAX_CELLS", 8)   # the union grid is 4 x 4
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(F_FOR_DOCUMENTS, f)
+    errors = []
+    for last in ("[0.5, 1.0]]", "[0.5, 0.75]]"):
+        g.write_text(G_TEXT.replace("[0.5, 1.0]]", last) + "}")
+        code, _, err, _ = compare(f, g)
+        assert code == 1
+        errors.append(err)
+    assert "budget" in errors[0] and "invalid CDF" in errors[1]
+
+
+class TestOnePass:
+    """G's file is decoded once, plus a tail read, and the call holds one input."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 4096)
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        rng = np.random.default_rng(53)
+        F = sparse_bivariate_cdf(rng, 512, 512, 0.2)
+        # breaks interleaved with F's: the union grid is 1024 x 1024
+        G = BivariateCDF(F.x_breaks + 0.05, F.y_breaks + 0.05,
+                         sparse_bivariate_cdf(rng, 512, 512, 0.2).cdf)
+        d = tmp_path_factory.mktemp("one-pass")
+        save_bi_json(F, d / "f.json")
+        save_bi_json(G, d / "g.json")
+        return d, F
+
+    def test_g_is_read_once_plus_its_tail(self, files, monkeypatch, whole_loads):
+        d, _ = files
+        g = str(d / "g.json")
+        reads = []   # for each open of g: its buffering and the bytes read
+        real_open = builtins.open
+
+        class Counted:
+            def __init__(self, fh, count):
+                self.fh, self.count = fh, count
+
+            def read(self, *args):
+                data = self.fh.read(*args)
+                self.count[1] += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def open_(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if str(file) != g:
+                return fh
+            reads.append([kwargs.get("buffering", -1), 0])
+            return Counted(fh, reads[-1])
+
+        monkeypatch.setattr(builtins, "open", open_)
+        assert main(["biconv", str(d / "f.json"), g, "--out", str(d / "h.json")]) == 0
+        assert whole_loads == [str(d / "f.json")]
+        # one unbuffered pass over every byte, and a tail read of one buffer
+        (buffering, passed), (_, tail) = reads
+        assert buffering == 0 and passed == os.path.getsize(g)
+        assert 0 < tail <= cdf_module.JSON_CHUNK_CHARS < os.path.getsize(g)
+
+    def test_biconv_holds_one_input(self, files, capsys):
+        """biconv peaks at one input plus the loader's buffer and blocks, as
+        test_call_holds_its_input_once asks of the one-input calls."""
+        d, F = files
+        call = ["biconv", str(d / "f.json"), str(d / "g.json"), "--out", str(d / "h.json")]
+        main(call)   # the first call in a process also imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            code = main(call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr()
+        assert peak < 1.5 * F.cdf.nbytes
