@@ -20,9 +20,9 @@ is finite and both output marginals are positive, 0 elsewhere.
 A kernel's output is a ``cdf.GridRows``, a row source like ``BivariateCDF``:
 it computes its rows block by block when they are read.  ``nfold`` and
 ``nth_root`` fill it into an array, CLI ``biconv`` and ``nfold`` stream it
-to their file, CLI ``root`` validates it in one pass and streams it to its
-file if it is valid, and ``max_stable_residual`` pulls its breaks back and
-reads it on the evaluation grid, so the n-fold power is never held.
+to their file, CLI ``root`` validates it and streams it to its file on one
+pass while it is valid, and ``max_stable_residual`` pulls its breaks back
+and reads it on the evaluation grid, so the n-fold power is never held.
 """
 
 from __future__ import annotations
@@ -231,10 +231,13 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
 def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF | GridRows:
     """nfold as a row source, F itself at n = 1; F and n are checked here."""
     require_valid_bi(F, eps)
+    return _nfold_rows(F, n)
+
+
+def _nfold_rows(F, n):
+    """nfold_rows of a row source F that its caller validates; n is checked here."""
     n = _check_fold_count(n)
-    if n == 1:
-        return F
-    return _affine_rows(F.x_breaks, F.y_breaks, (F,), (n,))
+    return F if n == 1 else _affine_rows(F.x_breaks, F.y_breaks, (F,), (n,))
 
 
 def _check_fold_count(n) -> int:
@@ -293,8 +296,12 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
 def nth_root_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
     """nth_root's candidate as row blocks, not validated; F and n are checked here."""
     require_valid_bi(F, eps)
-    n = _check_fold_count(n)
-    return _affine_rows(F.x_breaks, F.y_breaks, (F,), (1,), n)
+    return _root_rows(F, n)
+
+
+def _root_rows(F, n) -> GridRows:
+    """nth_root_rows of a row source F that its caller validates; n is checked here."""
+    return _affine_rows(F.x_breaks, F.y_breaks, (F,), (1,), _check_fold_count(n))
 
 
 def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,

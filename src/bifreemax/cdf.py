@@ -449,6 +449,11 @@ class _BiValidator:
         np.add(m1, m2, out=d)
         lower.check(start, c, np.subtract(d, 1.0, out=d), np.inf, scratch)
 
+    @property
+    def clean(self) -> bool:
+        """No violation in the rows fed so far, nor in the total mass."""
+        return not any(kind.count for kind in self.kinds) and abs(self.m2[-1] - 1.0) <= self.eps
+
     def report(self) -> list[str]:
         in01, along_x, along_y, cells, upper, lower = self.kinds
         out = in01.report() + along_x.report() + along_y.report() + cells.report()
@@ -601,24 +606,48 @@ def ecdf_from_samples(points) -> BivariateCDF:
     Duplicate coordinates collapse into one breakpoint; cell masses are
     multiples of 1/N.  Raises CDFError if the grid is over MAX_CELLS.
     """
+    return ecdf_rows(points).to_cdf()
+
+
+def ecdf_rows(points) -> GridRows:
+    """ecdf_from_samples as row blocks; the samples and the grid size are checked here.
+
+    A block is the summed-area table (Crow 1984) of its rows: the samples are
+    counted per grid cell of the block, the counts of the samples before the
+    block are added to its first row as one carry row, and running sums are
+    taken along both axes, then divided by N.  The counts are float64 sums of
+    integers below 2^53, so they are exact whatever the blocking, and the bits
+    are those of integer counts / N.  A block is a view of scratch, valid
+    until the next read.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise CDFError("ecdf_from_samples requires at least one sample")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise CDFError("samples must be (x, y) pairs")
-    # Summed-area table (Crow 1984): count the samples per grid cell, then
-    # take running sums along both axes.  The counts are float64, so one
-    # array becomes the CDF in place; sums of integers below 2^53 are exact,
-    # so its bits are those of integer counts / N.
     xb, xi = _unique(pts[:, 0], inverse=True)
     yb, yi = _unique(pts[:, 1], inverse=True)
-    require_cells(xb.size, yb.size, "ecdf_from_samples")
-    counts = np.bincount(xi * yb.size + yi, weights=np.ones(pts.shape[0]),
-                         minlength=xb.size * yb.size).reshape(xb.size, yb.size)
-    np.cumsum(counts, axis=0, out=counts)
-    np.cumsum(counts, axis=1, out=counts)
-    counts /= pts.shape[0]
-    return BivariateCDF(xb, yb, counts)
+    nx, ny, n = xb.size, yb.size, pts.shape[0]
+    require_cells(nx, ny, "ecdf_from_samples")
+    # the occupied cells in row-major order, each with its count
+    cell = np.sort(xi * ny + yi)
+    first = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    count = np.diff(np.append(first, n)).astype(float)
+    cell = cell[first]
+    scratch = _Scratch(nx, ny)
+
+    def block(rows):
+        a, b = np.searchsorted(cell, (rows.start * ny, rows.stop * ny))
+        out = scratch("ecdf", (rows.stop - rows.start, ny))
+        out.fill(0.0)
+        out[0] = np.bincount(cell[:a] % ny, weights=count[:a], minlength=ny)
+        out.reshape(-1)[cell[a:b] - rows.start * ny] += count[a:b]
+        np.cumsum(out, axis=0, out=out)
+        np.cumsum(out, axis=1, out=out)
+        out /= n
+        return out
+
+    return GridRows(xb, yb, block)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,16 @@ from .cdf import (
     CDFFormatError,
     GridRows,
     InvalidCDFError,
+    _BiValidator,
+    _checked_block,
     _replacing,
     _Scratch,
     _union_grid,
-    ecdf_from_samples,
+    ecdf_rows,
     load_bi_json,
     load_samples_tsv,
     load_uni_json,
-    require_valid_bi,
+    row_blocks,
     save_bi_json,
     save_uni_json,
     validate_bi,
@@ -43,10 +45,10 @@ from .cdf import (
 from .extremal import free_max_convolve, free_min_convolve
 from .biconv import (
     _affine_rows,
+    _nfold_rows,
+    _root_rows,
     bifree_max_convolve,
     max_stable_residual,
-    nfold_rows,
-    nth_root_rows,
     psi_range,
 )
 from .oracle import (
@@ -57,20 +59,48 @@ from .oracle import (
     wedge_moment_closed_form,
     wedge_moment_limit,
 )
-from .rowstream import _RowStream, _Unstreamable
+from .rowstream import _Loaded, _RowStream, _Unstreamable
 
 
 def cmd_validate(args) -> int:
     if args.kind == "uni":
         violations = validate_uni(load_uni_json(args.path), args.tol)
     else:
-        violations = validate_bi(load_bi_json(args.path), args.tol)
+        violations = _one_pass(args.path, args.tol, lambda F: F.report())
     if violations:
         for v in violations:
             print(v)
         return 1
     print("OK")
     return 0
+
+
+def _one_pass(path, eps: float, run):
+    """run(F) for the grid F in the file path, validated as it is read.
+
+    F is first a _RowStream, which reads the file in one pass.  If the file
+    is not one that the pass reads, or the pass meets any surprise
+    (_Unstreamable), whatever run wrote through cdf._replacing is gone, and
+    run runs once more on the grid loaded whole, a _Loaded.  run calls
+    F.finish() before its output replaces a file and prints only after it.
+    An error in run finishes F first, so a malformed or invalid grid
+    reports first, as when the grid was loaded and validated before run.
+    """
+    def attempt(F):
+        try:
+            return run(F)
+        except _Unstreamable:
+            raise
+        except Exception:
+            F.finish()
+            raise
+
+    try:
+        with _RowStream(path, eps) as F:
+            return attempt(F)
+    except _Unstreamable:
+        pass
+    return attempt(_Loaded(load_bi_json(path), eps))
 
 
 def cmd_uniconv(args) -> int:
@@ -86,47 +116,30 @@ def cmd_uniconv(args) -> int:
 def cmd_biconv(args) -> int:
     F = load_bi_json(args.pathF)
     violations = validate_bi(F, args.tol)
-    if not violations:
-        try:   # G is read in one pass, as the kernel reaches its rows
-            with _RowStream(args.pathG, args.tol) as G:
-                return _biconv(F, G, args)
-        except _Unstreamable:
-            pass
-    # F is invalid, or G is not a file that one pass reads: G is loaded whole
-    G = load_bi_json(args.pathG)
-    if violations:
+    if violations:   # a malformed G reports first
+        load_bi_json(args.pathG)
         raise InvalidCDFError(violations)
-    return _biconv(F, require_valid_bi(G, args.tol), args)
+    return _one_pass(args.pathG, args.tol, lambda G: _biconv(F, G, args))
 
 
 def _biconv(F, G, args) -> int:
-    """Write the convolution of the valid F with G, a valid BivariateCDF or a
-    _RowStream, which is validated on the pass; then the marginal and psi report."""
-    streamed = isinstance(G, _RowStream)
-    try:
-        xs, ys = _union_grid(F, G, "bifree_max_convolve")
-        scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
-        H = _affine_rows(xs, ys, (F, G), (1, 1), scratch=scratch)
-        m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
-        psi = [np.inf, -np.inf]
+    """Write the convolution of the valid F with the grid G of _one_pass, then
+    the marginal and psi report."""
+    xs, ys = _union_grid(F, G, "bifree_max_convolve")
+    scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
+    H = _affine_rows(xs, ys, (F, G), (1, 1), scratch=scratch)
+    m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
+    psi = [np.inf, -np.inf]
 
-        def block(rows):   # gathers the last column and the psi range on the way out
-            b = H.block(rows)
-            m1[rows] = b[:, -1]
-            psi[:] = psi_range(b, m2, scratch, *psi)
-            if streamed and rows.stop == xs.size:   # before the output replaces --out
-                G.finish()
-            return b
+    def block(rows):   # gathers the last column and the psi range on the way out
+        b = H.block(rows)
+        m1[rows] = b[:, -1]
+        psi[:] = psi_range(b, m2, scratch, *psi)
+        return b
 
-        save_bi_json(GridRows(xs, ys, block), args.out)
-    except _Unstreamable:
-        raise
-    except Exception:
-        if streamed:   # a malformed or invalid G reports first, as when it is loaded whole
-            G.finish()
-        raise
+    save_bi_json(_finishing(GridRows(xs, ys, block), G), args.out)
     last = ys[-1:]
-    g1 = (G.last_column() if streamed else G).evaluate_grid(xs, last)[:, 0]
+    g1 = G.last_column().evaluate_grid(xs, last)[:, 0]
     h1 = np.maximum(0.0, F.evaluate_grid(xs, last)[:, 0] + g1 - 1.0)
     ok = np.all(np.abs(m1 - h1) <= args.tol)
     print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
@@ -137,30 +150,74 @@ def _biconv(F, G, args) -> int:
     return 0
 
 
+def _finishing(H, F) -> GridRows:
+    """H's rows; the read of the last one calls F.finish() before the writer
+    gets it, so an invalid F stops the output before it replaces a file."""
+    def block(rows):
+        b = H.block(rows)
+        if rows.stop == H.x_breaks.size:
+            F.finish()
+        return b
+
+    return GridRows(H.x_breaks, H.y_breaks, block)
+
+
 def cmd_nfold(args) -> int:
-    F = load_bi_json(args.path)
-    H = nfold_rows(F, args.n, args.tol)
-    mass = H.evaluate(H.x_breaks[-1], H.y_breaks[-1])
-    save_bi_json(H, args.out)
-    print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
-    return 0
+    def run(F):
+        H = _nfold_rows(F, args.n)
+        mass = H.evaluate(H.x_breaks[-1], H.y_breaks[-1])
+        save_bi_json(_finishing(H, F), args.out)
+        print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
+        return 0
+
+    return _one_pass(args.path, args.tol, run)
+
+
+class _NotDivisible(Exception):
+    """The root candidate has a violation: its output stops, its validation goes on."""
 
 
 def cmd_root(args) -> int:
-    F = load_bi_json(args.path)
-    # validated in one pass and, if valid, computed again as it is written
-    candidate = nth_root_rows(F, args.n, args.tol)
-    violations = validate_bi(candidate, args.tol)
-    if not violations:
-        save_bi_json(candidate, args.out)
-        print(f"wrote {args.out}: valid {args.n}-th root candidate")
-        return 0
-    with _replacing(args.out) as fh:
-        fh.write(json.dumps({"divisibility_failure": violations}, indent=2) + "\n")
-    print(f"not {args.n}-divisible; report written to {args.out}:")
-    for v in violations:
-        print(f"  {v}")
-    return 1
+    def run(F):
+        R = _root_rows(F, args.n)
+        nx, ny = R.x_breaks.size, R.y_breaks.size
+        # validate_bi's pass over the candidate, which also writes it while it is valid
+        check = _BiValidator(nx, ny, _checked_block(R, slice(nx - 1, nx), ny)[0].copy(),
+                             args.tol)
+        fed = [0]
+
+        def feed(rows):
+            lo = max(rows.start - 1, 0)
+            a = _checked_block(R, slice(lo, rows.stop), ny)
+            check.feed(rows.start, a)
+            fed[0] = rows.stop
+            return a[rows.start - lo:]
+
+        def block(rows):
+            b = feed(rows)
+            if not check.clean:
+                raise _NotDivisible
+            return b
+
+        try:
+            save_bi_json(_finishing(GridRows(R.x_breaks, R.y_breaks, block), F), args.out)
+        except _NotDivisible:
+            for rows in row_blocks(nx, ny):
+                if rows.start >= fed[0]:
+                    feed(rows)
+            F.finish()
+        else:
+            print(f"wrote {args.out}: valid {args.n}-th root candidate")
+            return 0
+        violations = check.report()
+        with _replacing(args.out) as fh:
+            fh.write(json.dumps({"divisibility_failure": violations}, indent=2) + "\n")
+        print(f"not {args.n}-divisible; report written to {args.out}:")
+        for v in violations:
+            print(f"  {v}")
+        return 1
+
+    return _one_pass(args.path, args.tol, run)
 
 
 def cmd_stability(args) -> int:
@@ -193,7 +250,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_ecdf(args) -> int:
     samples = load_samples_tsv(args.samples_path)
-    F = ecdf_from_samples(samples)
+    F = ecdf_rows(samples)
     save_bi_json(F, args.out)
     print(f"wrote {args.out}: {samples.shape[0]} samples, "
           f"grid {F.x_breaks.size}x{F.y_breaks.size}")
@@ -201,15 +258,19 @@ def cmd_ecdf(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    F = load_bi_json(args.path)
-    require_valid_bi(F, args.tol)
-    with _replacing(args.out) as fh:
-        ys = F.y_breaks.tolist()
-        for x, row in zip(F.x_breaks.tolist(), F.cdf):
-            for y, v in zip(ys, row.tolist()):
-                fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
-    print(f"wrote {args.out}: {F.x_breaks.size * F.y_breaks.size} rows")
-    return 0
+    def run(F):
+        nx, ny = F.x_breaks.size, F.y_breaks.size
+        with _replacing(args.out) as fh:
+            ys = F.y_breaks.tolist()
+            for rows in row_blocks(nx, ny):
+                for x, row in zip(F.x_breaks[rows].tolist(), F.block(rows)):
+                    for y, v in zip(ys, row.tolist()):
+                        fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
+            F.finish()
+        print(f"wrote {args.out}: {nx * ny} rows")
+        return 0
+
+    return _one_pass(args.path, args.tol, run)
 
 
 def _tolerance(text: str) -> float:

@@ -1,8 +1,10 @@
-"""One-pass reading of a bivariate CDF JSON file's rows, for CLI ``biconv``.
+"""One-pass reading of a bivariate CDF JSON file's rows, for the CLI.
 
-CLI ``biconv`` holds its first input whole and reads the second as a
-``_RowStream``: a row source whose rows are decoded from the file as the
-kernel reaches them, validated on that same pass, and never held whole.
+CLI ``validate --kind bi``, ``nfold``, ``root`` and ``plotdata`` read their
+grid, and ``biconv`` its second input, as a ``_RowStream``: a row source
+whose rows are decoded from the file as the command reaches them, validated
+on that same pass, and never held whole.  A file that the pass does not read
+is loaded whole instead, as a ``_Loaded``, which has the same interface.
 It is a module of its own so that the CLI calls that do not use it compile
 none of it: a fresh process without cached bytecode compiles every module
 it imports, and in cdf.py this code raised the peak RSS of every fresh CLI
@@ -28,6 +30,7 @@ from .cdf import (
     _float_row,
     _JSONStream,
     _RowSource,
+    validate_bi,
 )
 
 
@@ -38,7 +41,34 @@ class _Unstreamable(Exception):
 _END = object()   # what next() gives for a generator that has ended
 
 
-class _RowStream(_RowSource):
+class _Checked(_RowSource):
+    """A row source with its validate_bi report, ``report()``."""
+
+    def finish(self) -> None:
+        """report(); raise InvalidCDFError if it lists a violation."""
+        violations = self.report()
+        if violations:
+            raise InvalidCDFError(violations)
+
+
+class _Loaded(_Checked):
+    """A BivariateCDF F, validated whole, with the interface of a _RowStream."""
+
+    def __init__(self, F: BivariateCDF, eps: float):
+        self.F, self.x_breaks, self.y_breaks = F, F.x_breaks, F.y_breaks
+        self.violations = validate_bi(F, eps)
+
+    def block(self, rows: slice) -> np.ndarray:
+        return self.F.cdf[rows]
+
+    def report(self) -> list[str]:
+        return self.violations
+
+    def last_column(self) -> BivariateCDF:
+        return self.F
+
+
+class _RowStream(_Checked):
     """The rows of a bivariate CDF JSON file, decoded in one pass as they are read.
 
     For a regular file whose breaks come before ``cdf`` and whose ``cdf``
@@ -50,8 +80,8 @@ class _RowStream(_RowSource):
     into a window that holds the rows of the last read, the row before the
     next half block and that half block: about one row block.  Each half
     block is fed to a ``_BiValidator``, with the row before it, and has its
-    last column recorded.  ``finish()`` reads the rest of the file and
-    raises InvalidCDFError if the grid is not valid.  Any other layout or
+    last column recorded.  ``report()`` reads the rest of the file and
+    gives validate_bi's report of the grid.  Any other layout or
     surprise (rows that are not nx rows of ny finite floats, a tail row that
     is not the last row bit for bit, a format error) raises _Unstreamable,
     and then load_bi_json of the file gives what a whole load gives.
@@ -135,8 +165,8 @@ class _RowStream(_RowSource):
         self.check.feed(start, a)
         self.w1 = start + n
 
-    def finish(self) -> None:
-        """Read the rest of the file; raise InvalidCDFError if the grid is not valid."""
+    def report(self) -> list[str]:
+        """Read the rest of the file; validate_bi's report of the grid."""
         if self.violations is None:
             self.floor = self.nx
             self._read_to(self.nx)
@@ -148,11 +178,10 @@ class _RowStream(_RowSource):
             if not (end and self.window[self.nx - 1 - self.w0].tobytes() == self.last.tobytes()):
                 raise _Unstreamable("the file goes on, or its tail is not its last row")
             self.violations = self.check.report()
-        if self.violations:
-            raise InvalidCDFError(self.violations)
+        return self.violations
 
     def last_column(self) -> BivariateCDF:
-        """The last column as read on the pass, as a one-column grid; after finish()."""
+        """The last column as read on the pass, as a one-column grid; after report()."""
         return BivariateCDF(self.x_breaks, self.y_breaks[-1:], self.column[:, None])
 
 

@@ -86,10 +86,10 @@ def _ragged_row(rows, y_breaks):
     return None
 
 
-def ecdf_reference(points):
+def ecdf_brute_force(points):
     """Brute-force empirical CDF: compare every sample with every grid point.
 
-    Cubic in time and memory; the reference for ``ecdf_from_samples`` at
+    Cubic in time and memory; a reference for ``ecdf_from_samples`` at
     small N only.
     """
     pts = np.asarray(points, dtype=float)
@@ -99,6 +99,21 @@ def ecdf_reference(points):
     counts = ((xs[None, None, :] <= xb[:, None, None])
               & (ys[None, None, :] <= yb[None, :, None])).sum(axis=2)
     return BivariateCDF(xb, yb, counts / pts.shape[0])
+
+
+def ecdf_reference(points):
+    """The whole-array summed-area table that ``ecdf_from_samples`` built
+    before it ran in row blocks: count the samples per cell, take running
+    sums along both axes, divide by N."""
+    pts = np.asarray(points, dtype=float)
+    xb, xi = np.unique(pts[:, 0], return_inverse=True)
+    yb, yi = np.unique(pts[:, 1], return_inverse=True)
+    counts = np.bincount(xi * yb.size + yi, weights=np.ones(pts.shape[0]),
+                         minlength=xb.size * yb.size).reshape(xb.size, yb.size)
+    np.cumsum(counts, axis=0, out=counts)
+    np.cumsum(counts, axis=1, out=counts)
+    counts /= pts.shape[0]
+    return BivariateCDF(xb, yb, counts)
 
 
 #: Start of each kind's location lines, by the kind named in summary lines.

@@ -855,21 +855,33 @@ class TestStreamedCliMemory:
         # the whole output, 1024 x 1024 float64, would be 8.4 MB on top of the inputs
         assert peak < 1024 * 1024 * 8
 
-    def test_nfold_holds_its_input_and_not_its_output(self, files, monkeypatch):
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["validate", "f.json", "--kind", "bi"], 0),
+        (["nfold", "f.json", "3", "--out", "h.json"], 0),
+        (["root", "div.json", "2", "--out", "root.json"], 0),
+        (["root", "f.json", "2", "--out", "report.json"], 1),
+        (["plotdata", "f.json", "--out", "plot.tsv"], 0),
+    ], ids=["validate", "nfold", "root-candidate", "root-report", "plotdata"])
+    def test_streamed_call_holds_no_grid(self, files, argv, exit_code, capsys):
+        """A call that reads its grid in one pass peaks at the loader's buffer
+        and blocks: below half of its input's array, and holds no output."""
         d, F = files
-        real = cli_module.load_bi_json
+        call = [str(d / a) if a.endswith((".json", ".tsv")) else a for a in argv]
+        main(call)   # the first call in a process also imports what numpy loads lazily
+        code, peak = _peak_bytes(lambda: main(call))
+        assert code == exit_code, capsys.readouterr()
+        assert peak < 0.5 * F.cdf.nbytes
 
-        def load_then_reset_peak(path):
-            loaded = real(path)
-            tracemalloc.reset_peak()
-            return loaded
-
-        monkeypatch.setattr(cli_module, "load_bi_json", load_then_reset_peak)
-        code, peak = _peak_bytes(lambda: main(["nfold", str(d / "f.json"), "3",
-                                               "--out", str(d / "h.json")]))
+    def test_ecdf_holds_no_table(self, tmp_path):
+        """ecdf writes its table a row block at a time and never holds it."""
+        pts = np.random.default_rng(54).normal(size=(600, 2))
+        tsv = tmp_path / "s.tsv"
+        tsv.write_text("".join(f"{x!r}\t{y!r}\n" for x, y in pts.tolist()))
+        call = ["ecdf", str(tsv), "--out", str(tmp_path / "F.json")]
+        main(call)   # the first call in a process also imports what numpy loads lazily
+        code, peak = _peak_bytes(lambda: main(call))
         assert code == 0
-        # peak after the load: the input plus blocks, not plus the output
-        assert peak < F.cdf.nbytes + F.cdf.nbytes // 2
+        assert peak < 0.25 * 600 * 600 * 8
 
     @pytest.mark.parametrize("argv, exit_code", [
         (["validate", "f.json", "--kind", "bi"], 0),

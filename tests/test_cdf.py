@@ -25,7 +25,7 @@ from bifreemax import (
 )
 from bifreemax import cdf as cdf_module
 from bifreemax.cdf import EPS_CDF, MAX_LISTED, require_valid_bi
-from helpers import ecdf_reference, group_violations, random_bivariate_cdf
+from helpers import ecdf_brute_force, group_violations, random_bivariate_cdf
 
 
 class TestValidateUni:
@@ -429,7 +429,7 @@ class TestEcdf:
                 pts = base[rng.integers(0, base.shape[0], n)]
             else:
                 pts = rng.normal(size=(n, 2))
-            F, R = ecdf_from_samples(pts), ecdf_reference(pts)
+            F, R = ecdf_from_samples(pts), ecdf_brute_force(pts)
             assert np.array_equal(F.x_breaks, R.x_breaks)
             assert np.array_equal(F.y_breaks, R.y_breaks)
             assert F.cdf.tobytes() == R.cdf.tobytes()

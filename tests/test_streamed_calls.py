@@ -1,0 +1,390 @@
+"""CLI ``validate --kind bi``, ``nfold``, ``root`` and ``plotdata`` read their
+grid in one pass, and ``ecdf`` writes its table a row block at a time: the
+same exit code, stdout, stderr and ``--out`` bytes as loading the grid whole
+(or building the whole table), on every input."""
+
+import builtins
+import json
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from bifreemax import (
+    EPS_CDF,
+    BivariateCDF,
+    CDFError,
+    CDFFormatError,
+    ecdf_from_samples,
+    load_bi_json,
+    nfold,
+    nth_root,
+    save_bi_json,
+    validate_bi,
+)
+from bifreemax import cdf as cdf_module
+from bifreemax import cli as cli_module
+from bifreemax.cdf import require_valid_bi
+from bifreemax.cli import main
+from helpers import ecdf_reference, random_bivariate_cdf
+from test_blocking import seeded_pairs
+from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
+
+BLOCK_CELLS = [1, 7, 64, cdf_module.BLOCK_CELLS]
+
+
+def _validate(F, n, out, shown, tol):
+    violations = validate_bi(F, tol)
+    return int(bool(violations)), "".join(v + "\n" for v in violations or ["OK"])
+
+
+def _nfold(F, n, out, shown, tol):
+    H = nfold(F, n, tol)
+    save_bi_json(H, out)
+    return 0, f"wrote {shown}: {n}-fold power, total mass {float(H.cdf[-1, -1])!r}\n"
+
+
+def _root(F, n, out, shown, tol):
+    res = nth_root(F, n, tol)
+    if res.ok:
+        save_bi_json(res.candidate, out)
+        return 0, f"wrote {shown}: valid {n}-th root candidate\n"
+    out.write_text(json.dumps({"divisibility_failure": res.violations}, indent=2) + "\n")
+    lines = "".join(f"  {v}\n" for v in res.violations)
+    return 1, f"not {n}-divisible; report written to {shown}:\n" + lines
+
+
+def _plotdata(F, n, out, shown, tol):
+    require_valid_bi(F, tol)
+    with open(out, "w") as fh:
+        for x, row in zip(F.x_breaks.tolist(), F.cdf.tolist()):
+            for y, v in zip(F.y_breaks.tolist(), row):
+                fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
+    return 0, f"wrote {shown}: {F.cdf.size} rows\n"
+
+
+#: The whole-array form of each streamed command: load_bi_json, then the
+#: library call, writing to out and giving (exit code, stdout).
+WHOLE = {"validate": _validate, "nfold": _nfold, "root": _root, "plotdata": _plotdata}
+
+
+def argv(command, path, n, out):
+    if command == "validate":
+        return ["validate", str(path), "--kind", "bi"]
+    if command == "plotdata":
+        return ["plotdata", str(path), "--out", str(out)]
+    return [command, str(path), str(n), "--out", str(out)]
+
+
+def whole_outcome(command, path, n, out, shown, tol=EPS_CDF):
+    """Exit code, stdout, stderr and output bytes of the whole-array path,
+    or of its error, as the CLI reports them with ``--out shown``."""
+    try:
+        code, stdout = WHOLE[command](load_bi_json(path), n, out, shown, tol)
+    except (CDFFormatError, OSError) as exc:
+        return 2, "", f"error: {exc}\n", None
+    except (CDFError, ValueError) as exc:
+        return 1, "", f"error: {exc}\n", None
+    return code, stdout, "", out.read_bytes() if out.exists() else None
+
+
+@pytest.fixture
+def compare(tmp_path, capsys):
+    """compare(command, path, n): assert the CLI gives the whole-array
+    outcome and leaves no temporary file; return the outcome."""
+    ref, out = tmp_path / "ref.out", tmp_path / "cli.out"
+
+    def run(command, path, n=2):
+        want = whole_outcome(command, path, n, ref, out)
+        ref.unlink(missing_ok=True)
+        before = sorted(tmp_path.iterdir())
+        code = main(argv(command, path, n, out))
+        captured = capsys.readouterr()
+        got = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        assert got == want
+        assert sorted(tmp_path.iterdir()) == before
+        return got
+    return run
+
+
+@pytest.fixture
+def whole_loads(monkeypatch):
+    """The paths that the CLI loads whole; a streamed grid is not one."""
+    paths = []
+    real = cli_module.load_bi_json
+
+    def spy(path):
+        paths.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(cli_module, "load_bi_json", spy)
+    return paths
+
+
+COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata", 2)]
+COMMAND_IDS = [f"{c}-{n}" for c, n in COMMANDS]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
+def test_every_loader_document(compare, monkeypatch, tmp_path, chunk, command, n):
+    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    path = tmp_path / "F.json"
+    codes = set()
+    for text in [*DOCUMENTS.values(), *ORDER_DOCUMENTS.values()]:
+        path.write_text(text)
+        codes.add(compare(command, path, n)[0])
+    assert codes == {0, 1, 2}
+
+
+def _grids():
+    """Valid and invalid grids; with corner mass above 1/2, squares of grids
+    whose square root is valid, and grids whose square root is not."""
+    rng = np.random.default_rng(61)
+    yield BivariateCDF([0.5], [0.5], [[1.0]])
+    yield BivariateCDF([0.0], [0.0, 1.0, 2.0], [[0.25, 0.5, 1.0]])
+    yield BivariateCDF([0.0, 1.5, 2.0], [0.0], [[0.25], [0.75], [1.0]])
+    for F, G in seeded_pairs(62, 4):
+        yield F
+        yield BivariateCDF(G.x_breaks, G.y_breaks, G.cdf * 0.9)   # total mass 0.9
+        bad = F.cdf.copy()
+        bad[rng.integers(F.cdf.shape[0]), rng.integers(F.cdf.shape[1])] += 0.3
+        yield BivariateCDF(F.x_breaks, F.y_breaks, bad)
+    for _ in range(3):
+        yield nfold(random_bivariate_cdf(rng, 12, 3, corner_mass=0.6), 2)
+    yield load_bi_json(os.path.join(os.path.dirname(__file__), "fixtures",
+                                    "not_two_divisible_3x3.json"))
+
+
+@pytest.mark.parametrize("cells", BLOCK_CELLS)
+@pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
+def test_seeded_grids_at_every_block_size(compare, whole_loads, monkeypatch, tmp_path,
+                                          cells, command, n):
+    monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+    path = tmp_path / "F.json"
+    codes = set()
+    for F in _grids():
+        save_bi_json(F, path)
+        codes.add(compare(command, path, n)[0])
+        assert whole_loads == []   # every grid was read in one pass
+    assert codes == {0, 1}
+
+
+def test_root_cases_are_all_there(tmp_path):
+    """_grids has divisible and non-divisible valid grids, and invalid ones."""
+    outcomes = set()
+    for F in _grids():
+        if validate_bi(F):
+            outcomes.add("invalid")
+        else:
+            outcomes.add("divisible" if nth_root(F, 2).ok else "not divisible")
+    assert outcomes == {"invalid", "divisible", "not divisible"}
+
+
+G_TEXT = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": [[0.25, 0.5], [0.5, 1.0]]'
+
+
+@pytest.mark.parametrize("text, streamed", [
+    (G_TEXT + "}\n", True),
+    (G_TEXT + ', "note": "after cdf"}', False),
+    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False),
+    (G_TEXT + "}\n{}", False),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True),   # invalid: exit 1
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False),   # malformed and invalid
+], ids=["saved", "key-after-cdf", "second-cdf", "trailing-object", "extra-row", "invalid",
+        "bad-number-first-row"])
+@pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
+def test_layouts(compare, whole_loads, tmp_path, text, streamed, command, n):
+    path = tmp_path / "F.json"
+    path.write_text(text)
+    compare(command, path, n)
+    assert (whole_loads == []) == streamed
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 32])
+@pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
+def test_last_row_longer_than_the_buffer(compare, whole_loads, monkeypatch, tmp_path,
+                                         chunk, command, n):
+    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    path = tmp_path / "F.json"
+    square = nfold(random_bivariate_cdf(np.random.default_rng(71), 60, 60, corner_mass=0.6), 2)
+    save_bi_json(square, path)
+    assert len(path.read_text().rsplit("[", 1)[1]) > 16 * chunk
+    assert compare(command, path, n)[0] == 0
+    assert whole_loads == []
+
+
+@pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
+def test_grid_from_a_pipe(compare, whole_loads, tmp_path, capsys, command, n):
+    """A pipe is not streamed: the grid is loaded whole, with the same outcome."""
+    path, fifo = tmp_path / "F.json", tmp_path / "F.fifo"
+    save_bi_json(nfold(random_bivariate_cdf(np.random.default_rng(72), 9, corner_mass=0.6), 2),
+                 path)
+    want = compare(command, path, n)   # the same grid from its file
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    out = tmp_path / "cli.out"
+    try:
+        code = main(argv(command, fifo, n, out))
+    finally:
+        writer.join(timeout=10)
+    assert whole_loads == [str(fifo)]
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want[:3]
+    assert (out.read_bytes() if out.exists() else None) == want[3]
+
+
+@pytest.mark.parametrize("bad_n", [0, -1, 2 ** 1024], ids=["0", "-1", "2^1024"])
+@pytest.mark.parametrize("command", ["nfold", "root"])
+def test_an_invalid_grid_reports_before_a_bad_n(compare, tmp_path, command, bad_n):
+    path = tmp_path / "F.json"
+    for last, message in (("[0.5, 1.0]]", "n must be"), ("[0.5, 0.75]]", "invalid CDF")):
+        path.write_text(G_TEXT.replace("[0.5, 1.0]]", last) + "}")
+        code, _, err, _ = compare(command, path, bad_n)
+        assert code == 1 and message in err
+
+
+def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkeypatch,
+                                                     tmp_path):
+    """A tail row that differs from the row the pass ends on drops the
+    temporary output and loads the grid whole."""
+    path = tmp_path / "F.json"
+    path.write_text(G_TEXT + "}\n")
+    from bifreemax import rowstream
+    real = rowstream._tail_row
+    monkeypatch.setattr(rowstream, "_tail_row", lambda p, ny: real(p, ny) * 0.5)
+    for command, n in COMMANDS:
+        whole_loads.clear()
+        compare(command, path, n)
+        assert whole_loads == [str(path)]
+
+
+def _item_1_law():
+    rng = np.random.default_rng(5)
+    for _ in range(127):   # the law at index 126
+        R = random_bivariate_cdf(rng, max_size=5, corner_mass=rng.uniform(0, 0.9))
+    return R
+
+
+def test_root_verdict_at_n_1024(tmp_path, capsys):
+    """ROADMAP item 1's repro: at n = 1024 the root of R is not valid,
+    by a rectangle mass of about -1.79e-8."""
+    path, R = tmp_path / "R.json", _item_1_law()
+    assert R.cdf.shape == (3, 3)
+    save_bi_json(R, path)
+    assert main(["root", str(path), "1024", "--out", str(tmp_path / "r.json")]) == 1
+    assert "mass -1.789" in capsys.readouterr().out
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_root_verdict_at_n_2_to_the_20(tmp_path):
+    """The same law is no more divisible at n = 2^20, yet its root passes
+    validation there: a verdict that flips with n."""
+    path = tmp_path / "R.json"
+    save_bi_json(_item_1_law(), path)
+    assert main(["root", str(path), str(2 ** 20), "--out", str(tmp_path / "r.json")]) == 1
+
+
+class TestOneDecode:
+    """Each streamed call decodes its file once, plus a read of its tail."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        rng = np.random.default_rng(73)
+        path = tmp_path_factory.mktemp("one-decode") / "F.json"
+        save_bi_json(nfold(random_bivariate_cdf(rng, 200, 150, corner_mass=0.6), 2), path)
+        return path
+
+    @pytest.mark.parametrize("command, n", [*COMMANDS, ("root", 3)],
+                             ids=[*COMMAND_IDS, "root-report"])
+    def test_read_once_plus_its_tail(self, path, monkeypatch, whole_loads, command, n):
+        reads = []   # for each open of path: its buffering and the bytes read
+        real_open = builtins.open
+
+        class Counted:
+            def __init__(self, fh, count):
+                self.fh, self.count = fh, count
+
+            def read(self, *args):
+                data = self.fh.read(*args)
+                self.count[1] += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def open_(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if str(file) != str(path):
+                return fh
+            reads.append([kwargs.get("buffering", -1), 0])
+            return Counted(fh, reads[-1])
+
+        monkeypatch.setattr(builtins, "open", open_)
+        code = main(argv(command, path, n, path.with_name("out")))
+        assert code == (1 if n == 3 and command == "root" else 0)
+        assert whole_loads == []
+        # one unbuffered pass over every byte, and a tail read of one buffer
+        (buffering, passed), (_, tail) = reads
+        assert buffering == 0 and passed == os.path.getsize(path)
+        assert 0 < tail <= cdf_module.JSON_CHUNK_CHARS < os.path.getsize(path)
+
+
+def _samples():
+    """Seeded samples: repeated x and y values, a single sample, one row, one column."""
+    rng = np.random.default_rng(74)
+    yield np.array([[0.5, -1.0]])
+    yield np.array([[0.5, -1.0]] * 3)
+    yield np.column_stack((np.full(9, 2.0), rng.normal(size=9)))   # one row
+    yield np.column_stack((rng.normal(size=9), np.full(9, -0.0)))   # one column
+    for n in (2, 17, 60, 150):
+        yield rng.integers(-3, 4, (n, 2)).astype(float)
+        base = rng.normal(size=(max(1, n // 4), 2))
+        yield base[rng.integers(0, base.shape[0], n)]
+        yield rng.normal(size=(n, 2))
+
+
+@pytest.mark.parametrize("cells", BLOCK_CELLS)
+def test_ecdf_equals_the_whole_table(monkeypatch, tmp_path, capsys, cells):
+    monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+    tsv, out, ref = tmp_path / "s.tsv", tmp_path / "F.json", tmp_path / "ref.json"
+    shapes = set()
+    for pts in _samples():
+        R = ecdf_reference(pts)
+        F = ecdf_from_samples(pts)
+        assert F.x_breaks.tobytes() == R.x_breaks.tobytes()
+        assert F.y_breaks.tobytes() == R.y_breaks.tobytes()
+        assert F.cdf.tobytes() == R.cdf.tobytes()
+        tsv.write_text("".join(f"{x!r}\t{y!r}\n" for x, y in pts.tolist()))
+        assert main(["ecdf", str(tsv), "--out", str(out)]) == 0
+        save_bi_json(R, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert capsys.readouterr().out == (f"wrote {out}: {len(pts)} samples, "
+                                           f"grid {R.x_breaks.size}x{R.y_breaks.size}\n")
+        shapes.add(tuple(min(k, 2) for k in R.cdf.shape))
+    assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def test_ecdf_rows_read_in_any_order():
+    """A block does not depend on the blocks read before it."""
+    pts = np.random.default_rng(75).integers(-4, 5, (80, 2)).astype(float)
+    R = ecdf_reference(pts)
+    rows = cdf_module.ecdf_rows(pts)
+    nx = R.cdf.shape[0]
+    for lo, hi in [(nx - 1, nx), (3, 5), (0, 2), (2, nx), (0, nx), (4, 5)]:
+        assert rows.block(slice(lo, hi)).tobytes() == R.cdf[lo:hi].tobytes()
