@@ -400,20 +400,32 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     return out
 
 
-class _BiValidator:
-    """validate_bi's checks, fed the rows of an nx x ny grid whose last row is m2.
+class _BiValidator(_RowSource):
+    """The row source F, with validate_bi's checks made on its rows as they are read.
 
-    ``feed(start, a)`` takes the rows ``start`` on, after the row before them
-    if start > 0, in row order.  Fed every row once, in blocks of any size,
-    ``report()`` is validate_bi's report: the kinds keep their lines in
-    row-major order, and counts and worst amounts do not depend on the
-    blocking.  The differences, cell masses and Frechet bounds of a block
-    are computed into one scratch set, reused from block to block, so a
-    block allocates nothing of its size, however many of its values violate.
+    F's last row, the y-marginal, is read and copied first, and served for
+    a read of that row alone until the checks reach it.  A read past the
+    checked rows reads F once, from the row before them (or the read's
+    first row, if earlier) to the end of the ``row_blocks`` block that holds
+    the read's last row, and checks the rows past them; other reads go to
+    F.  Unless the read itself is longer, that read of F spans at most a
+    block and one row, which a _RowStream's window holds without growing
+    when a union-grid read starts before the row before the checked ones.
+    So a reader of F's row blocks in order reads each row of F once,
+    with the checks BivariateCDF makes on a whole array.  ``report()``
+    checks the blocks not read yet and gives validate_bi's report, whatever
+    the reads were: the kinds keep their lines in row-major order, and
+    counts and worst amounts do not depend on the blocking.  The checks of
+    a read work in one scratch set, reused from read to read, so a read
+    allocates nothing of its size, however many of its values violate.
     """
 
-    def __init__(self, nx: int, ny: int, m2: np.ndarray, eps: float):
-        self.m2, self.eps, self.scratch = m2, eps, _Scratch(nx, ny)
+    def __init__(self, F, eps: float):
+        self.F, self.x_breaks, self.y_breaks, self.eps = F, F.x_breaks, F.y_breaks, eps
+        nx, ny = self.nx, self.ny = F.x_breaks.size, F.y_breaks.size
+        # a GridRows block is valid until the next read: the last row is kept
+        self.m2 = _checked_block(F, slice(nx - 1, nx), ny)[0].copy()
+        self.checked, self.column, self.scratch = 0, np.empty(nx), _Scratch(nx, ny)
         self.kinds = [
             _Kind("out-of-[0,1]", eps,
                   lambda i, j, x: f"value out of [0,1] at ({i},{j}): {float(x)!r}"),
@@ -430,36 +442,66 @@ class _BiValidator:
                   lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})"),
         ]
 
-    def feed(self, start: int, a: np.ndarray) -> None:
+    def block(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` of F, checked; valid until the next read."""
+        if rows.start == self.nx - 1 > self.checked:   # the last row alone, not checked yet
+            return self.m2[None]
+        if rows.stop <= self.checked:
+            return _checked_block(self.F, rows, self.ny)
+        lo = min(rows.start, max(self.checked - 1, 0))
+        return self._check(lo, rows.stop)[rows.start - lo:rows.stop - lo]
+
+    def _check(self, lo: int, stop: int) -> np.ndarray:
+        """Read F from row lo <= max(checked - 1, 0) through row stop - 1 and
+        on, as the class says; check the rows past the checked ones."""
         in01, along_x, along_y, cells, upper, lower = self.kinds
-        m2, scratch, ny = self.m2, self.scratch, a.shape[1]
-        lo = max(start - 1, 0)   # the row before the block, for its first steps
-        c, m1 = a[start - lo:], a[start - lo:, -1:]
+        m2, scratch, ny, step = self.m2, self.scratch, self.ny, _block_rows(self.ny)
+        end = max(stop, min(-(-stop // step) * step, lo + step + 1, self.nx))
+        read = _checked_block(self.F, slice(lo, end), ny)
+        start, self.checked = self.checked, end
+        first = max(start - 1, 0)   # the row before them, for their first steps
+        a, c, m1 = read[first - lo:], read[start - lo:], read[start - lo:, -1:]
+        self.column[start:end] = m1[:, 0]
         in01.check(start, c, 0.0, 1.0, scratch)
         d = np.subtract(a[1:], a[:-1], out=scratch("d", (a.shape[0] - 1, ny)))
-        along_x.check(lo, d, 0.0, np.inf, scratch)
+        along_x.check(first, d, 0.0, np.inf, scratch)
         d = np.subtract(c[:, 1:], c[:, :-1], out=scratch("d", (c.shape[0], ny - 1)))
         along_y.check(start, d, 0.0, np.inf, scratch)
         # the masses ((a11 - a01) - a10) + a00 of the adjacent grid cells, each >= 0
         d = np.subtract(a[1:, 1:], a[:-1, 1:], out=scratch("d", (a.shape[0] - 1, ny - 1)))
         np.subtract(d, a[1:, :-1], out=d)
-        cells.check(lo, np.add(d, a[:-1, :-1], out=d), 0.0, np.inf, scratch)
+        cells.check(first, np.add(d, a[:-1, :-1], out=d), 0.0, np.inf, scratch)
         d = scratch("d", c.shape)
         upper.check(start, c, -np.inf, np.minimum(m1, m2, out=d), scratch)
         np.add(m1, m2, out=d)
         lower.check(start, c, np.subtract(d, 1.0, out=d), np.inf, scratch)
+        return read
 
     @property
     def clean(self) -> bool:
-        """No violation in the rows fed so far, nor in the total mass."""
+        """No violation in the rows checked so far, nor in the total mass."""
         return not any(kind.count for kind in self.kinds) and abs(self.m2[-1] - 1.0) <= self.eps
 
     def report(self) -> list[str]:
+        """Check the blocks not read yet; validate_bi's report of F."""
+        for rows in row_blocks(self.nx, self.ny):
+            if rows.stop > self.checked:
+                self._check(max(self.checked - 1, 0), rows.stop)
         in01, along_x, along_y, cells, upper, lower = self.kinds
         out = in01.report() + along_x.report() + along_y.report() + cells.report()
         if abs(self.m2[-1] - 1.0) > self.eps:
             out.append(f"total-mass violation: F(last,last) = {float(self.m2[-1])!r} != 1")
         return out + upper.report() + lower.report()
+
+    def finish(self) -> None:
+        """report(); raise InvalidCDFError if it lists a violation."""
+        violations = self.report()
+        if violations:
+            raise InvalidCDFError(violations)
+
+    def last_column(self) -> BivariateCDF:
+        """F's last column, as a one-column grid; after report()."""
+        return BivariateCDF(self.x_breaks, self.y_breaks[-1:], self.column[:, None])
 
 
 def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
@@ -470,19 +512,12 @@ def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
     At most MAX_LISTED locations are listed per kind, then a summary line
     with the count of the rest and the worst amount.
 
-    One pass: the last row (the y-marginal) is read first, as a one-row
-    block, then each row block with the row before it, and a ``_BiValidator``
-    checks every kind on that one read.  So no temporary is cells-sized, and
-    a ``GridRows``, such as a root candidate, is checked without being held.
-    Each block gets the checks BivariateCDF makes on a whole array.
+    One pass (``_BiValidator``): the last row is read first, as a one-row
+    block, then each row block with the row before it, and every kind is
+    checked on that one read.  So no temporary is cells-sized, and a
+    ``GridRows``, such as a root candidate, is checked without being held.
     """
-    nx, ny = F.x_breaks.size, F.y_breaks.size
-    # a GridRows block is valid until the next read: the last row is kept
-    m2 = _checked_block(F, slice(nx - 1, nx), ny)[0].copy()
-    check = _BiValidator(nx, ny, m2, eps)
-    for rows in row_blocks(nx, ny):
-        check.feed(rows.start, _checked_block(F, slice(max(rows.start - 1, 0), rows.stop), ny))
-    return check.report()
+    return _BiValidator(F, eps).report()
 
 
 def require_valid_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> UnivariateCDF:

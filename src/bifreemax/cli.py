@@ -28,7 +28,6 @@ from .cdf import (
     GridRows,
     InvalidCDFError,
     _BiValidator,
-    _checked_block,
     _replacing,
     _Scratch,
     _union_grid,
@@ -59,7 +58,7 @@ from .oracle import (
     wedge_moment_closed_form,
     wedge_moment_limit,
 )
-from .rowstream import _Loaded, _RowStream, _Unstreamable
+from .rowstream import _RowStream, _Unstreamable
 
 
 def cmd_validate(args) -> int:
@@ -76,15 +75,15 @@ def cmd_validate(args) -> int:
 
 
 def _one_pass(path, eps: float, run):
-    """run(F) for the grid F in the file path, validated as it is read.
+    """run(F) for the grid in the file path, as a _BiValidator F: checked as it is read.
 
-    F is first a _RowStream, which reads the file in one pass.  If the file
-    is not one that the pass reads, or the pass meets any surprise
+    F first reads a _RowStream, which reads the file in one pass.  If the
+    file is not one that the pass reads, or the pass meets any surprise
     (_Unstreamable), whatever run wrote through cdf._replacing is gone, and
-    run runs once more on the grid loaded whole, a _Loaded.  run calls
-    F.finish() before its output replaces a file and prints only after it.
-    An error in run finishes F first, so a malformed or invalid grid
-    reports first, as when the grid was loaded and validated before run.
+    run runs once more on F of the grid loaded whole.  run calls F.finish()
+    before its output replaces a file and prints only after it.  An error
+    in run finishes F first, so a malformed or invalid grid reports first,
+    as when the grid was loaded and validated before run.
     """
     def attempt(F):
         try:
@@ -96,11 +95,11 @@ def _one_pass(path, eps: float, run):
             raise
 
     try:
-        with _RowStream(path, eps) as F:
-            return attempt(F)
+        with _RowStream(path) as rows:
+            return attempt(_BiValidator(rows, eps))
     except _Unstreamable:
         pass
-    return attempt(_Loaded(load_bi_json(path), eps))
+    return attempt(_BiValidator(load_bi_json(path), eps))
 
 
 def cmd_uniconv(args) -> int:
@@ -179,37 +178,22 @@ class _NotDivisible(Exception):
 
 def cmd_root(args) -> int:
     def run(F):
-        R = _root_rows(F, args.n)
-        nx, ny = R.x_breaks.size, R.y_breaks.size
-        # validate_bi's pass over the candidate, which also writes it while it is valid
-        check = _BiValidator(nx, ny, _checked_block(R, slice(nx - 1, nx), ny)[0].copy(),
-                             args.tol)
-        fed = [0]
-
-        def feed(rows):
-            lo = max(rows.start - 1, 0)
-            a = _checked_block(R, slice(lo, rows.stop), ny)
-            check.feed(rows.start, a)
-            fed[0] = rows.stop
-            return a[rows.start - lo:]
+        R = _BiValidator(_root_rows(F, args.n), args.tol)   # the candidate, checked as written
 
         def block(rows):
-            b = feed(rows)
-            if not check.clean:
+            b = R.block(rows)
+            if not R.clean:
                 raise _NotDivisible
             return b
 
         try:
             save_bi_json(_finishing(GridRows(R.x_breaks, R.y_breaks, block), F), args.out)
         except _NotDivisible:
-            for rows in row_blocks(nx, ny):
-                if rows.start >= fed[0]:
-                    feed(rows)
+            violations = R.report()   # which reads the rest of F too
             F.finish()
         else:
             print(f"wrote {args.out}: valid {args.n}-th root candidate")
             return 0
-        violations = check.report()
         with _replacing(args.out) as fh:
             fh.write(json.dumps({"divisibility_failure": violations}, indent=2) + "\n")
         print(f"not {args.n}-divisible; report written to {args.out}:")

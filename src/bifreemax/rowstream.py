@@ -2,13 +2,11 @@
 
 CLI ``validate --kind bi``, ``nfold``, ``root`` and ``plotdata`` read their
 grid, and ``biconv`` its second input, as a ``_RowStream``: a row source
-whose rows are decoded from the file as the command reaches them, validated
-on that same pass, and never held whole.  A file that the pass does not read
-is loaded whole instead, as a ``_Loaded``, which has the same interface.
-It is a module of its own so that the CLI calls that do not use it compile
-none of it: a fresh process without cached bytecode compiles every module
-it imports, and in cdf.py this code raised the peak RSS of every fresh CLI
-call by about 0.9 MB (Python 3.11, numpy 2.4, 2-core Xeon).
+whose rows are decoded from the file as the command reaches them, and never
+held whole.  The CLI validates them on that same pass through
+``cdf._BiValidator``, and loads a file that the pass does not read whole
+instead.  cli.py imports this module, so every CLI call imports it, whether
+it streams or not.
 """
 
 from __future__ import annotations
@@ -21,16 +19,12 @@ import numpy as np
 
 from . import cdf
 from .cdf import (
-    BivariateCDF,
     CDFFormatError,
-    InvalidCDFError,
-    _BiValidator,
     _block_rows,
     _check_breaks,
     _float_row,
     _JSONStream,
     _RowSource,
-    validate_bi,
 )
 
 
@@ -41,54 +35,25 @@ class _Unstreamable(Exception):
 _END = object()   # what next() gives for a generator that has ended
 
 
-class _Checked(_RowSource):
-    """A row source with its validate_bi report, ``report()``."""
-
-    def finish(self) -> None:
-        """report(); raise InvalidCDFError if it lists a violation."""
-        violations = self.report()
-        if violations:
-            raise InvalidCDFError(violations)
-
-
-class _Loaded(_Checked):
-    """A BivariateCDF F, validated whole, with the interface of a _RowStream."""
-
-    def __init__(self, F: BivariateCDF, eps: float):
-        self.F, self.x_breaks, self.y_breaks = F, F.x_breaks, F.y_breaks
-        self.violations = validate_bi(F, eps)
-
-    def block(self, rows: slice) -> np.ndarray:
-        return self.F.cdf[rows]
-
-    def report(self) -> list[str]:
-        return self.violations
-
-    def last_column(self) -> BivariateCDF:
-        return self.F
-
-
-class _RowStream(_Checked):
+class _RowStream(_RowSource):
     """The rows of a bivariate CDF JSON file, decoded in one pass as they are read.
 
     For a regular file whose breaks come before ``cdf`` and whose ``cdf``
     array is followed by ``}`` alone.  The last row, the y-marginal, is read
-    first from the file's tail, and is served for ``block`` of the last row
-    until the pass reaches it.  Other rows are read in increasing order: a
-    read may start again at the rows of the last read, never before.  They
-    are decoded as load_bi_json decodes them, half a row block at a time,
-    into a window that holds the rows of the last read, the row before the
-    next half block and that half block: about one row block.  Each half
-    block is fed to a ``_BiValidator``, with the row before it, and has its
-    last column recorded.  ``report()`` reads the rest of the file and
-    gives validate_bi's report of the grid.  Any other layout or
-    surprise (rows that are not nx rows of ny finite floats, a tail row that
-    is not the last row bit for bit, a format error) raises _Unstreamable,
-    and then load_bi_json of the file gives what a whole load gives.
-    Use it as a context manager, which closes the file.
+    first from the file's tail, and is served for the first read if that is
+    a read of the last row alone.  Other rows are read in increasing order:
+    a read may start again at the rows of the last read, never before.  A
+    read decodes the rows it asks for past those decoded, as load_bi_json
+    decodes them, into a window that holds the rows of that read.  The read
+    that reaches the last row checks that the file ends there and that the
+    row equals the tail row bit for bit.  Any other layout or surprise (rows
+    that are not nx rows of ny finite floats, a tail row that is not the
+    last row, a format error) raises _Unstreamable, and then load_bi_json
+    of the file gives what a whole load gives.  Use it as a context
+    manager, which closes the file.
     """
 
-    def __init__(self, path, eps: float):
+    def __init__(self, path):
         if not os.path.isfile(path):
             raise _Unstreamable(path)
         self.fh = open(path, "rb", buffering=0)
@@ -110,12 +75,9 @@ class _RowStream(_Checked):
         except Exception as exc:
             self.fh.close()
             raise _Unstreamable(path) from exc
-        self.rows = self.stream.items()
-        self.batch = min(max(1, _block_rows(ny) // 2), nx)
-        self.window = np.empty((min(2 * self.batch + 1, nx), ny))
-        self.w0 = self.w1 = self.floor = 0   # rows w0..w1 are in the window
-        self.column = np.empty(nx)
-        self.check, self.violations = _BiValidator(nx, ny, self.last, eps), None
+        self.rows, self.first = self.stream.items(), True
+        self.window = np.empty((min(_block_rows(ny) + 1, nx), ny))
+        self.w0 = self.w1 = 0   # rows w0..w1 are in the window
 
     def __enter__(self):
         return self
@@ -125,64 +87,40 @@ class _RowStream(_Checked):
 
     def block(self, rows: slice) -> np.ndarray:
         """The rows ``rows``, valid until the next read."""
-        if rows.start == self.nx - 1 and self.w1 < self.nx:
+        first, self.first = self.first, False
+        if first and rows.start == self.nx - 1:
             return self.last[None]
         if rows.start < self.w0:
             raise RuntimeError("a row stream is read in increasing order")
-        self.floor = rows.start   # no later read starts before it
-        self._read_to(rows.stop)
+        if rows.stop > self.w1:
+            try:
+                self._decode(rows)
+            except Exception as exc:
+                raise _Unstreamable from exc
         return self.window[rows.start - self.w0:rows.stop - self.w0]
 
-    def _read_to(self, stop: int) -> None:
-        """Decode rows half a block at a time through row stop - 1."""
-        try:
-            while self.w1 < stop:
-                self._read_block()
-        except Exception as exc:
-            raise _Unstreamable from exc
-
-    def _read_block(self) -> None:
-        # keep the rows from the floor on, and the row before the block
-        keep = max(self.w0, min(self.floor, self.w1 - 1))
-        held = self.w1 - keep
-        if keep > self.w0:
-            self.window[:held] = self.window[keep - self.w0:self.w1 - self.w0]
-        self.w0, start = keep, self.w1
-        n = min(self.batch, self.nx - start)
-        if held + n > len(self.window):   # a read of more rows than the window holds
-            window = np.empty((held + n, self.ny))
-            window[:held] = self.window[:held]
-            self.window = window
-        for k in range(held, held + n):   # _END, past the last row, is no array
+    def _decode(self, rows: slice) -> None:
+        """Keep the held rows from rows.start on, and decode the rest of rows."""
+        keep = min(rows.start, self.w1)
+        held, size = self.w1 - keep, rows.stop - keep
+        kept = self.window[keep - self.w0:self.w1 - self.w0]
+        if size > len(self.window):   # a read of more rows than the window holds
+            self.window = np.empty((size, self.ny))
+        self.window[:held] = kept
+        self.w0, self.w1 = keep, rows.stop
+        new = self.window[held:size]
+        for k in range(len(new)):   # _END, past the last row, is no array
             row = _float_row(next(self.rows, _END))
             if not (isinstance(row, np.ndarray) and row.shape == (self.ny,)):
                 raise CDFFormatError("the rows are not nx rows of ny floats")
-            self.window[k] = row
-        a = self.window[max(held - 1, 0):held + n]   # with the row before the block
-        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            new[k] = row
+        if not (np.isfinite(new.min()) and np.isfinite(new.max())):
             raise CDFFormatError("a value is not finite")
-        self.column[start:start + n] = a[-n:, -1]
-        self.check.feed(start, a)
-        self.w1 = start + n
-
-    def report(self) -> list[str]:
-        """Read the rest of the file; validate_bi's report of the grid."""
-        if self.violations is None:
-            self.floor = self.nx
-            self._read_to(self.nx)
-            try:
-                end = (next(self.rows, _END) is _END and next(self.members, _END) is _END
-                       and not self.stream.peek())
-            except Exception as exc:
-                raise _Unstreamable from exc
-            if not (end and self.window[self.nx - 1 - self.w0].tobytes() == self.last.tobytes()):
-                raise _Unstreamable("the file goes on, or its tail is not its last row")
-            self.violations = self.check.report()
-        return self.violations
-
-    def last_column(self) -> BivariateCDF:
-        """The last column as read on the pass, as a one-column grid; after report()."""
-        return BivariateCDF(self.x_breaks, self.y_breaks[-1:], self.column[:, None])
+        if self.w1 == self.nx:
+            end = (next(self.rows, _END) is _END and next(self.members, _END) is _END
+                   and not self.stream.peek())
+            if not (end and new[-1].tobytes() == self.last.tobytes()):
+                raise CDFFormatError("the file goes on, or its tail is not its last row")
 
 
 class _Utf8Reader:

@@ -33,6 +33,7 @@ from bifreemax import (
 from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
+from bifreemax import rowstream as rowstream_module
 from bifreemax.biconv import bifree_max_convolve_rows, nfold_rows, nth_root_rows
 from bifreemax.cdf import MAX_LISTED, GridRows
 from bifreemax.cli import main
@@ -413,7 +414,7 @@ class TestOnePassValidation:
             assert len(passes) == 1
 
     @pytest.mark.parametrize("cells", [1, 64, 10 ** 6])
-    def test_one_read_per_block_and_the_last_row(self, monkeypatch, cells):
+    def test_one_read_per_block_and_the_last_row(self, monkeypatch, tmp_path, cells):
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
         c = np.random.default_rng(13).uniform(-0.5, 1.5, (40, 30))
         F, rows = self.sources(BivariateCDF(np.arange(40.0), np.arange(30.0), c))
@@ -424,14 +425,35 @@ class TestOnePassValidation:
             reads.append((r.start, r.stop))
             return real_block(self, r)
 
+        def counted(X):
+            return GridRows(X.x_breaks, X.y_breaks,
+                            lambda r: reads.append((r.start, r.stop)) or X.block(r))
+
+        path = tmp_path / "F.json"
+        save_bi_json(F, path)
         monkeypatch.setattr(BivariateCDF, "block", spy)
-        counted = GridRows(rows.x_breaks, rows.y_breaks,
-                           lambda r: reads.append((r.start, r.stop)) or rows.block(r))
         blocks = [(max(r.start - 1, 0), r.stop) for r in cdf_module.row_blocks(40, 30)]
-        for X in (F, counted):
+        for X in (F, counted(rows)):
             reads.clear()
             validate_bi(X)
             assert reads == [(39, 40), *blocks]
+        # a saved file, read by the CLI through a _RowStream; root's candidate
+        # is read the same way, and reads its input on the same pass
+        streamed = []
+        real_stream = rowstream_module._RowStream.block
+        monkeypatch.setattr(rowstream_module._RowStream, "block",
+                            lambda self, r: streamed.append((r.start, r.stop))
+                            or real_stream(self, r))
+        real_root = cli_module._root_rows
+        monkeypatch.setattr(cli_module, "_root_rows", lambda X, n: counted(real_root(X, n)))
+        for argv, candidate in [(["validate", str(path), "--kind", "bi"], []),
+                                (["root", str(path), "2", "--out", str(tmp_path / "R.json")],
+                                 [(39, 40), *blocks])]:
+            streamed.clear()
+            reads.clear()
+            assert main(argv) == 1
+            assert streamed == [(39, 40), *blocks]
+            assert reads == candidate
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_each_block_is_checked(self, monkeypatch, bad):

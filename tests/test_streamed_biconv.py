@@ -20,6 +20,7 @@ from bifreemax import (
     save_bi_json,
 )
 from bifreemax import cdf as cdf_module
+from bifreemax import rowstream
 from bifreemax import cli as cli_module
 from bifreemax.cli import main
 from helpers import sparse_bivariate_cdf
@@ -113,22 +114,61 @@ G_TEXT = ('{"x_breaks": [0, 1], "y_breaks": [0, 1], '
           '"cdf": [[0.25, 0.5], [0.5, 1.0]]')
 
 
-@pytest.mark.parametrize("text, streamed", [
-    (G_TEXT + "}\n", True),
-    (G_TEXT + ', "note": "after cdf"}', False),
-    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False),
-    (G_TEXT + ', "cdf": [[0.2], [0.5, 1.0]]}', False),
-    (G_TEXT + "}\n{}", False),
-    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False),
-    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0 ]]") + " \t\r\n}\r\n", True),
-    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1e400]]") + "}", False),
-    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True),   # invalid: exit 1
-    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5, 0.75]") + "}", False),
-    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False),   # malformed and invalid
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_g_is_read_a_block_and_a_row_at_a_time(monkeypatch, tmp_path, cells):
+    """A read of G's stream spans at most one row block and the row before
+    it, so the stream's window never grows, also where the kernel's reads of
+    G on the union grid cross G's row blocks."""
+    monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+    excess = []
+    real = rowstream._RowStream.block
+
+    def spy(self, rows):
+        excess.append(rows.stop - rows.start - cdf_module._block_rows(self.ny))
+        return real(self, rows)
+
+    monkeypatch.setattr(rowstream._RowStream, "block", spy)
+    f, g, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "h.json"
+    rng = np.random.default_rng(5)
+    for nf in (3, 40):   # with 3 rows in F, a union-grid block reads several rows of G
+        save_bi_json(sparse_bivariate_cdf(rng, nf, 4, 0.2), f)
+        save_bi_json(sparse_bivariate_cdf(rng, 40, 4, 0.2, offset=0.05), g)
+        assert main(["biconv", str(f), str(g), "--out", str(out)]) == 0
+    assert max(excess) == 1
+
+
+ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
+
+
+@pytest.mark.parametrize("text, streamed, cells", [
+    (G_TEXT + "}\n", True, None),
+    (G_TEXT + ', "note": "after cdf"}', False, None),
+    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, None),
+    (G_TEXT + ', "cdf": [[0.2], [0.5, 1.0]]}', False, None),
+    (G_TEXT + "}\n{}", False, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0 ]]") + " \t\r\n}\r\n", True, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1e400]]") + "}", False, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True, None),   # invalid: exit 1
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5, 0.75]") + "}", False, None),
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False, None),   # malformed and invalid
+    # the last row is a block of its own, and in a 1 x 2 G the only one:
+    # the pass still decodes it and checks that the file ends there
+    (G_TEXT + ', "note": "after cdf"}', False, 1),
+    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, 1),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False, 1),
+    (ROW_TEXT + "}\n", True, 1),
+    (ROW_TEXT + ', "note": "after cdf"}', False, 1),
+    (ROW_TEXT + ', "cdf": [[0.25, 1.0]]}', False, 1),
+    (ROW_TEXT.replace("]]", "], [0.5, 1.0]]") + "}", False, 1),
 ], ids=["saved", "key-after-cdf", "second-cdf", "second-cdf-ragged", "trailing-object",
         "extra-row", "white-space", "overflow-in-last-row", "invalid", "long-first-row",
-        "bad-number-first-row"])
-def test_layouts(compare, whole_loads, tmp_path, text, streamed):
+        "bad-number-first-row", "key-after-cdf-row-blocks", "second-cdf-row-blocks",
+        "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf", "one-row-second-cdf",
+        "one-row-extra-row"])
+def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells):
+    if cells is not None:
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     f, g = tmp_path / "f.json", tmp_path / "g.json"
     save_bi_json(F_FOR_DOCUMENTS, f)
     g.write_text(text)
@@ -155,7 +195,6 @@ def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkey
     f, g = tmp_path / "f.json", tmp_path / "g.json"
     save_bi_json(F_FOR_DOCUMENTS, f)
     g.write_text(G_TEXT + "}\n")
-    from bifreemax import rowstream
     real = rowstream._tail_row
     monkeypatch.setattr(rowstream, "_tail_row", lambda path, ny: real(path, ny) * 0.5)
     assert compare(f, g)[0] == 0

@@ -186,18 +186,34 @@ def test_root_cases_are_all_there(tmp_path):
 G_TEXT = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": [[0.25, 0.5], [0.5, 1.0]]'
 
 
-@pytest.mark.parametrize("text, streamed", [
-    (G_TEXT + "}\n", True),
-    (G_TEXT + ', "note": "after cdf"}', False),
-    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False),
-    (G_TEXT + "}\n{}", False),
-    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False),
-    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True),   # invalid: exit 1
-    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False),   # malformed and invalid
+ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
+
+
+@pytest.mark.parametrize("text, streamed, cells", [
+    (G_TEXT + "}\n", True, None),
+    (G_TEXT + ', "note": "after cdf"}', False, None),
+    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, None),
+    (G_TEXT + "}\n{}", False, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True, None),   # invalid: exit 1
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False, None),   # malformed and invalid
+    # the last row is a block of its own, and on a 1 x 2 grid the only one:
+    # the pass still decodes it and checks that the file ends there
+    (G_TEXT + ', "note": "after cdf"}', False, 1),
+    (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, 1),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False, 1),
+    (ROW_TEXT + "}\n", True, 1),
+    (ROW_TEXT + ', "note": "after cdf"}', False, 1),
+    (ROW_TEXT + ', "cdf": [[0.25, 1.0]]}', False, 1),
+    (ROW_TEXT.replace("]]", "], [0.5, 1.0]]") + "}", False, 1),
 ], ids=["saved", "key-after-cdf", "second-cdf", "trailing-object", "extra-row", "invalid",
-        "bad-number-first-row"])
+        "bad-number-first-row", "key-after-cdf-row-blocks", "second-cdf-row-blocks",
+        "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf", "one-row-second-cdf",
+        "one-row-extra-row"])
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
-def test_layouts(compare, whole_loads, tmp_path, text, streamed, command, n):
+def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells, command, n):
+    if cells is not None:
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     path = tmp_path / "F.json"
     path.write_text(text)
     compare(command, path, n)
