@@ -20,6 +20,7 @@ code, one row block at a time.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import json
 import math
@@ -42,7 +43,7 @@ MAX_CELLS = 2 ** 25
 #: Cells per row block of a grid kernel: 128 KiB per float64 scratch buffer.
 BLOCK_CELLS = 2 ** 14
 
-#: Characters read per refill of the JSON loader's text buffer.
+#: Bytes read per refill of the JSON reader's text buffer.
 JSON_CHUNK_CHARS = 2 ** 16
 
 
@@ -820,25 +821,26 @@ def _filled_rows(rows, xb, yb):
 
 
 class _JSONStream:
-    """One JSON text read from a file through a bounded text buffer.
+    """One JSON text read from a binary file as UTF-8, through a bounded text buffer.
 
     The buffer holds the unread rest of the current value plus about
-    JSON_CHUNK_CHARS characters, so a caller that takes an array one element
-    at a time never holds the whole text.  Every value is decoded by the
-    json module, so it is the object json.load would build for it.
+    JSON_CHUNK_CHARS bytes of text, so a caller that takes an array one
+    element at a time never holds the whole text.  Every value is decoded by
+    the json module, so it is the object json.load would build for it.
     """
 
     def __init__(self, fh):
         self.fh, self.buf, self.pos, self.eof = fh, "", 0, False
-        self.offset = 0  # characters of the file before buf
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.offset = 0  # characters of the file before buf, "\r\n" counted as two
 
     def _fill(self, size: int) -> None:
         rest = self.buf[self.pos:]
         self.offset += self.pos
         self.buf, self.pos = "", 0   # the read text is let go before more is read
-        chunk = self.fh.read(size)
-        self.buf = rest + chunk
-        self.eof = not chunk
+        data = self.fh.read(size)   # a read that ends inside a character adds no text
+        self.buf = rest + self.decode(data, final=not data)
+        self.eof = not data
 
     def peek(self) -> str:
         """The next non-whitespace character, or "" at the end of the file."""
@@ -960,7 +962,7 @@ def load_bi_json(path) -> BivariateCDF:
     Otherwise the rows are stacked at the end, which holds them twice.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb", buffering=0) as fh:
             data = _JSONStream(fh).json_object("cdf")
         return BivariateCDF(np.asarray(data["x_breaks"], dtype=float),
                             np.asarray(data["y_breaks"], dtype=float),

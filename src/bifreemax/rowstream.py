@@ -3,15 +3,15 @@
 CLI ``validate --kind bi``, ``nfold``, ``root`` and ``plotdata`` read their
 grid, and ``biconv`` its second input, as a ``_RowStream``: a row source
 whose rows are decoded from the file as the command reaches them, and never
-held whole.  The CLI validates them on that same pass through
-``cdf._BiValidator``, and loads a file that the pass does not read whole
-instead.  cli.py imports this module, so every CLI call imports it, whether
-it streams or not.
+held whole.  It reads the file through ``cdf._JSONStream``, opened as
+load_bi_json opens it, so both read the same text.  The CLI validates the
+rows on that same pass through ``cdf._BiValidator``, and loads a file that
+the pass does not read whole instead.  cli.py imports this module, so every
+CLI call imports it, whether it streams or not.
 """
 
 from __future__ import annotations
 
-import codecs
 import json
 import os
 
@@ -58,7 +58,7 @@ class _RowStream(_RowSource):
             raise _Unstreamable(path)
         self.fh = open(path, "rb", buffering=0)
         try:
-            self.stream = _JSONStream(_Utf8Reader(self.fh))
+            self.stream = _JSONStream(self.fh)
             self.members, data = self.stream.members(), {}
             for key in self.members:
                 if key == "cdf":
@@ -121,24 +121,6 @@ class _RowStream(_RowSource):
                    and not self.stream.peek())
             if not (end and new[-1].tobytes() == self.last.tobytes()):
                 raise CDFFormatError("the file goes on, or its tail is not its last row")
-
-
-class _Utf8Reader:
-    """A binary file read as UTF-8 text, ``read(size)`` from size bytes at a time.
-
-    Unlike a text file it keeps no decoded chunk or snapshot between reads,
-    and translates no newlines; JSON reads "\\r\\n" as white space either way.
-    """
-
-    def __init__(self, raw):
-        self.raw, self.decode = raw, codecs.getincrementaldecoder("utf-8")().decode
-
-    def read(self, size: int) -> str:
-        while True:   # a read that ends inside a character decodes to "" before EOF
-            data = self.raw.read(size)
-            text = self.decode(data, final=not data)
-            if text or not data:
-                return text
 
 
 _JSON_SPACE_BYTES = b" \t\n\r"

@@ -1,8 +1,11 @@
 """File loaders: the streaming JSON loader against json.load, and malformed input."""
 
+import io
 import itertools
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -33,6 +36,8 @@ def _documents():
     docs["crlf-tabs"] = _dumps(GRID, indent="\t").replace("\n", "\r\n")
     docs["extra-keys"] = _dumps({"meta": {"note": "}],:", "n": [1, None, True]},
                                  **GRID, "zz": "x"})
+    # 2-, 3- and 4-byte UTF-8 characters, which reads of 1, 2 and 7 bytes split
+    docs["utf-8"] = _dumps({"é€𝔽": ["é€𝔽", 1], **GRID, "𝔽€é": "é€𝔽"}, ensure_ascii=False)
     # a number at the top of a value can be cut anywhere by the buffer: 1.|5, 1e|-7
     docs["scalar-values"] = _dumps({"a": 12.5e-1, "b": -1.5e+10, "c": 1234, "d": True,
                                     **GRID, "e": None, "f": -0.0, "g": 1e-7})
@@ -228,7 +233,7 @@ def test_error_message_does_not_depend_on_the_chunk(chunk, tmp_path, monkeypatch
         assert _error(path) == want, text
 
 
-def test_syntax_error_does_not_read_on(tmp_path):
+def test_syntax_error_does_not_read_on(tmp_path, monkeypatch):
     """A bad character halfway through a file is reported before the rest is read."""
     n = 512
     rng = np.random.default_rng(4)
@@ -246,6 +251,60 @@ def test_syntax_error_does_not_read_on(tmp_path):
     assert str(got.value).endswith(f"{want.value.msg} at char {want.value.pos}")
     assert want.value.pos == mid
     assert got.value.peak <= valid_peak
+
+    class Counted(io.FileIO):
+        """The file as load_bi_json opens it, with its reads summed up."""
+        bytes_read = 0
+
+        def read(self, size=-1):
+            data = super().read(size)
+            Counted.bytes_read += len(data)
+            return data
+
+    opens = []
+
+    def open_(file, *args, **kwargs):
+        opens.append((args, kwargs))
+        return Counted(file, "rb")
+
+    monkeypatch.setattr(cdf_module, "open", open_, raising=False)
+    with pytest.raises(CDFFormatError) as spied:
+        load_bi_json(path)
+    assert str(spied.value) == str(got.value)
+    assert opens == [(("rb",), {"buffering": 0})]
+    assert Counted.bytes_read <= mid + 2 * cdf_module.JSON_CHUNK_CHARS
+
+
+def test_crlf_syntax_error_names_the_files_own_offset(tmp_path, capsys):
+    """A syntax error in a CRLF file names the offset that json.loads of the
+    file's text gives, with "\\r\\n" two characters: from the library, and
+    from CLI ``validate`` on the file and on a pipe alike."""
+    path, fifo = tmp_path / "F.json", tmp_path / "F.fifo"
+    save_bi_json(BivariateCDF([0, 1, 2], [0, 1], [[0.25, 0.5], [0.5, 0.75], [0.75, 1.0]]),
+                 path)
+    text = path.read_text().replace("], [", "],\r\n[").replace("0.75, 1.0", "0.75 1.0")
+    path.write_bytes(text.encode())
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(path.read_bytes().decode())
+    assert text.count("\r\n", 0, want.value.pos) == 2
+    with pytest.raises(CDFFormatError) as got:
+        load_bi_json(path)
+
+    def cli_message(source):
+        assert main(["validate", str(source), "--kind", "bi"]) == 2
+        err = capsys.readouterr().err
+        return err.removeprefix("error: ").removesuffix("\n").replace(str(source), "F")
+
+    messages = {str(got.value).replace(str(path), "F"), cli_message(path)}
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        messages.add(cli_message(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert messages == {f"bad bivariate CDF file F: {want.value.msg} at char {want.value.pos}"}
 
 
 def _load_peak(path):

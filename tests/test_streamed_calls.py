@@ -206,10 +206,11 @@ ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
     (ROW_TEXT + ', "note": "after cdf"}', False, 1),
     (ROW_TEXT + ', "cdf": [[0.25, 1.0]]}', False, 1),
     (ROW_TEXT.replace("]]", "], [0.5, 1.0]]") + "}", False, 1),
+    ('{"é€𝔽": ["é€𝔽", 1], ' + G_TEXT[1:] + "}\n", True, None),
 ], ids=["saved", "key-after-cdf", "second-cdf", "trailing-object", "extra-row", "invalid",
         "bad-number-first-row", "key-after-cdf-row-blocks", "second-cdf-row-blocks",
         "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf", "one-row-second-cdf",
-        "one-row-extra-row"])
+        "one-row-extra-row", "utf-8-key-first"])
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
 def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells, command, n):
     if cells is not None:
