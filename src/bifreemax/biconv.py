@@ -39,6 +39,7 @@ from .cdf import (
     _OnGrid,
     _pulled_back,
     _Scratch,
+    _step_index,
     _union_grid,
     require_valid_bi,
     row_blocks,
@@ -312,17 +313,50 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     of the n-fold power.  A max-stable F with the right normalizing
     sequence drives this to 0 as n grows.  The power is never held: each
     row block of the evaluation grid computes the rows of it that it reads.
+    F is read once per row block, over the rows that the block reads at x
+    and that the power reads near a*x + b; the reads start at increasing
+    rows, so CLI ``stability`` runs the same code on one pass over its file,
+    holding the rows between the two.
 
     Error budget: the residual holds the power's error, up to about n*u for
     a stored F with rounding u (see ``nfold``), so a max-stable F reads about
     n*u, not 0: the conditioning of the power, not the algorithm.
     """
-    H = _pulled_back(nfold_rows(F, n, eps), norm)
+    require_valid_bi(F, eps)
+    return _residual(F, n, norm)
+
+
+def _residual(F, n, norm: AffineNormalization) -> float:
+    """max_stable_residual of a row source F that its caller validates; n is checked here.
+
+    Each block reads F from the smallest first row of any later block's
+    reads, F's own and the power's, through its own last row, and both
+    take their rows from that read.  The widest read is reserved first.
+    """
+    read = [0, np.empty((0, F.y_breaks.size))]   # the last read of F: its first row, its rows
+
+    def rows_of_f(rows):
+        lo, held = read
+        if lo <= rows.start and rows.stop <= lo + len(held):
+            return held[rows.start - lo:rows.stop - lo]
+        return F.block(rows)   # the last row, which the power reads first
+
+    S = GridRows(F.x_breaks, F.y_breaks, rows_of_f)
+    H = _pulled_back(_nfold_rows(S, n), norm)
     xs, ys = _union_grid(F, H, "max_stable_residual")
-    h, f = _OnGrid(H, xs, ys), _OnGrid(F, xs, ys)
+    h, f = _OnGrid(H, xs, ys), _OnGrid(S, xs, ys)
+    blocks = list(row_blocks(xs.size, ys.size))
+    # the rows of F that each block reads: a reader below the grid reads none
+    steps = [_step_index(X.x_breaks, xs) for X in (H, F)]
+    stops = [max(int(i[b.stop - 1]) for i in steps) + 1 for b in blocks]
+    firsts = [min(max(int(i[b.start]), 0) for i in steps if i[b.stop - 1] >= 0)
+              for b in blocks]
+    starts = np.minimum.accumulate(firsts[::-1])[::-1].tolist()
+    F._reserve(max(stop - start for start, stop in zip(starts, stops)))
     scratch = _Scratch(xs.size, ys.size)
     residual = 0.0
-    for rows in row_blocks(xs.size, ys.size):
+    for rows, start, stop in zip(blocks, starts, stops):
+        read[:] = start, F.block(slice(start, stop))
         diff = scratch("diff", (rows.stop - rows.start, ys.size))
         np.subtract(h.block(rows, scratch, "H"), f.block(rows, scratch, "F"), out=diff)
         residual = max(residual, float(np.max(np.abs(diff, out=diff))))

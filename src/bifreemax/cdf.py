@@ -147,6 +147,10 @@ class UnivariateCDF:
 class _RowSource:
     """Evaluation of a bivariate grid given by x_breaks, y_breaks and block(rows)."""
 
+    def _reserve(self, nrows: int) -> None:
+        """Make room for reads of up to nrows rows: a source that buffers the
+        rows it reads sizes its buffer once; others have nothing to do."""
+
     def evaluate(self, s, t) -> float:
         """Evaluate F(s, t) at a single point."""
         return float(self.evaluate_grid([s], [t])[0, 0])
@@ -255,20 +259,22 @@ class GridRows(_RowSource):
         """The whole array, filled one row block at a time."""
         out = np.empty((self.x_breaks.size, self.y_breaks.size))
         for rows in row_blocks(*out.shape):   # shape checked, values not: psi has sentinels
-            out[rows] = _checked_block(self, rows, out.shape[1], finite=False)
+            out[rows] = _checked_block(self, rows, out.shape[1], finite_from=None)
         return out
 
     def to_cdf(self) -> BivariateCDF:
         return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
 
 
-def _checked_block(F, rows: slice, ncols: int, finite: bool = True) -> np.ndarray:
+def _checked_block(F, rows: slice, ncols: int, finite_from: int | None = 0) -> np.ndarray:
     """F.block(rows) as a C-contiguous float64 array, with the checks BivariateCDF
-    makes on a whole array: shape and, if finite, finiteness."""
+    makes on a whole array: shape, and finiteness of F's rows from row
+    finite_from on (none if None), the rows before it being checked already."""
     block = np.ascontiguousarray(F.block(rows), dtype=float)
     if block.shape != (rows.stop - rows.start, ncols):
         raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-    if finite and not (np.isfinite(block.min()) and np.isfinite(block.max())):
+    new = block[max(finite_from - rows.start, 0):] if finite_from is not None else block[:0]
+    if new.size and not (np.isfinite(new.min()) and np.isfinite(new.max())):
         raise CDFError("cdf values must be finite")
     return block
 
@@ -443,12 +449,16 @@ class _BiValidator(_RowSource):
                   lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})"),
         ]
 
+    def _reserve(self, nrows: int) -> None:
+        # a read past the checked rows reads F from the row before it
+        self.F._reserve(nrows + 1)
+
     def block(self, rows: slice) -> np.ndarray:
         """The rows ``rows`` of F, checked; valid until the next read."""
         if rows.start == self.nx - 1 > self.checked:   # the last row alone, not checked yet
             return self.m2[None]
         if rows.stop <= self.checked:
-            return _checked_block(self.F, rows, self.ny)
+            return _checked_block(self.F, rows, self.ny, self.checked)
         lo = min(rows.start, max(self.checked - 1, 0))
         return self._check(lo, rows.stop)[rows.start - lo:rows.stop - lo]
 
@@ -458,7 +468,7 @@ class _BiValidator(_RowSource):
         in01, along_x, along_y, cells, upper, lower = self.kinds
         m2, scratch, ny, step = self.m2, self.scratch, self.ny, _block_rows(self.ny)
         end = max(stop, min(-(-stop // step) * step, lo + step + 1, self.nx))
-        read = _checked_block(self.F, slice(lo, end), ny)
+        read = _checked_block(self.F, slice(lo, end), ny, self.checked)
         start, self.checked = self.checked, end
         first = max(start - 1, 0)   # the row before them, for their first steps
         a, c, m1 = read[first - lo:], read[start - lo:], read[start - lo:, -1:]
@@ -839,8 +849,10 @@ class _JSONStream:
         self.offset += self.pos
         self.buf, self.pos = "", 0   # the read text is let go before more is read
         data = self.fh.read(size)   # a read that ends inside a character adds no text
-        self.buf = rest + self.decode(data, final=not data)
         self.eof = not data
+        text = self.decode(data, final=self.eof)
+        del data   # the bytes are let go before the text is joined to the rest
+        self.buf = rest + text
 
     def peek(self) -> str:
         """The next non-whitespace character, or "" at the end of the file."""

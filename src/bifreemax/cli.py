@@ -7,6 +7,7 @@ failure, oracle spread above tolerance), 2 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -38,16 +39,15 @@ from .cdf import (
     row_blocks,
     save_bi_json,
     save_uni_json,
-    validate_bi,
     validate_uni,
 )
 from .extremal import free_max_convolve, free_min_convolve
 from .biconv import (
     _affine_rows,
     _nfold_rows,
+    _residual,
     _root_rows,
     bifree_max_convolve,
-    max_stable_residual,
     psi_range,
 )
 from .oracle import (
@@ -65,7 +65,7 @@ def cmd_validate(args) -> int:
     if args.kind == "uni":
         violations = validate_uni(load_uni_json(args.path), args.tol)
     else:
-        violations = _one_pass(args.path, args.tol, lambda F: F.report())
+        violations = _one_pass([args.path], args.tol, lambda F: F.report())
     if violations:
         for v in violations:
             print(v)
@@ -74,32 +74,37 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _one_pass(path, eps: float, run):
-    """run(F) for the grid in the file path, as a _BiValidator F: checked as it is read.
+def _one_pass(paths, eps: float, run):
+    """run(*F) for the grids in the files paths, each a _BiValidator F: checked as it is read.
 
-    F first reads a _RowStream, which reads the file in one pass.  If the
-    file is not one that the pass reads, or the pass meets any surprise
+    Each F first reads a _RowStream, which reads its file in one pass.  If
+    a file is not one that the pass reads, or a pass meets any surprise
     (_Unstreamable), whatever run wrote through cdf._replacing is gone, and
-    run runs once more on F of the grid loaded whole.  run calls F.finish()
-    before its output replaces a file and prints only after it.  An error
-    in run finishes F first, so a malformed or invalid grid reports first,
-    as when the grid was loaded and validated before run.
+    run runs once more on every grid loaded whole, in the order of paths.
+    run calls finish() of every F before its output replaces a file and
+    prints only after it.  An error in run reads every F to its end first,
+    in order, and then raises the first invalid F's violations, so a
+    malformed grid reports first, then an invalid one, as when the grids
+    were loaded and validated before run.
     """
-    def attempt(F):
+    def attempt(grids):
+        inputs = [_BiValidator(X, eps) for X in grids]
         try:
-            return run(F)
+            return run(*inputs)
         except _Unstreamable:
             raise
         except Exception:
-            F.finish()
+            for violations in [F.report() for F in inputs]:
+                if violations:
+                    raise InvalidCDFError(violations)
             raise
 
     try:
-        with _RowStream(path) as rows:
-            return attempt(_BiValidator(rows, eps))
+        with contextlib.ExitStack() as files:
+            return attempt([files.enter_context(_RowStream(path)) for path in paths])
     except _Unstreamable:
         pass
-    return attempt(_BiValidator(load_bi_json(path), eps))
+    return attempt([load_bi_json(path) for path in paths])
 
 
 def cmd_uniconv(args) -> int:
@@ -113,17 +118,12 @@ def cmd_uniconv(args) -> int:
 
 
 def cmd_biconv(args) -> int:
-    F = load_bi_json(args.pathF)
-    violations = validate_bi(F, args.tol)
-    if violations:   # a malformed G reports first
-        load_bi_json(args.pathG)
-        raise InvalidCDFError(violations)
-    return _one_pass(args.pathG, args.tol, lambda G: _biconv(F, G, args))
+    return _one_pass([args.pathF, args.pathG], args.tol, lambda F, G: _biconv(F, G, args))
 
 
 def _biconv(F, G, args) -> int:
-    """Write the convolution of the valid F with the grid G of _one_pass, then
-    the marginal and psi report."""
+    """Write the convolution of the grids F and G of _one_pass, then the
+    marginal and psi report."""
     xs, ys = _union_grid(F, G, "bifree_max_convolve")
     scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
     H = _affine_rows(xs, ys, (F, G), (1, 1), scratch=scratch)
@@ -136,10 +136,9 @@ def _biconv(F, G, args) -> int:
         psi[:] = psi_range(b, m2, scratch, *psi)
         return b
 
-    save_bi_json(_finishing(GridRows(xs, ys, block), G), args.out)
-    last = ys[-1:]
-    g1 = G.last_column().evaluate_grid(xs, last)[:, 0]
-    h1 = np.maximum(0.0, F.evaluate_grid(xs, last)[:, 0] + g1 - 1.0)
+    save_bi_json(_finishing(GridRows(xs, ys, block), F, G), args.out)
+    f1, g1 = (X.last_column().evaluate_grid(xs, ys[-1:])[:, 0] for X in (F, G))
+    h1 = np.maximum(0.0, f1 + g1 - 1.0)
     ok = np.all(np.abs(m1 - h1) <= args.tol)
     print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
           f"total mass {float(m2[-1])!r}, marginal check {'OK' if ok else 'FAILED'}")
@@ -149,13 +148,15 @@ def _biconv(F, G, args) -> int:
     return 0
 
 
-def _finishing(H, F) -> GridRows:
-    """H's rows; the read of the last one calls F.finish() before the writer
-    gets it, so an invalid F stops the output before it replaces a file."""
+def _finishing(H, *inputs) -> GridRows:
+    """H's rows; the read of the last one calls finish() of each input before
+    the writer gets it, so an invalid input stops the output before it
+    replaces a file."""
     def block(rows):
         b = H.block(rows)
         if rows.stop == H.x_breaks.size:
-            F.finish()
+            for F in inputs:
+                F.finish()
         return b
 
     return GridRows(H.x_breaks, H.y_breaks, block)
@@ -169,7 +170,7 @@ def cmd_nfold(args) -> int:
         print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
         return 0
 
-    return _one_pass(args.path, args.tol, run)
+    return _one_pass([args.path], args.tol, run)
 
 
 class _NotDivisible(Exception):
@@ -201,15 +202,23 @@ def cmd_root(args) -> int:
             print(f"  {v}")
         return 1
 
-    return _one_pass(args.path, args.tol, run)
+    return _one_pass([args.path], args.tol, run)
 
 
 def cmd_stability(args) -> int:
-    F = load_bi_json(args.path)
-    norm = AffineNormalization(args.a, args.b, args.c, args.d)
-    res = max_stable_residual(F, args.n, norm, args.tol)
-    print(f"{res:.10g}")
-    return 0
+    try:
+        norm = AffineNormalization(args.a, args.b, args.c, args.d)
+    except CDFError:
+        load_bi_json(args.path)   # a malformed grid reports first
+        raise
+
+    def run(F):
+        res = _residual(F, args.n, norm)
+        F.finish()
+        print(f"{res:.10g}")
+        return 0
+
+    return _one_pass([args.path], args.tol, run)
 
 
 def cmd_oracle(args) -> int:
@@ -254,7 +263,7 @@ def cmd_plotdata(args) -> int:
         print(f"wrote {args.out}: {nx * ny} rows")
         return 0
 
-    return _one_pass(args.path, args.tol, run)
+    return _one_pass([args.path], args.tol, run)
 
 
 def _tolerance(text: str) -> float:

@@ -1,13 +1,14 @@
 """One-pass reading of a bivariate CDF JSON file's rows, for the CLI.
 
-CLI ``validate --kind bi``, ``nfold``, ``root`` and ``plotdata`` read their
-grid, and ``biconv`` its second input, as a ``_RowStream``: a row source
-whose rows are decoded from the file as the command reaches them, and never
-held whole.  It reads the file through ``cdf._JSONStream``, opened as
-load_bi_json opens it, so both read the same text.  The CLI validates the
-rows on that same pass through ``cdf._BiValidator``, and loads a file that
-the pass does not read whole instead.  cli.py imports this module, so every
-CLI call imports it, whether it streams or not.
+Every CLI call reads each of its grid inputs (the grid of ``validate --kind
+bi``, ``nfold``, ``root``, ``stability`` and ``plotdata``, and both inputs
+of ``biconv``) as a ``_RowStream``: a row source whose rows are decoded from
+the file as the command reaches them, and never held whole.  It reads the
+file through ``cdf._JSONStream``, opened as load_bi_json opens it, so both
+read the same text.  The CLI validates the rows on that same pass through
+``cdf._BiValidator``, and loads a file that the pass does not read whole
+instead.  cli.py imports this module, so every CLI call imports it, whether
+it streams or not.
 """
 
 from __future__ import annotations
@@ -44,13 +45,15 @@ class _RowStream(_RowSource):
     a read of the last row alone.  Other rows are read in increasing order:
     a read may start again at the rows of the last read, never before.  A
     read decodes the rows it asks for past those decoded, as load_bi_json
-    decodes them, into a window that holds the rows of that read.  The read
-    that reaches the last row checks that the file ends there and that the
-    row equals the tail row bit for bit.  Any other layout or surprise (rows
-    that are not nx rows of ny finite floats, a tail row that is not the
-    last row, a format error) raises _Unstreamable, and then load_bi_json
-    of the file gives what a whole load gives.  Use it as a context
-    manager, which closes the file.
+    decodes them, into a window that holds the rows of that read.  The
+    window is allocated at the first decode, for a row block and one row or
+    for what ``_reserve`` asked, and grows only for a read of more rows than
+    it holds.  The read that reaches the last row checks that the file ends
+    there and that the row equals the tail row bit for bit.  Any other
+    layout or surprise (rows that are not nx rows of ny finite floats, a
+    tail row that is not the last row, a format error) raises _Unstreamable,
+    and then load_bi_json of the file gives what a whole load gives.  Use it
+    as a context manager, which closes the file.
     """
 
     def __init__(self, path):
@@ -76,14 +79,19 @@ class _RowStream(_RowSource):
             self.fh.close()
             raise _Unstreamable(path) from exc
         self.rows, self.first = self.stream.items(), True
-        self.window = np.empty((min(_block_rows(ny) + 1, nx), ny))
-        self.w0 = self.w1 = 0   # rows w0..w1 are in the window
+        self.capacity = min(_block_rows(ny) + 1, nx)   # rows of the window, once allocated
+        self.window = np.empty((0, ny))
+        self.w0 = self.w1 = self.at = 0   # rows w0..w1 are in the window from row at on
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         self.fh.close()
+
+    def _reserve(self, nrows: int) -> None:
+        """Size the window, when it is next allocated, for reads of up to nrows rows."""
+        self.capacity = max(self.capacity, min(nrows, self.nx))
 
     def block(self, rows: slice) -> np.ndarray:
         """The rows ``rows``, valid until the next read."""
@@ -97,18 +105,26 @@ class _RowStream(_RowSource):
                 self._decode(rows)
             except Exception as exc:
                 raise _Unstreamable from exc
-        return self.window[rows.start - self.w0:rows.stop - self.w0]
+        at = self.at - self.w0
+        return self.window[at + rows.start:at + rows.stop]
 
     def _decode(self, rows: slice) -> None:
-        """Keep the held rows from rows.start on, and decode the rest of rows."""
+        """Keep the held rows from rows.start on, where they are, and decode the rest
+        of rows; if the rest would run past the window, first move the kept rows to
+        its front in chunks that do not overlap, so numpy makes no temporary of them."""
         keep = min(rows.start, self.w1)
-        held, size = self.w1 - keep, rows.stop - keep
-        kept = self.window[keep - self.w0:self.w1 - self.w0]
-        if size > len(self.window):   # a read of more rows than the window holds
-            self.window = np.empty((size, self.ny))
-        self.window[:held] = kept
-        self.w0, self.w1 = keep, rows.stop
-        new = self.window[held:size]
+        at, held, size = self.at + keep - self.w0, self.w1 - keep, rows.stop - keep
+        if size > len(self.window):
+            window = np.empty((max(size, self.capacity), self.ny))
+            window[:held] = self.window[at:at + held]
+            self.window, at = window, 0
+        elif at + size > len(self.window):
+            for k in range(0, held, at):
+                part = self.window[at + k:at + min(k + at, held)]
+                self.window[k:k + len(part)] = part
+            at = 0
+        self.w0, self.w1, self.at = keep, rows.stop, at
+        new = self.window[at + held:at + size]
         for k in range(len(new)):   # _END, past the last row, is no array
             row = _float_row(next(self.rows, _END))
             if not (isinstance(row, np.ndarray) and row.shape == (self.ny,)):

@@ -487,7 +487,7 @@ class TestValidateOnce:
             seen.append(F)
             return real(F, eps)
 
-        for module in (cdf_module, biconv_module, cli_module):
+        for module in (cdf_module, biconv_module):
             monkeypatch.setattr(module, "validate_bi", spy)
         return seen
 
@@ -514,8 +514,8 @@ class TestValidateOnce:
         assert [id(X) for X in validated] == [id(pair[0]), id(res.candidate)]
 
     def test_cli(self, pair, tmp_path, monkeypatch):
-        # biconv validates F with validate_bi and G on its one-pass read:
-        # both report through the validator they feed
+        # biconv validates F and G, and stability F, on their one-pass reads:
+        # each reports through the validator it feeds
         reports = []
         real = cdf_module._BiValidator.report
 

@@ -1,6 +1,6 @@
-"""CLI ``biconv`` reads its second input G in one pass: the same exit code,
-stdout, stderr and output bytes as loading both inputs whole, on every input,
-and memory of one input plus blocks."""
+"""CLI ``biconv`` reads both of its inputs, F and G, in one pass each: the
+same exit code, stdout, stderr and output bytes as loading both inputs whole,
+on every input, and memory of blocks, with no input held."""
 
 import builtins
 import os
@@ -73,7 +73,7 @@ def compare(tmp_path, capsys):
 
 @pytest.fixture
 def whole_loads(monkeypatch):
-    """The paths that CLI biconv loads whole; G is streamed when only F is."""
+    """The paths that CLI biconv loads whole: none when both inputs are streamed."""
     paths = []
     real = cli_module.load_bi_json
 
@@ -95,19 +95,29 @@ def test_seeded_pairs_at_every_block_size(compare, whole_loads, monkeypatch, tmp
         for pair in ((f, g), (g, f)):
             whole_loads.clear()
             assert compare(*pair)[0] == 0
-            assert whole_loads == [str(pair[0])]   # G was read in one pass
+            assert whole_loads == []   # F and G were read in one pass
+
+
+def _every_loader_document(compare, monkeypatch, tmp_path, chunk, as_f):
+    """Each loader document as G, or as F, beside F_FOR_DOCUMENTS."""
+    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    doc, other = tmp_path / "doc.json", tmp_path / "other.json"
+    save_bi_json(F_FOR_DOCUMENTS, other)
+    codes = set()
+    for text in [*DOCUMENTS.values(), *ORDER_DOCUMENTS.values()]:
+        doc.write_text(text)
+        codes.add(compare(*((doc, other) if as_f else (other, doc)))[0])
+    assert codes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_every_loader_document_as_g(compare, monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
-    f, g = tmp_path / "f.json", tmp_path / "g.json"
-    save_bi_json(F_FOR_DOCUMENTS, f)
-    codes = set()
-    for text in [*DOCUMENTS.values(), *ORDER_DOCUMENTS.values()]:
-        g.write_text(text)
-        codes.add(compare(f, g)[0])
-    assert codes == {0, 1, 2}
+    _every_loader_document(compare, monkeypatch, tmp_path, chunk, as_f=False)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_every_loader_document_as_f(compare, monkeypatch, tmp_path, chunk):
+    _every_loader_document(compare, monkeypatch, tmp_path, chunk, as_f=True)
 
 
 G_TEXT = ('{"x_breaks": [0, 1], "y_breaks": [0, 1], '
@@ -116,9 +126,9 @@ G_TEXT = ('{"x_breaks": [0, 1], "y_breaks": [0, 1], '
 
 @pytest.mark.parametrize("cells", [1, 7, 64])
 def test_g_is_read_a_block_and_a_row_at_a_time(monkeypatch, tmp_path, cells):
-    """A read of G's stream spans at most one row block and the row before
-    it, so the stream's window never grows, also where the kernel's reads of
-    G on the union grid cross G's row blocks."""
+    """A read of either input's stream spans at most one row block and the
+    row before it, so the stream's window never grows, also where the
+    kernel's reads of an input on the union grid cross its row blocks."""
     monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     excess = []
     real = rowstream._RowStream.block
@@ -140,7 +150,7 @@ def test_g_is_read_a_block_and_a_row_at_a_time(monkeypatch, tmp_path, cells):
 ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
 
 
-@pytest.mark.parametrize("text, streamed, cells", [
+LAYOUTS = [
     (G_TEXT + "}\n", True, None),
     (G_TEXT + ', "note": "after cdf"}', False, None),
     (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, None),
@@ -152,7 +162,7 @@ ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
     (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True, None),   # invalid: exit 1
     (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5, 0.75]") + "}", False, None),
     (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False, None),   # malformed and invalid
-    # the last row is a block of its own, and in a 1 x 2 G the only one:
+    # the last row is a block of its own, and in a 1 x 2 grid the only one:
     # the pass still decodes it and checks that the file ends there
     (G_TEXT + ', "note": "after cdf"}', False, 1),
     (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, 1),
@@ -161,11 +171,16 @@ ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
     (ROW_TEXT + ', "note": "after cdf"}', False, 1),
     (ROW_TEXT + ', "cdf": [[0.25, 1.0]]}', False, 1),
     (ROW_TEXT.replace("]]", "], [0.5, 1.0]]") + "}", False, 1),
-], ids=["saved", "key-after-cdf", "second-cdf", "second-cdf-ragged", "trailing-object",
-        "extra-row", "white-space", "overflow-in-last-row", "invalid", "long-first-row",
-        "bad-number-first-row", "key-after-cdf-row-blocks", "second-cdf-row-blocks",
-        "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf", "one-row-second-cdf",
-        "one-row-extra-row"])
+    ('{"é€𝔽": ["é€𝔽", 1], ' + G_TEXT[1:] + "}\n", True, None),
+]
+LAYOUT_IDS = ["saved", "key-after-cdf", "second-cdf", "second-cdf-ragged", "trailing-object",
+              "extra-row", "white-space", "overflow-in-last-row", "invalid", "long-first-row",
+              "bad-number-first-row", "key-after-cdf-row-blocks", "second-cdf-row-blocks",
+              "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf",
+              "one-row-second-cdf", "one-row-extra-row", "utf-8-key-first"]
+
+
+@pytest.mark.parametrize("text, streamed, cells", LAYOUTS, ids=LAYOUT_IDS)
 def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells):
     if cells is not None:
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
@@ -173,7 +188,19 @@ def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, ce
     save_bi_json(F_FOR_DOCUMENTS, f)
     g.write_text(text)
     compare(f, g)
-    assert (whole_loads == [str(f)]) == streamed
+    assert (whole_loads == []) == streamed
+
+
+@pytest.mark.parametrize("text, streamed, cells", LAYOUTS, ids=LAYOUT_IDS)
+def test_layouts_as_f(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells):
+    """The same layouts as F, beside a G on another grid."""
+    if cells is not None:
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    f.write_text(text)
+    save_bi_json(F_FOR_DOCUMENTS, g)
+    compare(f, g)
+    assert (whole_loads == []) == streamed
 
 
 @pytest.mark.parametrize("chunk", [1, 8, 32])
@@ -185,7 +212,7 @@ def test_last_row_longer_than_the_buffer(compare, whole_loads, monkeypatch, tmp_
     save_bi_json(sparse_bivariate_cdf(rng, 4, 60, 0.3, offset=0.05), g)
     assert len(g.read_text().rsplit("[", 1)[1]) > 16 * chunk
     assert compare(f, g)[0] == 0
-    assert whole_loads == [str(f)]
+    assert whole_loads == []
 
 
 def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkeypatch,
@@ -251,8 +278,38 @@ def test_grid_over_the_budget_reports_an_invalid_g_first(compare, monkeypatch, t
     assert "budget" in errors[0] and "invalid CDF" in errors[1]
 
 
+#: F_FOR_DOCUMENTS's text and G_TEXT's, and a fault of each; their union grid is 4 x 4.
+F_TEXT = '{"x_breaks": [-1.0, 0.5], "y_breaks": [0.5, 2.0], "cdf": [[0.1, 0.3], [0.4, 1.0]]}'
+FAULTS = {"F": {"none": F_TEXT, "malformed": F_TEXT.replace("0.3]", "0.3x]"),
+                "invalid": F_TEXT.replace("0.4, 1.0", "0.4, 0.875")},
+          "G": {"none": G_TEXT + "}",
+                "malformed": G_TEXT.replace("0.5], [0.5", "0.5x], [0.5") + "}",
+                "invalid": G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}"}}
+
+
+@pytest.mark.parametrize("over_budget", [False, True], ids=["within-budget", "over-budget"])
+@pytest.mark.parametrize("g_fault", ["none", "malformed", "invalid"])
+@pytest.mark.parametrize("f_fault", ["none", "malformed", "invalid"])
+def test_report_order(compare, monkeypatch, tmp_path, f_fault, g_fault, over_budget):
+    """Of a malformed F, a malformed G, an invalid F, an invalid G and a grid
+    over MAX_CELLS, the first in that order reports, as when both inputs are
+    loaded whole and then validated, whichever of them the passes meet first."""
+    if over_budget:
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 8)
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    f.write_text(FAULTS["F"][f_fault])
+    g.write_text(FAULTS["G"][g_fault])
+    order = [(f_fault == "malformed", 2, str(f)), (g_fault == "malformed", 2, str(g)),
+             (f_fault == "invalid", 1, "F(last,last) = 0.875 "),
+             (g_fault == "invalid", 1, "F(last,last) = 0.75 "), (over_budget, 1, "budget")]
+    want_code, want_text = next(((c, t) for hit, c, t in order if hit), (0, ""))
+    code, _, err, _ = compare(f, g)
+    assert code == want_code and want_text in err
+
+
 class TestOnePass:
-    """G's file is decoded once, plus a tail read, and the call holds one input."""
+    """Each input's file is decoded once, plus a tail read, and the call holds
+    no input."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -270,10 +327,11 @@ class TestOnePass:
         save_bi_json(G, d / "g.json")
         return d, F
 
-    def test_g_is_read_once_plus_its_tail(self, files, monkeypatch, whole_loads):
+    @staticmethod
+    def assert_read_once_plus_its_tail(files, monkeypatch, whole_loads, name):
         d, _ = files
-        g = str(d / "g.json")
-        reads = []   # for each open of g: its buffering and the bytes read
+        path = str(d / name)
+        reads = []   # for each open of path: its buffering and the bytes read
         real_open = builtins.open
 
         class Counted:
@@ -296,22 +354,30 @@ class TestOnePass:
 
         def open_(file, mode="r", *args, **kwargs):
             fh = real_open(file, mode, *args, **kwargs)
-            if str(file) != g:
+            if str(file) != path:
                 return fh
             reads.append([kwargs.get("buffering", -1), 0])
             return Counted(fh, reads[-1])
 
         monkeypatch.setattr(builtins, "open", open_)
-        assert main(["biconv", str(d / "f.json"), g, "--out", str(d / "h.json")]) == 0
-        assert whole_loads == [str(d / "f.json")]
+        call = ["biconv", str(d / "f.json"), str(d / "g.json"), "--out", str(d / "h.json")]
+        assert main(call) == 0
+        assert whole_loads == []
         # one unbuffered pass over every byte, and a tail read of one buffer
         (buffering, passed), (_, tail) = reads
-        assert buffering == 0 and passed == os.path.getsize(g)
-        assert 0 < tail <= cdf_module.JSON_CHUNK_CHARS < os.path.getsize(g)
+        assert buffering == 0 and passed == os.path.getsize(path)
+        assert 0 < tail <= cdf_module.JSON_CHUNK_CHARS < os.path.getsize(path)
 
-    def test_biconv_holds_one_input(self, files, capsys):
-        """biconv peaks at one input plus the loader's buffer and blocks, as
-        test_call_holds_its_input_once asks of the one-input calls."""
+    def test_f_is_read_once_plus_its_tail(self, files, monkeypatch, whole_loads):
+        self.assert_read_once_plus_its_tail(files, monkeypatch, whole_loads, "f.json")
+
+    def test_g_is_read_once_plus_its_tail(self, files, monkeypatch, whole_loads):
+        self.assert_read_once_plus_its_tail(files, monkeypatch, whole_loads, "g.json")
+
+    def test_biconv_holds_no_input(self, files, capsys):
+        """biconv peaks at its streams' buffers and blocks: below half of one
+        input's array, as test_streamed_call_holds_no_grid asks of the
+        one-input calls."""
         d, F = files
         call = ["biconv", str(d / "f.json"), str(d / "g.json"), "--out", str(d / "h.json")]
         main(call)   # the first call in a process also imports what numpy loads lazily
@@ -322,4 +388,4 @@ class TestOnePass:
         finally:
             tracemalloc.stop()
         assert code == 0, capsys.readouterr()
-        assert peak < 1.5 * F.cdf.nbytes
+        assert peak < 0.5 * F.cdf.nbytes

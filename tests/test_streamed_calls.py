@@ -1,23 +1,26 @@
-"""CLI ``validate --kind bi``, ``nfold``, ``root`` and ``plotdata`` read their
-grid in one pass, and ``ecdf`` writes its table a row block at a time: the
-same exit code, stdout, stderr and ``--out`` bytes as loading the grid whole
-(or building the whole table), on every input."""
+"""CLI ``validate --kind bi``, ``nfold``, ``root``, ``stability`` and
+``plotdata`` read their grid in one pass, and ``ecdf`` writes its table a row
+block at a time: the same exit code, stdout, stderr and ``--out`` bytes as
+loading the grid whole (or building the whole table), on every input."""
 
 import builtins
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bifreemax import (
     EPS_CDF,
+    AffineNormalization,
     BivariateCDF,
     CDFError,
     CDFFormatError,
     ecdf_from_samples,
     load_bi_json,
+    max_stable_residual,
     nfold,
     nth_root,
     save_bi_json,
@@ -25,6 +28,7 @@ from bifreemax import (
 )
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
+from bifreemax import rowstream
 from bifreemax.cdf import require_valid_bi
 from bifreemax.cli import main
 from helpers import ecdf_reference, random_bivariate_cdf
@@ -64,9 +68,18 @@ def _plotdata(F, n, out, shown, tol):
     return 0, f"wrote {shown}: {F.cdf.size} rows\n"
 
 
+#: The normalization (a, b, c, d) of the stability calls that every command makes.
+NORM = (1.5, 0.25, 0.75, -0.5)
+
+
+def _stability(F, n, out, shown, tol):
+    return 0, f"{max_stable_residual(F, n, AffineNormalization(*NORM), tol):.10g}\n"
+
+
 #: The whole-array form of each streamed command: load_bi_json, then the
 #: library call, writing to out and giving (exit code, stdout).
-WHOLE = {"validate": _validate, "nfold": _nfold, "root": _root, "plotdata": _plotdata}
+WHOLE = {"validate": _validate, "nfold": _nfold, "root": _root, "plotdata": _plotdata,
+         "stability": _stability}
 
 
 def argv(command, path, n, out):
@@ -74,6 +87,8 @@ def argv(command, path, n, out):
         return ["validate", str(path), "--kind", "bi"]
     if command == "plotdata":
         return ["plotdata", str(path), "--out", str(out)]
+    if command == "stability":
+        return ["stability", str(path), str(n), *map(repr, NORM)]
     return [command, str(path), str(n), "--out", str(out)]
 
 
@@ -123,7 +138,8 @@ def whole_loads(monkeypatch):
     return paths
 
 
-COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata", 2)]
+COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata", 2),
+            ("stability", 1), ("stability", 3)]
 COMMAND_IDS = [f"{c}-{n}" for c, n in COMMANDS]
 
 
@@ -261,7 +277,7 @@ def test_grid_from_a_pipe(compare, whole_loads, tmp_path, capsys, command, n):
 
 
 @pytest.mark.parametrize("bad_n", [0, -1, 2 ** 1024], ids=["0", "-1", "2^1024"])
-@pytest.mark.parametrize("command", ["nfold", "root"])
+@pytest.mark.parametrize("command", ["nfold", "root", "stability"])
 def test_an_invalid_grid_reports_before_a_bad_n(compare, tmp_path, command, bad_n):
     path = tmp_path / "F.json"
     for last, message in (("[0.5, 1.0]]", "n must be"), ("[0.5, 0.75]]", "invalid CDF")):
@@ -405,3 +421,132 @@ def test_ecdf_rows_read_in_any_order():
     nx = R.cdf.shape[0]
     for lo, hi in [(nx - 1, nx), (3, 5), (0, 2), (2, nx), (0, nx), (4, 5)]:
         assert rows.block(slice(lo, hi)).tobytes() == R.cdf[lo:hi].tobytes()
+
+
+def _cumulated(rng, nx, ny):
+    """A valid nx x ny CDF with positive masses, on breaks 0, 1, 2, ..."""
+    cdf = np.cumsum(np.cumsum(rng.uniform(0.05, 1.0, (nx, ny)), axis=0), axis=1)
+    cdf /= cdf[-1, -1]
+    cdf[-1, -1] = 1.0
+    return BivariateCDF(np.arange(float(nx)), np.arange(float(ny)), cdf)
+
+
+class TestStability:
+    """``stability`` reads its grid once, holding the rows between the
+    grid's own row x and the power's rows near a*x + b, and prints
+    max_stable_residual of the grid loaded whole."""
+
+    @staticmethod
+    def normalizations(F, rng):
+        """The identity (the evaluation grid is F's own), a < 1 and c < 1,
+        shifts that put the power's grid above or below F's (the rows
+        between are the whole grid), and seeded ones."""
+        span = float(F.x_breaks[-1] - F.x_breaks[0]) + 1.0
+        yield 1.0, 0.0, 1.0, 0.0
+        yield 0.6, 0.1, 0.7, -0.1
+        yield 1.0, -span, 1.0, 0.0
+        yield 1.0, span, 0.5, 0.0
+        for _ in range(3):
+            a, c = rng.uniform(0.5, 2.0, 2)
+            b, d = rng.uniform(-1.0, 1.0, 2)
+            yield float(a), float(b), float(c), float(d)
+
+    @pytest.mark.parametrize("cells", [1, 4096])
+    def test_stdout_is_the_residual_of_the_whole_grid(self, whole_loads, monkeypatch, tmp_path,
+                                                     capsys, cells):
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+        decoded, windows = [0], []
+        real_row, real_decode = rowstream._float_row, rowstream._RowStream._decode
+
+        def float_row(value):
+            decoded[0] += 1
+            return real_row(value)
+
+        def decode(self, rows):
+            real_decode(self, rows)
+            if not any(w is self.window for w in windows):
+                windows.append(self.window)
+
+        monkeypatch.setattr(rowstream, "_float_row", float_row)
+        monkeypatch.setattr(rowstream._RowStream, "_decode", decode)
+        rng = np.random.default_rng(76)
+        path = tmp_path / "F.json"
+        grids = [BivariateCDF([0.5], [0.5], [[1.0]]),
+                 BivariateCDF([0.0], [0.0, 1.0, 2.0], [[0.25, 0.5, 1.0]]),
+                 BivariateCDF([0.0, 1.5, 2.0], [0.0], [[0.25], [0.75], [1.0]]),
+                 *(random_bivariate_cdf(rng, 40, 2) for _ in range(3))]
+        for F in grids:
+            save_bi_json(F, path)
+            for norm in self.normalizations(F, rng):
+                want = max_stable_residual(load_bi_json(path), 3, AffineNormalization(*norm))
+                whole_loads.clear()
+                decoded[0], windows[:] = 0, []
+                assert main(["stability", str(path), "3", *map(repr, norm)]) == 0
+                assert capsys.readouterr() == (f"{want:.10g}\n", "")
+                assert whole_loads == []
+                # every row once, plus the tail row; one window, at the widest read
+                assert decoded[0] == F.x_breaks.size + 1
+                assert len(windows) == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_a_malformed_grid_reports_before_a_bad_scale(self, tmp_path, capsys, scale):
+        """A malformed grid reports first, then a bad scale, then an invalid
+        grid, as when the grid was loaded whole before the scale was read."""
+        path, norm = tmp_path / "F.json", (scale, 0.0, 1.0, 0.0)
+        codes = []
+        for text in (G_TEXT + "}", G_TEXT.replace("0.5]", "0.5x]") + "}",
+                     G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}"):
+            path.write_text(text)
+            try:
+                F = load_bi_json(path)
+                want = (0, f"{max_stable_residual(F, 2, AffineNormalization(*norm)):.10g}\n", "")
+            except CDFFormatError as exc:
+                want = (2, "", f"error: {exc}\n")
+            except CDFError as exc:
+                want = (1, "", f"error: {exc}\n")
+            code = main(["stability", str(path), "2", *map(repr, norm)])
+            assert (code, *capsys.readouterr()) == want
+            codes.append(code)
+        assert codes == ([0, 2, 1] if scale else [1, 2, 1])
+
+    def test_holds_no_grid(self, monkeypatch, tmp_path, capsys):
+        """At the identity normalization, the rows between the two reads are
+        those of one read: the call peaks at the stream's buffer and blocks."""
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 4096)
+        F = _cumulated(np.random.default_rng(77), 1024, 512)
+        path = tmp_path / "F.json"
+        save_bi_json(F, path)
+        call = ["stability", str(path), "2", "1", "0", "1", "0"]
+        main(call)   # the first call in a process also imports what numpy loads lazily
+        tracemalloc.start()
+        try:
+            code = main(call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr()
+        assert peak < 0.25 * F.cdf.nbytes
+
+
+def test_a_read_inside_the_window_allocates_no_copy_of_its_rows(monkeypatch, tmp_path):
+    """A read that drops rows from the front of a stream's window and decodes
+    rows past them leaves the kept rows where they are while the window has
+    room, and moves them to its front in chunks that do not overlap when it
+    has not: neither allocates anything the size of the kept rows."""
+    F = _cumulated(np.random.default_rng(78), 1200, 128)
+    path = tmp_path / "F.json"
+    save_bi_json(F, path)
+    with rowstream._RowStream(str(path)) as rows:
+        rows._reserve(1003)
+        assert rows.block(slice(0, 1000)).tobytes() == F.cdf[:1000].tobytes()
+        # inside the window, then past its end, which moves 852 rows by 150
+        for read in (slice(1, 1002), slice(150, 1004)):
+            tracemalloc.start()
+            try:
+                got = rows.block(read)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == F.cdf[read].tobytes()
+            # decoding the new rows may refill the text buffer; no more
+            assert peak < 0.5 * F.cdf[read].nbytes
