@@ -197,16 +197,10 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
     and H = 0 at every other grid point.  Both inputs are read on the
     union grid one row block at a time; neither is merged as a whole.
     """
-    return bifree_max_convolve_rows(F, G, eps).to_cdf()
-
-
-def bifree_max_convolve_rows(F: BivariateCDF, G: BivariateCDF,
-                             eps: float = EPS_CDF) -> GridRows:
-    """bifree_max_convolve as row blocks; F, G and the grid size are checked here."""
     require_valid_bi(F, eps)
     require_valid_bi(G, eps)
     xs, ys = _union_grid(F, G, "bifree_max_convolve")
-    return _affine_rows(xs, ys, (F, G), (1, 1))
+    return _affine_rows(xs, ys, (F, G), (1, 1)).to_cdf()
 
 
 def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
@@ -225,18 +219,13 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     in binary, the power at n = 2^m, m <= 40, is within 2*n*2^-53 of the
     exact one.
     """
-    H = nfold_rows(F, n, eps)
+    require_valid_bi(F, eps)
+    H = _nfold_rows(F, n)
     return H if H is F else H.to_cdf()
 
 
-def nfold_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF | GridRows:
-    """nfold as a row source, F itself at n = 1; F and n are checked here."""
-    require_valid_bi(F, eps)
-    return _nfold_rows(F, n)
-
-
 def _nfold_rows(F, n):
-    """nfold_rows of a row source F that its caller validates; n is checked here."""
+    """nfold of a row source F as row blocks, F itself at n = 1; n is checked here."""
     n = _check_fold_count(n)
     return F if n == 1 else _affine_rows(F.x_breaks, F.y_breaks, (F,), (n,))
 
@@ -279,7 +268,7 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
     If the candidate is returned valid, its n-fold convolution recovers F.
     The candidate is filled into an array and validated in one pass; CLI
-    ``root`` validates ``nth_root_rows`` instead and never holds it.
+    ``root`` validates ``_root_rows`` instead and never holds it.
 
     Error budget: the root divides the defects and the ratio excess by n, so
     it adds only a few rounding errors to what its input carries.  But an
@@ -290,18 +279,13 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     marginals are positive; at breaks where a marginal of the power is 0,
     the ratio field is 0/0 and the joint values are lost.
     """
-    candidate = nth_root_rows(F, n, eps).to_cdf()
+    require_valid_bi(F, eps)
+    candidate = _root_rows(F, n).to_cdf()
     return NthRootResult(candidate, validate_bi(candidate, eps))
 
 
-def nth_root_rows(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> GridRows:
-    """nth_root's candidate as row blocks, not validated; F and n are checked here."""
-    require_valid_bi(F, eps)
-    return _root_rows(F, n)
-
-
 def _root_rows(F, n) -> GridRows:
-    """nth_root_rows of a row source F that its caller validates; n is checked here."""
+    """nth_root's candidate of a row source F as row blocks, not validated; n is checked here."""
     return _affine_rows(F.x_breaks, F.y_breaks, (F,), (1,), _check_fold_count(n))
 
 
@@ -327,7 +311,7 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
 
 
 def _residual(F, n, norm: AffineNormalization) -> float:
-    """max_stable_residual of a row source F that its caller validates; n is checked here.
+    """max_stable_residual of a row source F; n is checked here.
 
     Each block reads F from the smallest first row of any later block's
     reads, F's own and the power's, through its own last row, and both

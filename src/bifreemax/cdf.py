@@ -415,9 +415,10 @@ class _BiValidator(_RowSource):
     checked rows reads F once, from the row before them (or the read's
     first row, if earlier) to the end of the ``row_blocks`` block that holds
     the read's last row, and checks the rows past them; other reads go to
-    F.  Unless the read itself is longer, that read of F spans at most a
-    block and one row, which a _RowStream's window holds without growing
-    when a union-grid read starts before the row before the checked ones.
+    F.  Unless the read itself is longer, that read of F spans at most the
+    validator's span: a block and one row, or one row more than the widest
+    read ``_reserve`` asks for.  The validator reserves its span of F, so a
+    _RowStream's window holds every such read without growing.
     So a reader of F's row blocks in order reads each row of F once,
     with the checks BivariateCDF makes on a whole array.  ``report()``
     checks the blocks not read yet and gives validate_bi's report, whatever
@@ -433,6 +434,8 @@ class _BiValidator(_RowSource):
         # a GridRows block is valid until the next read: the last row is kept
         self.m2 = _checked_block(F, slice(nx - 1, nx), ny)[0].copy()
         self.checked, self.column, self.scratch = 0, np.empty(nx), _Scratch(nx, ny)
+        self.span = _block_rows(ny) + 1   # the rows of F that a check's read may round up to
+        F._reserve(self.span)
         self.kinds = [
             _Kind("out-of-[0,1]", eps,
                   lambda i, j, x: f"value out of [0,1] at ({i},{j}): {float(x)!r}"),
@@ -451,7 +454,8 @@ class _BiValidator(_RowSource):
 
     def _reserve(self, nrows: int) -> None:
         # a read past the checked rows reads F from the row before it
-        self.F._reserve(nrows + 1)
+        self.span = max(self.span, nrows + 1)
+        self.F._reserve(self.span)
 
     def block(self, rows: slice) -> np.ndarray:
         """The rows ``rows`` of F, checked; valid until the next read."""
@@ -467,7 +471,7 @@ class _BiValidator(_RowSource):
         on, as the class says; check the rows past the checked ones."""
         in01, along_x, along_y, cells, upper, lower = self.kinds
         m2, scratch, ny, step = self.m2, self.scratch, self.ny, _block_rows(self.ny)
-        end = max(stop, min(-(-stop // step) * step, lo + step + 1, self.nx))
+        end = max(stop, min(-(-stop // step) * step, lo + self.span, self.nx))
         read = _checked_block(self.F, slice(lo, end), ny, self.checked)
         start, self.checked = self.checked, end
         first = max(start - 1, 0)   # the row before them, for their first steps
@@ -925,17 +929,17 @@ class _JSONStream:
             if self.expect(",}") == "}":
                 return
 
-    def json_object(self, rows_key: str) -> dict:
+    def json_object(self) -> dict:
         """The whole text, which must be one object.
 
-        The value of rows_key, if it is an array, comes as its elements, each
+        The value of "cdf", if it is an array, comes as its elements, each
         as a float64 array when it converts to one: as one array filled row
         by row if x_breaks and y_breaks came before it (see _filled_rows),
         else as a list.
         """
         data = {}
         for key in self.members():
-            if key == rows_key and self.peek() == "[":
+            if key == "cdf" and self.peek() == "[":
                 data[key] = _filled_rows(map(_float_row, self.items()),
                                          data.get("x_breaks"), data.get("y_breaks"))
             else:
@@ -975,7 +979,7 @@ def load_bi_json(path) -> BivariateCDF:
     """
     try:
         with open(path, "rb", buffering=0) as fh:
-            data = _JSONStream(fh).json_object("cdf")
+            data = _JSONStream(fh).json_object()
         return BivariateCDF(np.asarray(data["x_breaks"], dtype=float),
                             np.asarray(data["y_breaks"], dtype=float),
                             _cdf_array(data["cdf"], data["y_breaks"]))

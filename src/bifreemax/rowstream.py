@@ -21,7 +21,6 @@ import numpy as np
 from . import cdf
 from .cdf import (
     CDFFormatError,
-    _block_rows,
     _check_breaks,
     _float_row,
     _JSONStream,
@@ -46,14 +45,14 @@ class _RowStream(_RowSource):
     a read may start again at the rows of the last read, never before.  A
     read decodes the rows it asks for past those decoded, as load_bi_json
     decodes them, into a window that holds the rows of that read.  The
-    window is allocated at the first decode, for a row block and one row or
-    for what ``_reserve`` asked, and grows only for a read of more rows than
-    it holds.  The read that reaches the last row checks that the file ends
-    there and that the row equals the tail row bit for bit.  Any other
-    layout or surprise (rows that are not nx rows of ny finite floats, a
-    tail row that is not the last row, a format error) raises _Unstreamable,
-    and then load_bi_json of the file gives what a whole load gives.  Use it
-    as a context manager, which closes the file.
+    window is allocated at the first decode, for what ``_reserve`` asked
+    (``cdf._BiValidator`` reserves its span), and grows only for a read of
+    more rows than it holds.  The read that reaches the last row checks
+    that the file ends there and that the row equals the tail row bit for
+    bit.  Any other layout or surprise (rows that are not nx rows of ny
+    finite floats, a tail row that is not the last row, a format error)
+    raises _Unstreamable, and then load_bi_json of the file gives what a
+    whole load gives.  Use it as a context manager, which closes the file.
     """
 
     def __init__(self, path):
@@ -73,14 +72,14 @@ class _RowStream(_RowSource):
                 raise CDFFormatError("cdf is not an array")
             self.x_breaks = _check_breaks(np.asarray(data["x_breaks"], dtype=float), "x_breaks")
             self.y_breaks = _check_breaks(np.asarray(data["y_breaks"], dtype=float), "y_breaks")
-            nx, ny = self.nx, self.ny = self.x_breaks.size, self.y_breaks.size
-            self.last = _tail_row(path, ny)
+            self.nx, self.ny = self.x_breaks.size, self.y_breaks.size
+            self.last = _tail_row(path, self.ny)
         except Exception as exc:
             self.fh.close()
             raise _Unstreamable(path) from exc
         self.rows, self.first = self.stream.items(), True
-        self.capacity = min(_block_rows(ny) + 1, nx)   # rows of the window, once allocated
-        self.window = np.empty((0, ny))
+        self.capacity = 0   # rows of the window, once allocated: what _reserve asked
+        self.window = np.empty((0, self.ny))
         self.w0 = self.w1 = self.at = 0   # rows w0..w1 are in the window from row at on
 
     def __enter__(self):

@@ -34,7 +34,7 @@ from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
 from bifreemax import rowstream as rowstream_module
-from bifreemax.biconv import bifree_max_convolve_rows, nfold_rows, nth_root_rows
+from bifreemax.biconv import _affine_rows, _nfold_rows, _root_rows
 from bifreemax.cdf import MAX_LISTED, GridRows
 from bifreemax.cli import main
 from helpers import (
@@ -290,8 +290,8 @@ class TestScratchReuse:
 
     def test_root_peak_does_not_grow_with_violations(self, grids):
         F, divisible = grids
-        ok, ok_peak = self.warm_peak(lambda: validate_bi(nth_root_rows(divisible, 2)))
-        bad, bad_peak = self.warm_peak(lambda: validate_bi(nth_root_rows(F, 2)))
+        ok, ok_peak = self.warm_peak(lambda: validate_bi(_root_rows(divisible, 2)))
+        bad, bad_peak = self.warm_peak(lambda: validate_bi(_root_rows(F, 2)))
         assert ok == [] and len(bad) > MAX_LISTED
         assert abs(bad_peak - ok_peak) < 8 * self.BLOCK
 
@@ -300,9 +300,10 @@ class TestScratchReuse:
         F = grids[0]
         if n is None:   # on the union grid, so the inputs are gathered
             G = BivariateCDF(F.x_breaks + 0.05, F.y_breaks + 0.05, grids[1].cdf)
-            H, expected = bifree_max_convolve_rows(F, G), convolve_reference(F, G)
+            xs, ys = cdf_module._union_grid(F, G, "bifree_max_convolve")
+            H, expected = _affine_rows(xs, ys, (F, G), (1, 1)), convolve_reference(F, G)
         else:
-            H, expected = nfold_rows(F, n), nfold_reference(F, n)
+            H, expected = _nfold_rows(F, n), nfold_reference(F, n)
         assert expected.size > 4 * self.BLOCK
         whole = H.evaluate_grid(H.x_breaks, H.y_breaks)
         assert whole.tobytes() == expected.tobytes()

@@ -28,6 +28,17 @@ from bifreemax.cdf import EPS_CDF, MAX_LISTED, require_valid_bi
 from helpers import ecdf_brute_force, group_violations, random_bivariate_cdf
 
 
+class TestUnivariateCDF:
+    def test_values_of_another_length_rejected(self):
+        with pytest.raises(CDFError, match="values must have the same length as breaks"):
+            UnivariateCDF([0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_that_are_not_finite_rejected(self, bad):
+        with pytest.raises(CDFError, match="values must be finite"):
+            UnivariateCDF([0.0, 1.0], [bad, 1.0])
+
+
 class TestValidateUni:
     def test_two_atom_cdf_is_valid(self):
         F = UnivariateCDF([0.0, 1.0], [0.4, 1.0])
@@ -397,6 +408,12 @@ class TestEcdf:
     def test_empty_rejected(self):
         with pytest.raises(CDFError):
             ecdf_from_samples([])
+
+    @pytest.mark.parametrize("points", [[(0.0, 1.0, 2.0)], [0.0, 1.0], [[[0.0, 1.0]]]],
+                             ids=["triples", "flat", "nested"])
+    def test_samples_that_are_not_pairs_rejected(self, points):
+        with pytest.raises(CDFError, match=r"samples must be \(x, y\) pairs"):
+            ecdf_from_samples(points)
 
     def test_duplicates_collapse(self):
         F = ecdf_from_samples([(0, 0), (0, 0), (1, 1), (1, 1)])

@@ -18,6 +18,7 @@ from bifreemax import (
     validate_bi,
 )
 from bifreemax import cdf as cdf_module
+from bifreemax import oracle as oracle_module
 from bifreemax.cdf import MAX_LISTED
 from bifreemax.cli import build_parser, main
 from helpers import group_violations, random_bivariate_cdf
@@ -65,6 +66,19 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json"), "--kind", "bi"]) == 2
+
+    def test_non_number_in_a_full_row_exit_2(self, tmp_path, capsys):
+        """A row of y_breaks' length that holds a string is a format error naming the file."""
+        path = tmp_path / "F.json"
+        path.write_text('{"x_breaks": [0, 1], "y_breaks": [0, 1], '
+                        '"cdf": [[0.3, "a"], [0.5, 1.0]]}')
+        with pytest.raises(cdf_module.CDFFormatError) as loaded:
+            load_bi_json(path)
+        assert main(["validate", str(path), "--kind", "bi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {loaded.value}\n"
+        assert captured.err.startswith(f"error: bad bivariate CDF file {path}: ")
 
     def test_corrupted_grid_report_is_bounded(self, tmp_path, capsys):
         rng = np.random.default_rng(31)
@@ -314,6 +328,24 @@ class TestOracle:
         assert main(["oracle", "-1e-3", "0.7", "0.5", "0.8", "0.5", "0.45"]) == 1
         assert capsys.readouterr().err == "error: p must lie in [0, 1], got -0.001\n"
 
+    def test_spread_above_tolerance_exit_1(self, capsys):
+        """The routes differ by rounding: with --tol 0 that spread fails, after
+        all four lines are printed."""
+        assert main(["oracle", "0.6", "0.7", "0.5", "0.8", "0.5", "0.45", "--tol", "0"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 4 and float(lines[-1].split()[-1]) > 0.0
+        assert captured.err == "spread above tolerance 0.0\n"
+
+    def test_unstable_limit_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle_module, "EPS_LIM", 0.0)
+        assert main(["oracle", "0.6", "0.7", "0.5", "0.8", "0.5", "0.45"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: wedge moment ladder not stable within 0.0; "
+                                       "evaluation trace: [")
+        assert captured.err.count("\n") == 1
+
 
 #: argv of each subcommand that takes --tol; argparse checks it before any file is read.
 TOL_ARGV = {"validate": ["validate", "F.json", "--kind", "bi"],
@@ -386,6 +418,18 @@ class TestEcdfPlotdata:
         samples = tmp_path / "s.tsv"
         samples.write_text("# nothing here\n")
         assert main(["ecdf", str(samples), "--out", str(tmp_path / "e.json")]) == 1
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0 0", "expected 'x<TAB>y'"),
+        ("0\t1\t2", "expected 'x<TAB>y'"),
+        ("0\tx", "could not convert string to float: 'x'"),
+    ], ids=["no-tab", "three-fields", "not-a-number"])
+    def test_malformed_sample_line_exit_2(self, tmp_path, capsys, line, reason):
+        samples = tmp_path / "s.tsv"
+        samples.write_text(f"# x y\n0\t0\n{line}\n")
+        assert main(["ecdf", str(samples), "--out", str(tmp_path / "e.json")]) == 2
+        assert capsys.readouterr().err == f"error: {samples}:3: {reason}\n"
+        assert not (tmp_path / "e.json").exists()
 
     def test_plotdata_row_count(self, valid_bi, tmp_path):
         out = tmp_path / "plot.tsv"
@@ -503,3 +547,9 @@ def test_package_names_load_on_first_use():
     assert bifreemax.load_bi_json is load_bi_json
     with pytest.raises(AttributeError):
         bifreemax.no_such_name
+
+
+def test_submodule_loads_through_the_package(monkeypatch):
+    """A submodule that is not yet an attribute of the package is imported on first use."""
+    monkeypatch.delattr(bifreemax, "cdf")
+    assert bifreemax.cdf is cdf_module

@@ -6,6 +6,7 @@ import pytest
 
 from bifreemax import (
     InvalidLawError,
+    LimitConvergenceError,
     ProjectionPairLaw,
     atom_mass_limit,
     bifree_max_convolve,
@@ -102,6 +103,11 @@ class TestKProjection:
             k_projection_excess(-1.0, 0.5)
         with pytest.raises(ValueError):
             k_projection(0, 0.5)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_excess_rejects_a_trace_that_is_not_positive(self, p):
+        with pytest.raises(ValueError, match=r"requires p > 0, got"):
+            k_projection_excess(2.0, p)
 
 
 class TestCauchyPair:
@@ -225,6 +231,16 @@ class TestWedgeMomentLimit:
             assert abs(wedge_moment_limit(law, law2)
                        - wedge_moment_closed_form(law, law2)) <= 1e-6
 
+    def test_unstable_ladder_raises_with_its_trace(self, monkeypatch):
+        """With no tolerance the rounding of the last two extrapolants fails
+        the criterion; the error carries the six ladder values."""
+        monkeypatch.setattr(oracle, "EPS_LIM", 0.0)
+        with pytest.raises(LimitConvergenceError, match="wedge moment ladder not stable") as got:
+            wedge_moment_limit(LAW_A, LAW_B)
+        evals = [wedge_moment_expression(t, t, LAW_A, LAW_B) for t in oracle.LIMIT_LADDER]
+        assert got.value.trace == evals
+        assert str(got.value).endswith(f"; evaluation trace: {evals}")
+
 
 class TestWedgeMomentClosedForm:
     def test_point_masses(self):
@@ -277,6 +293,24 @@ class TestAtomMassLimit:
         G = bifree_sum_cauchy(LAW_A, LAW_B)
         got = atom_mass_limit(G, (2.0, 2.0))
         assert got == pytest.approx(WEDGE_AB, abs=1e-6)
+
+    def test_divergent_ladder_raises_with_its_trace(self):
+        """A transform with a double pole at the top has no finite atom mass:
+        (z - 2)(w - 2) G doubles along the ladder, and the error holds all 30 values."""
+        with pytest.raises(LimitConvergenceError, match="atom-mass ladder not stable") as got:
+            atom_mass_limit(lambda z, w: 1.0 / ((z - 2.0) * (w - 2.0)) ** 2, (2.0, 2.0))
+        assert got.value.trace == [4.0 ** n for n in range(1, 31)]
+
+
+class TestBifreeSumCauchy:
+    def test_rejects_a_zero_marginal_trace(self):
+        with pytest.raises(ValueError, match="all marginal traces must be positive"):
+            bifree_sum_cauchy(ProjectionPairLaw(0.0, 0.5, 0.0), LAW_B)
+
+    @pytest.mark.parametrize("Z, W", [(2.0, 3.0), (3.0, 2.0), (-5.0, 3.0), (math.nan, 3.0)])
+    def test_evaluator_rejects_points_outside_its_domain(self, Z, W):
+        with pytest.raises(ValueError, match=r"defined for Z > 2, W > 2"):
+            bifree_sum_cauchy(LAW_A, LAW_B)(Z, W)
 
 
 class TestThreeRoutes:

@@ -237,6 +237,34 @@ def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, ce
     assert (whole_loads == []) == streamed
 
 
+def test_a_tail_with_no_row(whole_loads, monkeypatch, tmp_path, capsys):
+    """A tail with no "[" before its "]]}" has no last row.  After the header
+    parse has met the "[" of cdf, that is a file rewritten during the read:
+    the pass falls back to the whole load, which gives the loader's message."""
+    path = tmp_path / "F.json"
+    path.write_text("]]}\n")
+    with pytest.raises(CDFFormatError, match="the file has no last row"):
+        rowstream._tail_row(path, 2)
+    with pytest.raises(CDFFormatError) as loaded:
+        load_bi_json(path)
+    path.write_text(G_TEXT + "}\n")
+    real, raised = rowstream._tail_row, []
+
+    def tail_row(p, ny):
+        path.write_text("]]}\n")
+        try:
+            return real(p, ny)
+        except CDFFormatError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(rowstream, "_tail_row", tail_row)
+    assert main(["validate", str(path), "--kind", "bi"]) == 2
+    assert capsys.readouterr() == ("", f"error: {loaded.value}\n")
+    assert raised == ["the file has no last row"]
+    assert whole_loads == [str(path)]
+
+
 @pytest.mark.parametrize("chunk", [1, 8, 32])
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
 def test_last_row_longer_than_the_buffer(compare, whole_loads, monkeypatch, tmp_path,
@@ -487,6 +515,26 @@ class TestStability:
                 # every row once, plus the tail row; one window, at the widest read
                 assert decoded[0] == F.x_breaks.size + 1
                 assert len(windows) == 1
+
+    @pytest.mark.parametrize("norm", [(1.04, -0.3), (1.46, 0.1), (2.0, 0.5)])
+    def test_checks_whole_blocks(self, whole_loads, monkeypatch, tmp_path, capsys, norm):
+        """The validator rounds each read of the grid up to the end of a row
+        block within its span, the widest read and the row before it, so a
+        read that starts far behind its last row still checks to a block's
+        end: at most two checks per row block, where a forward pass makes one."""
+        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 512)
+        F = _cumulated(np.random.default_rng(79), 512, 32)
+        path = tmp_path / "F.json"
+        save_bi_json(F, path)
+        want = max_stable_residual(F, 2, AffineNormalization(*norm, *norm))
+        checks = []
+        real = cdf_module._BiValidator._check
+        monkeypatch.setattr(cdf_module._BiValidator, "_check",
+                            lambda self, lo, stop: checks.append(lo) or real(self, lo, stop))
+        assert main(["stability", str(path), "2", *map(repr, norm * 2)]) == 0
+        assert capsys.readouterr() == (f"{want:.10g}\n", "")
+        assert whole_loads == []
+        assert len(checks) <= 2 * len(list(cdf_module.row_blocks(512, 32)))
 
     @pytest.mark.parametrize("scale", [1.0, 0.0])
     def test_a_malformed_grid_reports_before_a_bad_scale(self, tmp_path, capsys, scale):
