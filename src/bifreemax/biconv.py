@@ -154,14 +154,10 @@ def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...
 def psi_ratio(F: BivariateCDF, eps: float = EPS_CDF) -> PsiField:
     """Ratio field F1*F2/F; where F <= 0, +inf if F1 > 0 and F2 > 0, and nan otherwise."""
     require_valid_bi(F, eps)
-    scratch = _Scratch(*F.cdf.shape)
-
-    def block(r):
-        shape = (r.stop - r.start, F.y_breaks.size)
-        return _psi_block(F.cdf[r], F.cdf[-1], np.nan, scratch("psi", shape),
-                          scratch("mask", shape, bool))
-
-    return PsiField(F.x_breaks, F.y_breaks, GridRows(F.x_breaks, F.y_breaks, block).array())
+    scratch, out = _Scratch(*F.cdf.shape), np.empty(F.cdf.shape)
+    for r in row_blocks(*out.shape):
+        _psi_block(F.cdf[r], F.cdf[-1], np.nan, out[r], scratch("mask", out[r].shape, bool))
+    return PsiField(F.x_breaks, F.y_breaks, out)
 
 
 def psi_range(c: np.ndarray, m2: np.ndarray, scratch: _Scratch, lo: float = np.inf,
@@ -298,9 +294,10 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     sequence drives this to 0 as n grows.  The power is never held: each
     row block of the evaluation grid computes the rows of it that it reads.
     F is read once per row block, over the rows that the block reads at x
-    and that the power reads near a*x + b; the reads start at increasing
-    rows, so CLI ``stability`` runs the same code on one pass over its file,
-    holding the rows between the two.
+    and that the power reads near a*x + b: that read decodes and checks
+    them, and the block's reads of F fall within it.  The reads start at
+    increasing rows, so CLI ``stability`` runs the same code on one pass
+    over its file, holding the rows between the two.
 
     Error budget: the residual holds the power's error, up to about n*u for
     a stored F with rounding u (see ``nfold``), so a max-stable F reads about
@@ -313,22 +310,14 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
 def _residual(F, n, norm: AffineNormalization) -> float:
     """max_stable_residual of a row source F; n is checked here.
 
-    Each block reads F from the smallest first row of any later block's
-    reads, F's own and the power's, through its own last row, and both
-    take their rows from that read.  The widest read is reserved first.
+    Each block first reads F from the smallest first row of any later block's
+    reads, F's own and the power's, through its own last row: the read that
+    decodes and checks them, within which both then read F.  The widest
+    read is reserved first.
     """
-    read = [0, np.empty((0, F.y_breaks.size))]   # the last read of F: its first row, its rows
-
-    def rows_of_f(rows):
-        lo, held = read
-        if lo <= rows.start and rows.stop <= lo + len(held):
-            return held[rows.start - lo:rows.stop - lo]
-        return F.block(rows)   # the last row, which the power reads first
-
-    S = GridRows(F.x_breaks, F.y_breaks, rows_of_f)
-    H = _pulled_back(_nfold_rows(S, n), norm)
+    H = _pulled_back(_nfold_rows(F, n), norm)
     xs, ys = _union_grid(F, H, "max_stable_residual")
-    h, f = _OnGrid(H, xs, ys), _OnGrid(S, xs, ys)
+    h, f = _OnGrid(H, xs, ys), _OnGrid(F, xs, ys)
     blocks = list(row_blocks(xs.size, ys.size))
     # the rows of F that each block reads: a reader below the grid reads none
     steps = [_step_index(X.x_breaks, xs) for X in (H, F)]
@@ -340,7 +329,7 @@ def _residual(F, n, norm: AffineNormalization) -> float:
     scratch = _Scratch(xs.size, ys.size)
     residual = 0.0
     for rows, start, stop in zip(blocks, starts, stops):
-        read[:] = start, F.block(slice(start, stop))
+        F.block(slice(start, stop))
         diff = scratch("diff", (rows.stop - rows.start, ys.size))
         np.subtract(h.block(rows, scratch, "H"), f.block(rows, scratch, "F"), out=diff)
         residual = max(residual, float(np.max(np.abs(diff, out=diff))))

@@ -27,7 +27,7 @@ import math
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,6 +141,7 @@ class UnivariateCDF:
         """Evaluate F(s); s may be a scalar or an array."""
         idx = _step_index(self.breaks, s)
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
+        out = np.where(np.isnan(s), np.nan, out)   # searchsorted puts nan above every break
         return out if np.ndim(s) else float(out)
 
 
@@ -156,20 +157,22 @@ class _RowSource:
         return float(self.evaluate_grid([s], [t])[0, 0])
 
     def evaluate_grid(self, xs, ys) -> np.ndarray:
-        """Evaluate F on the product grid xs x ys; returns a matrix.
+        """Evaluate F on the product grid xs x ys; returns a matrix, nan at a nan point.
 
         Reads one block: the contiguous row range that the points of xs hit.
         """
-        xi = _step_index(self.x_breaks, np.asarray(xs, dtype=float))
-        yj = _step_index(self.y_breaks, np.asarray(ys, dtype=float))
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        xi, yj = _step_index(self.x_breaks, xs), _step_index(self.y_breaks, ys)
+        xi[np.isnan(xs)] = -1   # searchsorted puts nan above every break: read no row for it
         hit = xi[xi >= 0]
-        if hit.size == 0:   # xs is empty or below the grid
-            return np.zeros((xi.size, yj.size))
-        lo = int(hit.min())
-        rows = self.block(slice(lo, int(hit.max()) + 1))
-        vals = rows[np.ix_(np.maximum(xi - lo, 0), np.maximum(yj, 0))]
-        vals[xi < 0] = 0.0
-        vals[:, yj < 0] = 0.0
+        if hit.size == 0:   # xs is empty, below the grid or nan
+            vals = np.zeros((xi.size, yj.size))
+        else:
+            lo, hi = int(hit.min()), int(hit.max())
+            vals = self.block(slice(lo, hi + 1))[np.ix_(np.maximum(xi - lo, 0), np.maximum(yj, 0))]
+            vals[xi < 0] = 0.0
+            vals[:, yj < 0] = 0.0
+        vals[np.isnan(xs)] = vals[:, np.isnan(ys)] = np.nan
         return vals
 
 
@@ -258,22 +261,22 @@ class GridRows(_RowSource):
     def array(self) -> np.ndarray:
         """The whole array, filled one row block at a time."""
         out = np.empty((self.x_breaks.size, self.y_breaks.size))
-        for rows in row_blocks(*out.shape):   # shape checked, values not: psi has sentinels
-            out[rows] = _checked_block(self, rows, out.shape[1], finite_from=None)
+        for rows in row_blocks(*out.shape):
+            out[rows] = _checked_block(self, rows, out.shape[1])
         return out
 
     def to_cdf(self) -> BivariateCDF:
         return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
 
 
-def _checked_block(F, rows: slice, ncols: int, finite_from: int | None = 0) -> np.ndarray:
+def _checked_block(F, rows: slice, ncols: int, finite_from: int = 0) -> np.ndarray:
     """F.block(rows) as a C-contiguous float64 array, with the checks BivariateCDF
     makes on a whole array: shape, and finiteness of F's rows from row
-    finite_from on (none if None), the rows before it being checked already."""
+    finite_from on, the rows before it being checked already."""
     block = np.ascontiguousarray(F.block(rows), dtype=float)
     if block.shape != (rows.stop - rows.start, ncols):
         raise CDFError("cdf must have shape (len(x_breaks), len(y_breaks))")
-    new = block[max(finite_from - rows.start, 0):] if finite_from is not None else block[:0]
+    new = block[max(finite_from - rows.start, 0):]
     if new.size and not (np.isfinite(new.min()) and np.isfinite(new.max())):
         raise CDFError("cdf values must be finite")
     return block
@@ -632,11 +635,12 @@ def affine_transform(F: BivariateCDF, n: AffineNormalization,
     Breakpoints are pulled back through the affine map; values are unchanged.
     """
     require_valid_bi(F, eps)
-    return _pulled_back(F, n)
+    P = _pulled_back(F, n)
+    return BivariateCDF(P.x_breaks, P.y_breaks, F.cdf)
 
 
-def _pulled_back(F, n: AffineNormalization):
-    """The row source F with its breaks pulled back through n; its rows are F's.
+def _pulled_back(F, n: AffineNormalization) -> GridRows:
+    """The row source F with its breaks pulled back through n; its rows are F's reads.
 
     Raises CDFError if the pulled-back breaks are not finite and strictly
     increasing, as when a huge shift collapses them or a tiny scale overflows.
@@ -647,7 +651,7 @@ def _pulled_back(F, n: AffineNormalization):
         raise CDFError(f"the normalization (a, b, c, d) = "
                        f"{tuple(map(float, (n.a, n.b, n.c, n.d)))!r} pulls the grid back "
                        f"to breaks that are not finite and strictly increasing")
-    return replace(F, x_breaks=xb, y_breaks=yb)
+    return GridRows(xb, yb, F.block)
 
 
 def ecdf_from_samples(points) -> BivariateCDF:
@@ -760,23 +764,32 @@ def load_uni_json(path) -> UnivariateCDF:
 
 
 def save_bi_json(F: BivariateCDF | GridRows, path) -> None:
-    """Write the row source F as bivariate CDF JSON; path is replaced whole or left as it was.
-
-    F's rows are computed and written one row block at a time, and each
-    block gets the checks BivariateCDF makes on the whole array (shape and
-    finiteness) before it is written.  Rows go through the C encoder and
-    are written one at a time, so the matrix never exists as Python floats
-    or as one block's text, and the bytes equal json.dump of the dict plus "\n".
-    """
+    """Write the row source F as bivariate CDF JSON, the bytes of json.dump of the dict
+    plus "\n"; path is replaced whole or left as it was."""
     with _replacing(path) as fh:
-        xb = _check_breaks(F.x_breaks, "x_breaks")
-        yb = _check_breaks(F.y_breaks, "y_breaks")
-        fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
-                 f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
-        for rows in row_blocks(xb.size, yb.size):
-            for i, text in enumerate(_rows_json(_checked_block(F, rows, yb.size)), rows.start):
-                fh.write(", " + text if i else text)
-        fh.write("]}\n")
+        for _ in _write_bi_json(F, fh):
+            pass
+
+
+def _write_bi_json(F, fh):
+    """Write F to fh as save_bi_json does, a row block at a time; yield each block
+    as (rows, block) after the checks BivariateCDF makes on a whole array (shape
+    and finiteness) and before it is written.
+
+    Rows go through the C encoder and are written one at a time, so the
+    matrix never exists as Python floats or as one block's text.  A caller
+    that stops early leaves fh unfinished, so this runs only inside _replacing.
+    """
+    xb = _check_breaks(F.x_breaks, "x_breaks")
+    yb = _check_breaks(F.y_breaks, "y_breaks")
+    fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
+             f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
+    for rows in row_blocks(xb.size, yb.size):
+        block = _checked_block(F, rows, yb.size)
+        yield rows, block
+        for i, text in enumerate(_rows_json(block), rows.start):
+            fh.write(", " + text if i else text)
+    fh.write("]}\n")
 
 
 def _rows_json(block: np.ndarray):

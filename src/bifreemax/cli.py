@@ -26,12 +26,12 @@ from .cdf import (
     AffineNormalization,
     CDFError,
     CDFFormatError,
-    GridRows,
     InvalidCDFError,
     _BiValidator,
     _replacing,
     _Scratch,
     _union_grid,
+    _write_bi_json,
     ecdf_rows,
     load_bi_json,
     load_samples_tsv,
@@ -128,15 +128,13 @@ def _biconv(F, G, args) -> int:
     scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
     H = _affine_rows(xs, ys, (F, G), (1, 1), scratch=scratch)
     m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
-    psi = [np.inf, -np.inf]
-
-    def block(rows):   # gathers the last column and the psi range on the way out
-        b = H.block(rows)
-        m1[rows] = b[:, -1]
-        psi[:] = psi_range(b, m2, scratch, *psi)
-        return b
-
-    save_bi_json(_finishing(GridRows(xs, ys, block), F, G), args.out)
+    psi = np.inf, -np.inf
+    with _replacing(args.out) as fh:
+        for rows, b in _write_bi_json(H, fh):   # gathers the last column and the psi range
+            m1[rows] = b[:, -1]
+            psi = psi_range(b, m2, scratch, *psi)
+        F.finish()
+        G.finish()
     f1, g1 = (X.last_column().evaluate_grid(xs, ys[-1:])[:, 0] for X in (F, G))
     h1 = np.maximum(0.0, f1 + g1 - 1.0)
     ok = np.all(np.abs(m1 - h1) <= args.tol)
@@ -148,25 +146,14 @@ def _biconv(F, G, args) -> int:
     return 0
 
 
-def _finishing(H, *inputs) -> GridRows:
-    """H's rows; the read of the last one calls finish() of each input before
-    the writer gets it, so an invalid input stops the output before it
-    replaces a file."""
-    def block(rows):
-        b = H.block(rows)
-        if rows.stop == H.x_breaks.size:
-            for F in inputs:
-                F.finish()
-        return b
-
-    return GridRows(H.x_breaks, H.y_breaks, block)
-
-
 def cmd_nfold(args) -> int:
     def run(F):
         H = _nfold_rows(F, args.n)
         mass = H.evaluate(H.x_breaks[-1], H.y_breaks[-1])
-        save_bi_json(_finishing(H, F), args.out)
+        with _replacing(args.out) as fh:
+            for _ in _write_bi_json(H, fh):
+                pass
+            F.finish()
         print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
         return 0
 
@@ -180,15 +167,12 @@ class _NotDivisible(Exception):
 def cmd_root(args) -> int:
     def run(F):
         R = _BiValidator(_root_rows(F, args.n), args.tol)   # the candidate, checked as written
-
-        def block(rows):
-            b = R.block(rows)
-            if not R.clean:
-                raise _NotDivisible
-            return b
-
         try:
-            save_bi_json(_finishing(GridRows(R.x_breaks, R.y_breaks, block), F), args.out)
+            with _replacing(args.out) as fh:
+                for _ in _write_bi_json(R, fh):   # a block that shows a violation is not written
+                    if not R.clean:
+                        raise _NotDivisible
+                F.finish()
         except _NotDivisible:
             violations = R.report()   # which reads the rest of F too
             F.finish()

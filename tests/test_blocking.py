@@ -759,12 +759,13 @@ class TestStreamedCliErrors:
     @pytest.fixture
     def inputs(self, tmp_path):
         F, G = next(seeded_pairs(52))
-        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f, g, h = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "f2.json"
         save_bi_json(F, f)
         save_bi_json(G, g)
-        return {"biconv": [str(f), str(g)], "nfold": [str(f), "2"]}
+        save_bi_json(nfold(F, 2), h)   # a valid 2-fold power: root writes its candidate
+        return {"biconv": [str(f), str(g)], "nfold": [str(f), "2"], "root": [str(h), "2"]}
 
-    @pytest.mark.parametrize("command", ["biconv", "nfold"])
+    @pytest.mark.parametrize("command", ["biconv", "nfold", "root"])
     @pytest.mark.parametrize("existing", [False, True], ids=["no-out", "old-out"])
     def test_failure_midway(self, fail_at, inputs, tmp_path, capsys, command, existing):
         out = tmp_path / "h.json"

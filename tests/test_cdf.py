@@ -24,7 +24,7 @@ from bifreemax import (
     validate_uni,
 )
 from bifreemax import cdf as cdf_module
-from bifreemax.cdf import EPS_CDF, MAX_LISTED, require_valid_bi
+from bifreemax.cdf import EPS_CDF, MAX_LISTED, GridRows, require_valid_bi
 from helpers import ecdf_brute_force, group_violations, random_bivariate_cdf
 
 
@@ -37,6 +37,42 @@ class TestUnivariateCDF:
     def test_values_that_are_not_finite_rejected(self, bad):
         with pytest.raises(CDFError, match="values must be finite"):
             UnivariateCDF([0.0, 1.0], [bad, 1.0])
+
+
+class TestNanCoordinate:
+    """A nan coordinate evaluates to nan, not to the value above the grid;
+    +-inf reads as before: 0 below the grid, the last value above it."""
+
+    def test_univariate(self):
+        F = UnivariateCDF([0.0, 1.0], [0.6, 1.0])
+        assert np.isnan(F.evaluate(np.nan))
+        assert (F.evaluate(-np.inf), F.evaluate(np.inf)) == (0.0, 1.0)
+        got = F.evaluate(np.array([np.nan, -np.inf, 0.5, np.inf, np.nan]))
+        assert np.array_equal(got, [np.nan, 0.0, 0.6, 1.0, np.nan], equal_nan=True)
+
+    def test_bivariate(self):
+        F = BivariateCDF([0.0, 1.0], [0.0, 1.0], [[0.3, 0.6], [0.5, 1.0]])
+        assert np.isnan(F.evaluate(np.nan, 0.5)) and np.isnan(F.evaluate(0.5, np.nan))
+        assert (F.evaluate(-np.inf, 0.5), F.evaluate(np.inf, 0.5)) == (0.0, 0.5)
+        xs, ys = [np.nan, -np.inf, 0.5, np.inf], [0.5, np.nan, np.inf, -np.inf]
+        nan = np.nan
+        expected = [[nan, nan, nan, nan],
+                    [0.0, nan, 0.0, 0.0],
+                    [0.3, nan, 0.6, 0.0],
+                    [0.5, nan, 1.0, 0.0]]
+        assert np.array_equal(F.evaluate_grid(xs, ys), expected, equal_nan=True)
+        # no point of xs on the grid: every point is nan or below it
+        assert np.array_equal(F.evaluate_grid([nan, -1.0], [0.5, nan]),
+                              [[nan, nan], [0.0, nan]], equal_nan=True)
+
+    def test_nan_rows_read_no_row(self):
+        F = BivariateCDF([0.0, 1.0, 2.0], [0.0, 1.0], [[0.1, 0.2], [0.3, 0.6], [0.5, 1.0]])
+        reads = []
+        rows = GridRows(F.x_breaks, F.y_breaks, lambda r: reads.append(r) or F.cdf[r])
+        got = rows.evaluate_grid([0.5, np.nan, 1.5], [1.0, np.nan])
+        assert np.array_equal(got, [[0.2, np.nan], [np.nan, np.nan], [0.6, np.nan]],
+                              equal_nan=True)
+        assert reads == [slice(0, 2)]
 
 
 class TestValidateUni:
