@@ -205,7 +205,7 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     Computed through the closed form, the kernel's map with weights (n,) and
     q = 1, ``n*a - (n-1)``, rather than n-1 pairwise convolutions; so
     ``nfold(F, 2)`` is ``bifree_max_convolve(F, F)`` byte for byte, and cells
-    with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself.
+    with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself; n is at most 2**53.
 
     Error budget: the power multiplies the defects ``1 - F_j`` and the ratio
     excess ``psi - 1`` by n, so a stored input with rounding u gives up to
@@ -227,10 +227,9 @@ def _nfold_rows(F, n):
 
 
 def _check_fold_count(n) -> int:
-    """n as an int; a ValueError unless n is a positive integer that a float can hold."""
-    try:
-        float(n)   # the kernels take n as a float: an int past 2**1024 overflows
-        ok = int(n) == n and n >= 1   # int() overflows at inf and fails at nan
+    """n as an int; a ValueError unless n is an integer with 1 <= n <= 2**53."""
+    try:   # the kernels take n and n - 1 as floats: above 2**53, n - 1 rounds
+        ok = int(n) == n and 1 <= n <= 2 ** 53   # int() overflows at inf and fails at nan
     except (OverflowError, ValueError):
         ok = False
     if not ok:
@@ -257,9 +256,9 @@ class NthRootResult:
 def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """The unique ratio-affine n-th root candidate of F under the convolution.
 
-    The kernel's map has weights (1,) and q = n: ``(a + (n-1))/n``, rounded
-    once.  Only the root decodes 0/0 cells (F <= 0, a marginal <= 0), where
-    every kernel puts ratio 1, the independent value.
+    The kernel's map has weights (1,) and q = n <= 2**53: ``(a + (n-1))/n``,
+    rounded once.  Only the root decodes 0/0 cells (F <= 0, a marginal
+    <= 0), where every kernel puts ratio 1, the independent value.
     It is decoded like the convolution and the power: the +inf sentinel
     gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
     If the candidate is returned valid, its n-fold convolution recovers F.
@@ -290,12 +289,12 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
     """Sup-on-grid distance between the normalized n-fold power and F.
 
     The evaluation grid is the union of F's grid and the pulled-back grid
-    of the n-fold power.  A max-stable F with the right normalizing
-    sequence drives this to 0 as n grows.  The power is never held: each
-    row block of the evaluation grid computes the rows of it that it reads.
-    F is read once per row block, over the rows that the block reads at x
-    and that the power reads near a*x + b: that read decodes and checks
-    them, and the block's reads of F fall within it.  The reads start at
+    of the n-fold power, n <= 2**53.  A max-stable F with the right
+    normalizing sequence drives this to 0 as n grows.  The power is never
+    held: each row block of the evaluation grid computes the rows of it that
+    it reads.  F is read once per row block, over the rows that the block
+    reads at x and that the power reads near a*x + b: that read decodes and
+    checks them, and the block's reads of F fall within it.  The reads start at
     increasing rows, so CLI ``stability`` runs the same code on one pass
     over its file, holding the rows between the two.
 

@@ -311,7 +311,7 @@ class AffineNormalization:
 # ---------------------------------------------------------------------------
 
 class _Kind:
-    """One kind of violation: a bound ``lo <= v <= hi`` checked within eps.
+    """One kind of violation: a bound ``lo <= v <= hi`` checked within eps >= 0.
 
     ``check(row0, v, lo, hi, scratch)`` takes the 2-d rows of v from row row0
     on, with lo <= hi broadcast against them (-inf or inf for a missing
@@ -320,10 +320,13 @@ class _Kind:
     float it rounds to.  Fed the rows in order, the kind keeps its first
     MAX_LISTED violations in row-major order, formatted by ``line(i, j,
     value)``, their exact count and their worst amount, rounded once.  It
-    works in the block-sized masks and amounts of ``scratch``, and makes no
+    works in the block-sized mask and amounts of ``scratch``, and makes no
     array as long as the violations.  A block returns at once where no value
-    is past its bound: after its min or max for a scalar bound, after one or
-    two comparisons for a Frechet bound.
+    can be past its bound: after its min (and max, if bounded above) for a
+    scalar bound, after one comparison for a Frechet bound, which is
+    one-sided.  Otherwise the violations, the ties settled by their rounding
+    error, the count, the worst amount and the lines all come from the
+    block's amounts.
     """
 
     def __init__(self, name: str, eps: float, line):
@@ -331,39 +334,28 @@ class _Kind:
         self.lines, self.count, self.worst = [], 0, -math.inf
 
     def check(self, row0: int, v: np.ndarray, lo, hi, scratch: _Scratch) -> None:
-        shape, ncols = v.shape, v.shape[1]
+        shape, ncols, eps = v.shape, v.shape[1], self.eps
         if v.size == 0:
             return
-        has_lo = not (np.ndim(lo) == 0 and lo == -math.inf)
-        has_hi = not (np.ndim(hi) == 0 and hi == math.inf)
-        if np.ndim(lo) == np.ndim(hi) == 0:   # rounding is monotone, so no amount
-            # rounds to eps or more unless that of the smallest or largest value does
-            if not ((has_lo and lo - v.min() >= self.eps) or (has_hi and v.max() - hi >= self.eps)):
-                return
-        past, bad = scratch("past", shape, bool), scratch("bad", shape, bool)
-        if has_lo:
-            np.less(v, lo, out=past)
-        if has_hi:   # bad holds the values above hi until past is their union
-            np.greater(v, hi, out=bad if has_lo else past)
-            if has_lo:
-                np.logical_or(past, bad, out=past)
-        if not past.any():
+        scalar = np.ndim(lo) == np.ndim(hi) == 0
+        # rounding is monotone: no amount rounds to eps or more unless an extreme value's does
+        if scalar and lo - v.min() < eps and (hi == math.inf or v.max() - hi < eps):
             return
-        # past lo <= hi on one side only: the amount is lo - v or v - hi
-        amount = scratch("amount", shape)
-        if has_lo:
-            np.subtract(lo, v, out=amount)
-        if has_hi:
-            np.subtract(v, hi, out=amount, where=bad if has_lo else True)
-        np.equal(amount, self.eps, out=bad)
-        np.logical_and(bad, past, out=bad)
-        ties = np.flatnonzero(bad) if bad.any() else ()
-        np.greater(amount, self.eps, out=bad)
-        np.logical_and(bad, past, out=bad)
+        bad = scratch("bad", shape, bool)
+        if not (scalar or (np.less(v, lo, out=bad) if np.ndim(lo)
+                           else np.greater(v, hi, out=bad)).any()):
+            return
+        amount = np.subtract(lo, v, out=scratch("amount", shape))   # -inf with no lower bound
+        if np.ndim(hi) or hi < math.inf:   # lo <= hi: the larger amount is v - hi where v > hi
+            np.subtract(v, hi, out=amount, where=np.greater(v, hi, out=bad) if scalar else bad)
+        ties = ()
+        if eps > 0 and np.equal(amount, eps, out=bad).any():
+            ties = np.flatnonzero(bad)
+        np.greater(amount, eps, out=bad)
         lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
         for k in ties:   # rounded to eps: past it iff e > 0,
             i, j = divmod(int(k), ncols)
-            a, b = (lo[i, j], v[i, j]) if lo[i, j] - v[i, j] == self.eps else (v[i, j], hi[i, j])
+            a, b = (lo[i, j], v[i, j]) if lo[i, j] - v[i, j] == eps else (v[i, j], hi[i, j])
             s = a - b   # where a - b = s + e exactly (Knuth's two-sum)
             bad[i, j] = (a - (s - (s - a))) - (b + (s - a)) > 0.0
         count = np.count_nonzero(bad)
@@ -389,7 +381,8 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     """Check the distribution-function axioms; returns named violations.
 
     At most MAX_LISTED locations are listed per kind, then a summary line.
-    Both kinds are checked in one pass over row blocks of the values.
+    The values and their steps are checked in one pass over row blocks of
+    them, and the total mass on the last value.
     """
     v = F.values
     in01 = _Kind("out-of-[0,1]", eps,
@@ -397,6 +390,8 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
     rising = _Kind("monotonicity", eps,
                    lambda i, *_: (f"monotonicity violation at index {i + 1}: "
                                   f"{float(v[i + 1])!r} < {float(v[i])!r}"))
+    total = _Kind("total-mass", eps,
+                  lambda i, _, x: f"total-mass violation: F(last break) = {float(x)!r} != 1")
     scratch = _Scratch(v.size, 1)
     for rows in row_blocks(v.size, 1):
         lo = max(rows.start - 1, 0)   # the value before the block, for its first step
@@ -404,24 +399,23 @@ def validate_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> list[str]:
         step = np.subtract(v[lo + 1:rows.stop, None], v[lo:rows.stop - 1, None],
                            out=scratch("diff", (rows.stop - lo - 1, 1)))
         rising.check(lo, step, 0.0, np.inf, scratch)
-    out = in01.report() + rising.report()
-    if abs(v[-1] - 1.0) > eps:
-        out.append(f"total-mass violation: F(last break) = {float(v[-1])!r} != 1")
-    return out
+    total.check(v.size - 1, v[-1:, None], 1.0, 1.0, scratch)
+    return in01.report() + rising.report() + total.report()
 
 
 class _BiValidator(_RowSource):
     """The row source F, with validate_bi's checks made on its rows as they are read.
 
-    F's last row, the y-marginal, is read and copied first, and served for
-    a read of that row alone until the checks reach it.  A read past the
-    checked rows reads F once, from the row before them (or the read's
-    first row, if earlier) to the end of the ``row_blocks`` block that holds
-    the read's last row, and checks the rows past them; other reads go to
-    F.  Unless the read itself is longer, that read of F spans at most the
-    validator's span: a block and one row, or one row more than the widest
-    read ``_reserve`` asks for.  The validator reserves its span of F, so a
-    _RowStream's window holds every such read without growing.
+    F's last row, the y-marginal, is read and copied first, its last value
+    checked as the total mass, and served for a read of that row alone until
+    the checks reach it.  A read past the checked rows reads F once, from
+    the row before them (or the read's first row, if earlier) to the end of
+    the ``row_blocks`` block that holds the read's last row, and checks the
+    rows past them; other reads go to F.  Unless the read itself is longer,
+    that read of F spans at most the validator's span: a block and one row,
+    or one row more than the widest read ``_reserve`` asks for.  The
+    validator reserves its span of F, so a _RowStream's window holds every
+    such read without growing.
     So a reader of F's row blocks in order reads each row of F once,
     with the checks BivariateCDF makes on a whole array.  ``report()``
     checks the blocks not read yet and gives validate_bi's report, whatever
@@ -449,11 +443,14 @@ class _BiValidator(_RowSource):
             _Kind("rectangle inequality", eps,
                   lambda i, j, x: (f"rectangle inequality violation at cell ({i},{j}): "
                                    f"mass {float(x)!r}")),
+            _Kind("total-mass", eps,
+                  lambda i, j, x: f"total-mass violation: F(last,last) = {float(x)!r} != 1"),
             _Kind("Frechet upper-bound", eps,
                   lambda i, j, _: f"Frechet upper-bound violation at ({i},{j})"),
             _Kind("Frechet lower-bound", eps,
                   lambda i, j, _: f"Frechet lower-bound violation at ({i},{j})"),
         ]
+        self.kinds[4].check(nx - 1, self.m2[None, -1:], 1.0, 1.0, self.scratch)   # total mass
 
     def _reserve(self, nrows: int) -> None:
         # a read past the checked rows reads F from the row before it
@@ -472,7 +469,7 @@ class _BiValidator(_RowSource):
     def _check(self, lo: int, stop: int) -> np.ndarray:
         """Read F from row lo <= max(checked - 1, 0) through row stop - 1 and
         on, as the class says; check the rows past the checked ones."""
-        in01, along_x, along_y, cells, upper, lower = self.kinds
+        in01, along_x, along_y, cells, _, upper, lower = self.kinds
         m2, scratch, ny, step = self.m2, self.scratch, self.ny, _block_rows(self.ny)
         end = max(stop, min(-(-stop // step) * step, lo + self.span, self.nx))
         read = _checked_block(self.F, slice(lo, end), ny, self.checked)
@@ -498,18 +495,14 @@ class _BiValidator(_RowSource):
     @property
     def clean(self) -> bool:
         """No violation in the rows checked so far, nor in the total mass."""
-        return not any(kind.count for kind in self.kinds) and abs(self.m2[-1] - 1.0) <= self.eps
+        return not any(kind.count for kind in self.kinds)
 
     def report(self) -> list[str]:
         """Check the blocks not read yet; validate_bi's report of F."""
         for rows in row_blocks(self.nx, self.ny):
             if rows.stop > self.checked:
                 self._check(max(self.checked - 1, 0), rows.stop)
-        in01, along_x, along_y, cells, upper, lower = self.kinds
-        out = in01.report() + along_x.report() + along_y.report() + cells.report()
-        if abs(self.m2[-1] - 1.0) > self.eps:
-            out.append(f"total-mass violation: F(last,last) = {float(self.m2[-1])!r} != 1")
-        return out + upper.report() + lower.report()
+        return [line for kind in self.kinds for line in kind.report()]
 
     def finish(self) -> None:
         """report(); raise InvalidCDFError if it lists a violation."""

@@ -141,14 +141,17 @@ def cauchy_pair(z, w, law: ProjectionPairLaw):
 def reduced_r_transform(z, w, law: ProjectionPairLaw):
     """Reduced two-variable R-transform of the pair, in closed form.
 
-    Equals 1 - z*w / G(K(z), K(w)); identically 0 for independent pairs.
+    Equals 1 - z*w / G(K(z), K(w)); identically 0 for independent pairs
+    where K is defined.
     """
-    d = law.delta
-    if d == 0.0:
+    return _reduced_r(law, k_projection(z, law.p) - 1.0, k_projection(w, law.q) - 1.0)
+
+
+def _reduced_r(law: ProjectionPairLaw, ep, eq):
+    """The reduced R-transform from the excesses K(z) - 1 and K(w) - 1."""
+    if law.delta == 0.0:
         return 0.0
-    kp = k_projection(z, law.p)
-    kq = k_projection(w, law.q)
-    return d / ((kp + law.p - 1.0) * (kq + law.q - 1.0) + d)
+    return 1.0 / (1.0 + (law.p + ep) * (law.q + eq) / law.delta)
 
 
 def wedge_moment_expression(z: float, w: float,
@@ -171,16 +174,7 @@ def wedge_moment_expression(z: float, w: float,
     # (K_P + K_P' - 1/z - 2) * z and the analogue in w, cancellation-free.
     A = z * ep + z * ep2 - 1.0
     B = w * eq + w * eq2 - 1.0
-
-    def _term(d: float, p: float, e1: float, q: float, e2: float) -> float:
-        if d == 0.0:
-            return 0.0
-        return 1.0 / (1.0 + (p + e1) * (q + e2) / d)
-
-    bracket = (1.0
-               - _term(law.delta, law.p, ep, law.q, eq)
-               - _term(law2.delta, law2.p, ep2, law2.q, eq2))
-    return A * B / bracket
+    return A * B / (1.0 - _reduced_r(law, ep, eq) - _reduced_r(law2, ep2, eq2))
 
 
 def wedge_moment_limit(law: ProjectionPairLaw, law2: ProjectionPairLaw) -> float:

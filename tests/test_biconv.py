@@ -213,7 +213,8 @@ class TestNfold:
         with pytest.raises(ValueError):
             nfold(F, 0)
 
-    @pytest.mark.parametrize("n", [float("inf"), 10 ** 400], ids=["inf", "10**400"])
+    @pytest.mark.parametrize("n", [float("inf"), 10 ** 400, 2 ** 53 + 2],
+                             ids=["inf", "10**400", "2**53+2"])
     @pytest.mark.parametrize("op", [
         nfold, nth_root,
         lambda F, n: max_stable_residual(F, n, AffineNormalization.identity())],

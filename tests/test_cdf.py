@@ -207,6 +207,7 @@ class TestBoundedReports:
         def cases(v, a, p, r, q, t):
             yield "uni", "value out of [0,1]", [v, 1.0], 0.0, 1.0
             yield "uni", "monotonicity", [a, v, max(v, 1.0)], a, np.inf
+            yield "uni", "total-mass", [v], 1.0, 1.0
             yield "bi", "value out of [0,1]", [[v, 0.5], [0.5, 1.0]], 0.0, 1.0
             yield "bi", "monotonicity violation along x", [[a, 1.0], [v, 1.0]], a, np.inf
             yield "bi", "monotonicity violation along y", [[a, v], [1.0, 1.0]], a, np.inf
@@ -214,6 +215,7 @@ class TestBoundedReports:
             yield "bi", "Frechet upper", [[v, p], [r, 1.0]], -np.inf, min(p, r)
             # q + t, 1 - q and their sum less 1 are exact: q and t are multiples of 2^-52
             yield "bi", "Frechet lower", [[v, q + t], [1 - q, 1.0]], t, np.inf
+            yield "bi", "total-mass", [[0.0, 0.0], [0.0, v]], 1.0, 1.0
 
         def dyadic(eps, top):   # k 2^-52 below top, or of the size of eps and either sign
             if rng.random() < 0.5:
@@ -241,6 +243,16 @@ class TestBoundedReports:
                     assert got == past(lo, v, hi, eps), (kind, start, values, eps)
                     listed[got] += 1
         assert min(listed.values()) > 400
+
+    def test_total_mass_tie_is_settled_exactly(self):
+        """A total mass whose distance from 1 rounds to eps but exceeds it
+        exactly is listed, like a tie of any other kind."""
+        eps, m = 0.75, 0.25 - 2.0 ** -55
+        assert 1.0 - m == eps and Fraction(1) - Fraction(m) == Fraction(eps) + Fraction(2) ** -55
+        assert validate_bi(BivariateCDF([0.0], [0.0], [[m]]), eps) == [
+            f"total-mass violation: F(last,last) = {m!r} != 1"]
+        assert validate_uni(UnivariateCDF([0.0], [m]), eps) == [
+            f"total-mass violation: F(last break) = {m!r} != 1"]
 
     def test_ten_listed_in_full_eleven_summed_up(self):
         # row 2 raised above 1 in its first k columns

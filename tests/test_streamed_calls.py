@@ -304,7 +304,8 @@ def test_grid_from_a_pipe(compare, whole_loads, tmp_path, capsys, command, n):
     assert (out.read_bytes() if out.exists() else None) == want[3]
 
 
-@pytest.mark.parametrize("bad_n", [0, -1, 2 ** 1024], ids=["0", "-1", "2^1024"])
+@pytest.mark.parametrize("bad_n", [0, -1, 2 ** 53 + 2, 2 ** 1024],
+                         ids=["0", "-1", "2^53+2", "2^1024"])
 @pytest.mark.parametrize("command", ["nfold", "root", "stability"])
 def test_an_invalid_grid_reports_before_a_bad_n(compare, tmp_path, command, bad_n):
     path = tmp_path / "F.json"
