@@ -258,15 +258,13 @@ class GridRows(_RowSource):
     y_breaks: np.ndarray
     block: Callable[[slice], np.ndarray]
 
-    def array(self) -> np.ndarray:
-        """The whole array, filled one row block at a time."""
+    def to_cdf(self) -> BivariateCDF:
+        """The grid as a BivariateCDF, filled one row block at a time: each block's
+        shape is checked as it comes, and the finiteness once, by BivariateCDF."""
         out = np.empty((self.x_breaks.size, self.y_breaks.size))
         for rows in row_blocks(*out.shape):
-            out[rows] = _checked_block(self, rows, out.shape[1])
-        return out
-
-    def to_cdf(self) -> BivariateCDF:
-        return BivariateCDF(self.x_breaks, self.y_breaks, self.array())
+            out[rows] = _checked_block(self, rows, out.shape[1], out.shape[0])
+        return BivariateCDF(self.x_breaks, self.y_breaks, out)
 
 
 def _checked_block(F, rows: slice, ncols: int, finite_from: int = 0) -> np.ndarray:
@@ -311,7 +309,7 @@ class AffineNormalization:
 # ---------------------------------------------------------------------------
 
 class _Kind:
-    """One kind of violation: a bound ``lo <= v <= hi`` checked within eps >= 0.
+    """One kind of violation: a bound ``lo <= v <= hi`` checked within a finite eps >= 0.
 
     ``check(row0, v, lo, hi, scratch)`` takes the 2-d rows of v from row row0
     on, with lo <= hi broadcast against them (-inf or inf for a missing
@@ -330,6 +328,8 @@ class _Kind:
     """
 
     def __init__(self, name: str, eps: float, line):
+        if not 0.0 <= eps < math.inf:   # nan fails every comparison
+            raise CDFError(f"eps must be a finite number >= 0, got {eps!r}")
         self.name, self.eps, self.line = name, eps, line
         self.lines, self.count, self.worst = [], 0, -math.inf
 
@@ -408,25 +408,25 @@ class _BiValidator(_RowSource):
 
     F's last row, the y-marginal, is read and copied first, its last value
     checked as the total mass, and served for a read of that row alone until
-    the checks reach it.  A read past the checked rows reads F once, from
-    the row before them (or the read's first row, if earlier) to the end of
-    the ``row_blocks`` block that holds the read's last row, and checks the
-    rows past them; other reads go to F.  Unless the read itself is longer,
-    that read of F spans at most the validator's span: a block and one row,
-    or one row more than the widest read ``_reserve`` asks for.  The
-    validator reserves its span of F, so a _RowStream's window holds every
-    such read without growing.
-    So a reader of F's row blocks in order reads each row of F once,
-    with the checks BivariateCDF makes on a whole array.  ``report()``
-    checks the blocks not read yet and gives validate_bi's report, whatever
-    the reads were: the kinds keep their lines in row-major order, and
-    counts and worst amounts do not depend on the blocking.  The checks of
-    a read work in one scratch set, reused from read to read, so a read
-    allocates nothing of its size, however many of its values violate.
+    the checks reach it.  A read past the checked rows reads F once, from the
+    row before them (or the read's first row, if earlier) to the end of the
+    ``row_blocks`` block that holds the read's last row, and checks the rows
+    past them; other reads go to F.  Unless the read itself is longer, that read
+    of F spans at most the validator's span: a block and one row, or one row
+    more than the widest read ``_reserve`` asks for.  The validator reserves
+    its span of F, so a _RowStream's window holds every such read without
+    growing.  So a reader of F's row blocks in order reads each row of F once,
+    with the checks BivariateCDF makes on a whole array; ``column`` holds F's
+    last column, the x-marginal, up to the checked rows.  ``report()`` checks
+    the blocks not read yet and gives validate_bi's report, whatever the reads
+    were: the kinds keep their lines in row-major order, and counts and worst
+    amounts do not depend on the blocking.  The checks of a read work in one
+    scratch set, reused from read to read, so a read allocates nothing of its
+    size, however many of its values violate.
     """
 
     def __init__(self, F, eps: float):
-        self.F, self.x_breaks, self.y_breaks, self.eps = F, F.x_breaks, F.y_breaks, eps
+        self.F, self.x_breaks, self.y_breaks = F, F.x_breaks, F.y_breaks
         nx, ny = self.nx, self.ny = F.x_breaks.size, F.y_breaks.size
         # a GridRows block is valid until the next read: the last row is kept
         self.m2 = _checked_block(F, slice(nx - 1, nx), ny)[0].copy()
@@ -510,10 +510,6 @@ class _BiValidator(_RowSource):
         if violations:
             raise InvalidCDFError(violations)
 
-    def last_column(self) -> BivariateCDF:
-        """F's last column, as a one-column grid; after report()."""
-        return BivariateCDF(self.x_breaks, self.y_breaks[-1:], self.column[:, None])
-
 
 def validate_bi(F: BivariateCDF | GridRows, eps: float = EPS_CDF) -> list[str]:
     """Check the bivariate distribution-function axioms of the row source F.
@@ -539,9 +535,7 @@ def require_valid_uni(F: UnivariateCDF, eps: float = EPS_CDF) -> UnivariateCDF:
 
 
 def require_valid_bi(F: BivariateCDF, eps: float = EPS_CDF) -> BivariateCDF:
-    violations = validate_bi(F, eps)
-    if violations:
-        raise InvalidCDFError(violations)
+    _BiValidator(F, eps).finish()
     return F
 
 

@@ -26,7 +26,7 @@ from .cdf import (
     AffineNormalization,
     CDFError,
     CDFFormatError,
-    InvalidCDFError,
+    UnivariateCDF,
     _BiValidator,
     _replacing,
     _Scratch,
@@ -94,9 +94,8 @@ def _one_pass(paths, eps: float, run):
         except _Unstreamable:
             raise
         except Exception:
-            for violations in [F.report() for F in inputs]:
-                if violations:
-                    raise InvalidCDFError(violations)
+            for X in [F for F in inputs if F.report()]:   # each input read to its end first
+                X.finish()
             raise
 
     try:
@@ -135,9 +134,8 @@ def _biconv(F, G, args) -> int:
             psi = psi_range(b, m2, scratch, *psi)
         F.finish()
         G.finish()
-    f1, g1 = (X.last_column().evaluate_grid(xs, ys[-1:])[:, 0] for X in (F, G))
-    h1 = np.maximum(0.0, f1 + g1 - 1.0)
-    ok = np.all(np.abs(m1 - h1) <= args.tol)
+    f1, g1 = (UnivariateCDF(X.x_breaks, X.column) for X in (F, G))   # the input marginals
+    ok = np.all(np.abs(m1 - free_max_convolve(f1, g1, args.tol).values) <= args.tol)
     print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
           f"total mass {float(m2[-1])!r}, marginal check {'OK' if ok else 'FAILED'}")
     # max |psi - 1| is at the smallest or the largest psi

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdf import BivariateCDF
+from .extremal import projection_meet_trace
 
 #: Tolerance for limit stability checks.
 EPS_LIM = 1e-7
@@ -184,8 +185,8 @@ def wedge_moment_limit(law: ProjectionPairLaw, law2: ProjectionPairLaw) -> float
     k = 2..7, extrapolates away the leading 1/z error term, and requires
     the last two extrapolants to agree within EPS_LIM.
     """
-    if (law.p + law2.p - 1.0 <= 0.0 or law.q + law2.q - 1.0 <= 0.0
-            or law.r == 0.0 or law2.r == 0.0):
+    if (projection_meet_trace(law.p, law2.p) <= 0.0 or law.r == 0.0 or law2.r == 0.0
+            or projection_meet_trace(law.q, law2.q) <= 0.0):
         return 0.0
     evals = [wedge_moment_expression(t, t, law, law2) for t in LIMIT_LADDER]
     # Leading error is c/t on a ratio-10 ladder: eliminate it pairwise.
@@ -200,11 +201,11 @@ def wedge_moment_closed_form(law: ProjectionPairLaw,
                              law2: ProjectionPairLaw) -> float:
     """Wedge moment in closed form: meet-trace product over the ratio sum.
 
-    Returns (p+p'-1)_+ (q+q'-1)_+ / (pq/r + p'q'/r' - 1), and 0 whenever
-    a meet trace or a joint trace vanishes.
+    Returns (p+p'-1)_+ (q+q'-1)_+ / (pq/r + p'q'/r' - 1), with the meet traces
+    of ``projection_meet_trace``, and 0 whenever a meet or joint trace vanishes.
     """
-    a = max(0.0, law.p + law2.p - 1.0)
-    b = max(0.0, law.q + law2.q - 1.0)
+    a = projection_meet_trace(law.p, law2.p)
+    b = projection_meet_trace(law.q, law2.q)
     if a <= 0.0 or b <= 0.0 or law.r == 0.0 or law2.r == 0.0:
         return 0.0
     return a * b / (law.p * law.q / law.r + law2.p * law2.q / law2.r - 1.0)

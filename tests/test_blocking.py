@@ -247,7 +247,7 @@ class TestPeakMemory:
         def forbidden(*args):
             raise AssertionError("the whole n-fold power was built")
 
-        monkeypatch.setattr(GridRows, "array", forbidden)
+        monkeypatch.setattr(GridRows, "to_cdf", forbidden)
         monkeypatch.setattr(biconv_module, "nfold", forbidden)
         for n in (1, 2, 3):
             assert max_stable_residual(F, n, norm) == residual_reference(F, n, norm)
@@ -481,15 +481,15 @@ class TestValidateOnce:
 
     @pytest.fixture
     def validated(self, monkeypatch):
+        # validate_bi and _BiValidator.finish both report through _BiValidator.report
         seen = []
-        real = cdf_module.validate_bi
+        real = cdf_module._BiValidator.report
 
-        def spy(F, eps=EPS_CDF):
-            seen.append(F)
-            return real(F, eps)
+        def spy(validator):
+            seen.append(validator.F)
+            return real(validator)
 
-        for module in (cdf_module, biconv_module):
-            monkeypatch.setattr(module, "validate_bi", spy)
+        monkeypatch.setattr(cdf_module._BiValidator, "report", spy)
         return seen
 
     @pytest.fixture
@@ -653,6 +653,27 @@ class TestStreamedCli:
             stdouts.append(capsys.readouterr().out)
             assert stdouts[-1] == _biconv_stdout(F, G, H, out)
         assert "psi == 1" in stdouts[0] and "psi == 1" not in stdouts[-1]
+
+    def test_biconv_marginal_check_reads_the_inputs(self, monkeypatch, tmp_path, capsys):
+        # a kernel whose last column is off by 10 tol fails the check, which
+        # compares it with the inputs' free max, not with the kernel's columns
+        f, g, out = (tmp_path / f"{name}.json" for name in "fgh")
+        F, G = next(seeded_pairs(53))
+        save_bi_json(F, f)
+        save_bi_json(G, g)
+        argv = ["biconv", str(f), str(g), "--out", str(out), "--tol", "1e-6"]
+        assert main(argv) == 0
+        assert "marginal check OK" in capsys.readouterr().out
+        real = biconv_module._decode_block
+
+        def decode(*args):
+            block = real(*args)
+            block[:, -1] += 1e-5
+            return block
+
+        monkeypatch.setattr(biconv_module, "_decode_block", decode)
+        assert main(argv) == 0
+        assert "marginal check FAILED" in capsys.readouterr().out
 
     def test_nfold(self, blocks, monkeypatch, tmp_path, capsys):
         f, out = tmp_path / "f.json", tmp_path / "h.json"

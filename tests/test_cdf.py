@@ -16,10 +16,13 @@ from bifreemax import (
     InvalidCDFError,
     UnivariateCDF,
     affine_transform,
+    bifree_max_convolve,
     ecdf_from_samples,
+    free_max_convolve,
     marginals,
     max_stable_residual,
     merge_grids,
+    nth_root,
     validate_bi,
     validate_uni,
 )
@@ -106,6 +109,40 @@ class TestValidateBi:
         violations = validate_bi(F)
         assert any("Frechet upper-bound" in v or "monotonicity" in v
                    for v in violations)
+
+
+class TestTolerance:
+    """The library's eps, like the CLI's --tol, is a finite number >= 0: a nan
+    eps would pass every grid and a negative one fail a clean grid."""
+
+    UNI = UnivariateCDF([0.0, 1.0], [0.5, 1.0])
+    BI = BivariateCDF([0, 1], [0, 1], [[0.25, 0.5], [0.5, 1.0]])   # exact in binary
+    CALLS = {
+        "validate_uni": lambda eps: validate_uni(TestTolerance.UNI, eps),
+        "validate_bi": lambda eps: validate_bi(TestTolerance.BI, eps),
+        "require_valid_bi": lambda eps: require_valid_bi(TestTolerance.BI, eps),
+        "bifree_max_convolve": lambda eps: bifree_max_convolve(TestTolerance.BI,
+                                                               TestTolerance.BI, eps),
+        "nth_root": lambda eps: nth_root(TestTolerance.BI, 2, eps),
+        "free_max_convolve": lambda eps: free_max_convolve(TestTolerance.UNI,
+                                                           TestTolerance.UNI, eps),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("eps", [np.nan, -0.1, -1e-300, np.inf])
+    def test_rejects_a_bad_tolerance(self, call, eps):
+        with pytest.raises(CDFError, match=re.escape(f"eps must be a finite number >= 0, "
+                                                     f"got {eps!r}")) as got:
+            self.CALLS[call](eps)
+        assert not isinstance(got.value, InvalidCDFError)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.0, 1e-300])
+    def test_accepts_zero_and_tiny_tolerances(self, eps):
+        assert validate_uni(self.UNI, eps) == []
+        assert validate_bi(self.BI, eps) == []
+        assert require_valid_bi(self.BI, eps) is self.BI
+        bifree_max_convolve(self.BI, self.BI, eps)
+        free_max_convolve(self.UNI, self.UNI, eps)
 
 
 def _assert_bounded(violations, expected):

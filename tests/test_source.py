@@ -1,9 +1,10 @@
 """Checks on the source of the package, made on its syntax tree with the
 standard library alone: no import of a module outside the package, numpy
 and the standard library, no unused ``from ... import`` name, no
-module-level private name that nothing reads, and no file opened for
-writing outside the one writer, ``cdf._replacing``.  And what the source
-imports at run time: no call of the CLI loads ``numpy.ma``."""
+module-level private name that nothing reads, no file opened for writing
+outside the one writer, ``cdf._replacing``, and no validation verdict raised
+outside ``cdf.require_valid_uni`` and ``cdf._BiValidator.finish``.  And what
+the source imports at run time: no call of the CLI loads ``numpy.ma``."""
 
 import ast
 import json
@@ -92,6 +93,27 @@ def write_opens(tree):
     return found
 
 
+def raise_sites(tree, exception):
+    """(function, line) of each ``raise exception(...)``, with the innermost
+    enclosing function's name, as "Class.method" in a class (None at module level)."""
+    found = []
+
+    def visit(node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and isinstance(child.exc.func, ast.Name) and child.exc.func.id == exception):
+                found.append((f"{cls}.{function}" if cls else function, child.lineno))
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+            else:
+                visit(child, cls, function)
+
+    visit(tree, None, None)
+    return found
+
+
 def _modules():
     return sorted(SRC.glob("*.py"))
 
@@ -106,6 +128,18 @@ def test_the_checks_find_what_they_look_for():
                      "        return open(p, 'r+')\n")
     assert unused_imports(tree) == ["sep"]
     assert write_opens(tree) == [("f", 5), ("f", 5), ("f", 5), ("g", 7)]
+
+
+def test_the_raise_check_finds_what_it_looks_for():
+    tree = ast.parse("raise E([])\n"
+                     "def f():\n"
+                     "    raise E\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        def g():\n"
+                     "            raise E(1)\n"
+                     "        raise OtherE(2)\n")
+    assert raise_sites(tree, "E") == [(None, 1), ("C.g", 7)]
 
 
 def test_the_import_check_finds_what_it_looks_for():
@@ -153,6 +187,13 @@ def test_only_the_writer_opens_a_file_for_writing():
     found = {(path.name, function) for path in _modules()
              for function, _ in write_opens(ast.parse(path.read_text()))}
     assert found == {("cdf.py", "_replacing")}
+
+
+def test_only_two_functions_raise_a_validation_verdict():
+    """Every InvalidCDFError comes from require_valid_uni or _BiValidator.finish."""
+    found = {(path.name, function) for path in _modules()
+             for function, _ in raise_sites(ast.parse(path.read_text()), "InvalidCDFError")}
+    assert found == {("cdf.py", "require_valid_uni"), ("cdf.py", "_BiValidator.finish")}
 
 
 def test_no_call_imports_numpy_ma(tmp_path):
