@@ -12,10 +12,12 @@ n-th roots have exact closed forms.
 
 Sentinel conventions in the ratio field: a cell with F <= 0 vanishes, with
 ``+inf`` where both marginals are positive and ``nan`` (0/0) elsewhere.
-Every kernel is one map ``a -> (sum w_i*a_i - (sum w_i - q))/q``, which sends
-1 to 1, on the input marginals (then clamped at 0) and ratio fields, with
-ratio 1 at 0/0 cells, and one decode, ``_decode_block``: H1*H2/psi where psi
-is finite and both output marginals are positive, 0 elsewhere.
+Every kernel is the power (X_1 [+] ... [+] X_k)^(p/q) of a convolution of k
+inputs, through one map ``a -> (p*sum(a_i) - (k*p - q))/q``, which sends 1 to
+1, on the input marginals (then clamped at 0) and ratio fields, with ratio 1
+at 0/0 cells, and one decode, ``_decode_block``: H1*H2/psi where psi is finite
+and both output marginals are positive, 0 elsewhere.  The convolution is
+(F, G) at p = q = 1, ``nfold`` is (F,) at (n, 1) and the root (F,) at (1, n).
 
 A kernel's output is a ``cdf.GridRows``, a row source like ``BivariateCDF``:
 it computes its rows block by block when they are read.  ``nfold`` and
@@ -101,9 +103,9 @@ def _decode_block(h1: np.ndarray, h2: np.ndarray, psi: np.ndarray,
     return psi
 
 
-def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...],
-                 weights: tuple[int, ...], q: int = 1, scratch: _Scratch | None = None) -> GridRows:
-    """The kernel's map, one weight per input and divisor q; inputs read on xs x ys.
+def _power_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...],
+                p: int = 1, q: int = 1, scratch: _Scratch | None = None) -> GridRows:
+    """(X_1 [+] ... [+] X_k)^(p/q) of the k inputs, read on xs x ys; p and q are checked here.
 
     A block is a view of the kernel's scratch buffer "psi", valid until the
     next read; a caller that passes ``scratch`` may use its "term" and "mask"
@@ -113,17 +115,16 @@ def _affine_rows(xs: np.ndarray, ys: np.ndarray, inputs: tuple[BivariateCDF, ...
     input's block, and the y-marginal from each input's last row, read
     first: so a block reads no input rows but its own and the last.
     """
-    shift = sum(weights) - float(q)
+    p, q = _check_fold_count(p), _check_fold_count(q)
+    shift = float(len(inputs) * p - q)
 
-    def affine(arrays):   # in place: into the first array, scaling the others
+    def affine(arrays):   # in place: summed into the first array
         arrays = iter(arrays)
         out = next(arrays)
-        if weights[0] != 1:   # 1*a and a/1 are a, bit for bit
-            np.multiply(weights[0], out, out=out)
-        for w, a in zip(weights[1:], arrays):
-            if w != 1:
-                np.multiply(w, a, out=a)
+        for a in arrays:
             out += a
+        if p != 1:   # 1*a and a/1 are a, bit for bit
+            np.multiply(p, out, out=out)
         out -= shift
         return out if q == 1 else np.divide(out, q, out=out)
 
@@ -184,8 +185,8 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
     """Bi-free max-convolution H of two bivariate distribution functions.
 
     The marginals of H are the univariate free max-convolutions
-    ``(F_j + G_j - 1)_+`` of the input marginals (the kernel's map with
-    weights (1, 1) and q = 1); wherever the ratio field ``psi_F + psi_G - 1``
+    ``(F_j + G_j - 1)_+`` of the input marginals (the kernel's map at
+    p = q = 1); wherever the ratio field ``psi_F + psi_G - 1``
     is finite and both H marginals are positive (so F > 0 and G > 0),
 
         H = H1 * H2 / (psi_F + psi_G - 1),
@@ -196,14 +197,14 @@ def bifree_max_convolve(F: BivariateCDF, G: BivariateCDF,
     require_valid_bi(F, eps)
     require_valid_bi(G, eps)
     xs, ys = _union_grid(F, G, "bifree_max_convolve")
-    return _affine_rows(xs, ys, (F, G), (1, 1)).to_cdf()
+    return _power_rows(xs, ys, (F, G)).to_cdf()
 
 
 def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
     """n-fold bi-free max-convolution of F with itself.
 
-    Computed through the closed form, the kernel's map with weights (n,) and
-    q = 1, ``n*a - (n-1)``, rather than n-1 pairwise convolutions; so
+    Computed through the closed form, the kernel's map at p = n and q = 1,
+    ``n*a - (n-1)``, rather than n-1 pairwise convolutions; so
     ``nfold(F, 2)`` is ``bifree_max_convolve(F, F)`` byte for byte, and cells
     with F <= 0 stay 0.  ``nfold(F, 1)`` is F itself; n is at most 2**53.
 
@@ -221,9 +222,8 @@ def nfold(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> BivariateCDF:
 
 
 def _nfold_rows(F, n):
-    """nfold of a row source F as row blocks, F itself at n = 1; n is checked here."""
-    n = _check_fold_count(n)
-    return F if n == 1 else _affine_rows(F.x_breaks, F.y_breaks, (F,), (n,))
+    """nfold of a row source F as row blocks, F itself at n = 1; n is checked by the kernel."""
+    return F if n == 1 else _power_rows(F.x_breaks, F.y_breaks, (F,), n)
 
 
 def _check_fold_count(n) -> int:
@@ -256,14 +256,14 @@ class NthRootResult:
 def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     """The unique ratio-affine n-th root candidate of F under the convolution.
 
-    The kernel's map has weights (1,) and q = n <= 2**53: ``(a + (n-1))/n``,
+    The kernel's map at p = 1 and q = n <= 2**53 is ``(a - (1-n))/n``,
     rounded once.  Only the root decodes 0/0 cells (F <= 0, a marginal
     <= 0), where every kernel puts ratio 1, the independent value.
     It is decoded like the convolution and the power: the +inf sentinel
     gives 0, and so does a cell where a root marginal is 0 (only at n = 1).
     If the candidate is returned valid, its n-fold convolution recovers F.
     The candidate is filled into an array and validated in one pass; CLI
-    ``root`` validates ``_root_rows`` instead and never holds it.
+    ``root`` validates the same ``_power_rows`` instead and never holds it.
 
     Error budget: the root divides the defects and the ratio excess by n, so
     it adds only a few rounding errors to what its input carries.  But an
@@ -275,13 +275,8 @@ def nth_root(F: BivariateCDF, n: int, eps: float = EPS_CDF) -> NthRootResult:
     the ratio field is 0/0 and the joint values are lost.
     """
     require_valid_bi(F, eps)
-    candidate = _root_rows(F, n).to_cdf()
+    candidate = _power_rows(F.x_breaks, F.y_breaks, (F,), 1, n).to_cdf()
     return NthRootResult(candidate, validate_bi(candidate, eps))
-
-
-def _root_rows(F, n) -> GridRows:
-    """nth_root's candidate of a row source F as row blocks, not validated; n is checked here."""
-    return _affine_rows(F.x_breaks, F.y_breaks, (F,), (1,), _check_fold_count(n))
 
 
 def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,

@@ -42,14 +42,7 @@ from .cdf import (
     validate_uni,
 )
 from .extremal import free_max_convolve, free_min_convolve
-from .biconv import (
-    _affine_rows,
-    _nfold_rows,
-    _residual,
-    _root_rows,
-    bifree_max_convolve,
-    psi_range,
-)
+from .biconv import _nfold_rows, _power_rows, _residual, bifree_max_convolve, psi_range
 from .oracle import (
     InvalidLawError,
     LimitConvergenceError,
@@ -117,31 +110,28 @@ def cmd_uniconv(args) -> int:
 
 
 def cmd_biconv(args) -> int:
-    return _one_pass([args.pathF, args.pathG], args.tol, lambda F, G: _biconv(F, G, args))
+    def run(F, G):   # the convolution, then the marginal and psi report
+        xs, ys = _union_grid(F, G, "bifree_max_convolve")
+        scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
+        H = _power_rows(xs, ys, (F, G), scratch=scratch)
+        m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
+        psi = np.inf, -np.inf
+        with _replacing(args.out) as fh:
+            for rows, b in _write_bi_json(H, fh):   # gathers the last column and the psi range
+                m1[rows] = b[:, -1]
+                psi = psi_range(b, m2, scratch, *psi)
+            F.finish()
+            G.finish()
+        f1, g1 = (UnivariateCDF(X.x_breaks, X.column) for X in (F, G))   # the input marginals
+        ok = np.all(np.abs(m1 - free_max_convolve(f1, g1, args.tol).values) <= args.tol)
+        print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
+              f"total mass {float(m2[-1])!r}, marginal check {'OK' if ok else 'FAILED'}")
+        # max |psi - 1| is at the smallest or the largest psi
+        if psi[0] <= psi[1] and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:
+            print("psi == 1 (product output)")
+        return 0
 
-
-def _biconv(F, G, args) -> int:
-    """Write the convolution of the grids F and G of _one_pass, then the
-    marginal and psi report."""
-    xs, ys = _union_grid(F, G, "bifree_max_convolve")
-    scratch = _Scratch(xs.size, ys.size)   # the kernel's, and psi_range's between reads
-    H = _affine_rows(xs, ys, (F, G), (1, 1), scratch=scratch)
-    m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
-    psi = np.inf, -np.inf
-    with _replacing(args.out) as fh:
-        for rows, b in _write_bi_json(H, fh):   # gathers the last column and the psi range
-            m1[rows] = b[:, -1]
-            psi = psi_range(b, m2, scratch, *psi)
-        F.finish()
-        G.finish()
-    f1, g1 = (UnivariateCDF(X.x_breaks, X.column) for X in (F, G))   # the input marginals
-    ok = np.all(np.abs(m1 - free_max_convolve(f1, g1, args.tol).values) <= args.tol)
-    print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
-          f"total mass {float(m2[-1])!r}, marginal check {'OK' if ok else 'FAILED'}")
-    # max |psi - 1| is at the smallest or the largest psi
-    if psi[0] <= psi[1] and max(psi[1] - 1.0, 1.0 - psi[0]) <= args.tol:
-        print("psi == 1 (product output)")
-    return 0
+    return _one_pass([args.pathF, args.pathG], args.tol, run)
 
 
 def cmd_nfold(args) -> int:
@@ -164,7 +154,8 @@ class _NotDivisible(Exception):
 
 def cmd_root(args) -> int:
     def run(F):
-        R = _BiValidator(_root_rows(F, args.n), args.tol)   # the candidate, checked as written
+        # the candidate, checked as it is written
+        R = _BiValidator(_power_rows(F.x_breaks, F.y_breaks, (F,), 1, args.n), args.tol)
         try:
             with _replacing(args.out) as fh:
                 for _ in _write_bi_json(R, fh):   # a block that shows a violation is not written
@@ -236,11 +227,14 @@ def cmd_plotdata(args) -> int:
     def run(F):
         nx, ny = F.x_breaks.size, F.y_breaks.size
         with _replacing(args.out) as fh:
-            ys = F.y_breaks.tolist()
+            # one write per grid row: a format with each y's text, filled with x and the values
+            line = "".join(f"%s\t{y!r}\t%r\n" for y in F.y_breaks.tolist())
+            cells = [None] * (2 * ny)
             for rows in row_blocks(nx, ny):
                 for x, row in zip(F.x_breaks[rows].tolist(), F.block(rows)):
-                    for y, v in zip(ys, row.tolist()):
-                        fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
+                    cells[0::2] = [repr(x)] * ny
+                    cells[1::2] = row.tolist()
+                    fh.write(line % tuple(cells))
             F.finish()
         print(f"wrote {args.out}: {nx * ny} rows")
         return 0

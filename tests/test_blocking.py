@@ -34,7 +34,7 @@ from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
 from bifreemax import rowstream as rowstream_module
-from bifreemax.biconv import _affine_rows, _nfold_rows, _root_rows
+from bifreemax.biconv import _nfold_rows, _power_rows
 from bifreemax.cdf import MAX_LISTED, GridRows
 from bifreemax.cli import main
 from helpers import (
@@ -290,18 +290,22 @@ class TestScratchReuse:
 
     def test_root_peak_does_not_grow_with_violations(self, grids):
         F, divisible = grids
-        ok, ok_peak = self.warm_peak(lambda: validate_bi(_root_rows(divisible, 2)))
-        bad, bad_peak = self.warm_peak(lambda: validate_bi(_root_rows(F, 2)))
+        ok, ok_peak = self.warm_peak(lambda: validate_bi(_power_rows(
+            divisible.x_breaks, divisible.y_breaks, (divisible,), 1, 2)))
+        bad, bad_peak = self.warm_peak(lambda: validate_bi(_power_rows(
+            F.x_breaks, F.y_breaks, (F,), 1, 2)))
         assert ok == [] and len(bad) > MAX_LISTED
         assert abs(bad_peak - ok_peak) < 8 * self.BLOCK
 
-    @pytest.mark.parametrize("n", [3, None], ids=["nfold", "convolve"])
+    @pytest.mark.parametrize("n", [3, None, "root"], ids=["nfold", "convolve", "root"])
     def test_read_larger_than_a_block(self, grids, n):
         F = grids[0]
         if n is None:   # on the union grid, so the inputs are gathered
             G = BivariateCDF(F.x_breaks + 0.05, F.y_breaks + 0.05, grids[1].cdf)
             xs, ys = cdf_module._union_grid(F, G, "bifree_max_convolve")
-            H, expected = _affine_rows(xs, ys, (F, G), (1, 1)), convolve_reference(F, G)
+            H, expected = _power_rows(xs, ys, (F, G)), convolve_reference(F, G)
+        elif n == "root":
+            H, expected = _power_rows(F.x_breaks, F.y_breaks, (F,), 1, 2), nth_root_reference(F, 2)
         else:
             H, expected = _nfold_rows(F, n), nfold_reference(F, n)
         assert expected.size > 4 * self.BLOCK
@@ -445,8 +449,8 @@ class TestOnePassValidation:
         monkeypatch.setattr(rowstream_module._RowStream, "block",
                             lambda self, r: streamed.append((r.start, r.stop))
                             or real_stream(self, r))
-        real_root = cli_module._root_rows
-        monkeypatch.setattr(cli_module, "_root_rows", lambda X, n: counted(real_root(X, n)))
+        real_power = cli_module._power_rows
+        monkeypatch.setattr(cli_module, "_power_rows", lambda *a: counted(real_power(*a)))
         for argv, candidate in [(["validate", str(path), "--kind", "bi"], []),
                                 (["root", str(path), "2", "--out", str(tmp_path / "R.json")],
                                  [(39, 40), *blocks])]:

@@ -4,10 +4,12 @@ block at a time: the same exit code, stdout, stderr and ``--out`` bytes as
 loading the grid whole (or building the whole table), on every input."""
 
 import builtins
+import contextlib
 import json
 import os
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -599,3 +601,34 @@ def test_a_read_inside_the_window_allocates_no_copy_of_its_rows(monkeypatch, tmp
             assert got.tobytes() == F.cdf[read].tobytes()
             # decoding the new rows may refill the text buffer; no more
             assert peak < 0.5 * F.cdf[read].nbytes
+
+
+def test_a_read_behind_the_window_raises(tmp_path):
+    """A row stream reads its file forward: a read that starts before the rows
+    it holds is a caller's error, raised as such, not a file to load whole."""
+    F = _cumulated(np.random.default_rng(79), 30, 8)
+    path = tmp_path / "F.json"
+    save_bi_json(F, path)
+    with rowstream._RowStream(str(path)) as rows:
+        for read in (slice(0, 5), slice(20, 25)):
+            assert rows.block(read).tobytes() == F.cdf[read].tobytes()
+        with pytest.raises(RuntimeError, match="a row stream is read in increasing order"):
+            rows.block(slice(0, 2))
+
+
+def test_plotdata_writes_once_per_grid_row(monkeypatch, tmp_path, capsys):
+    """plotdata joins the lines of a grid row and writes them in one call."""
+    F = _cumulated(np.random.default_rng(80), 7, 5)
+    path, out = tmp_path / "F.json", tmp_path / "F.tsv"
+    save_bi_json(F, path)
+    writes, real = [], cli_module._replacing
+
+    @contextlib.contextmanager
+    def counted(target):
+        with real(target) as fh:
+            yield SimpleNamespace(write=lambda text: writes.append(text) or fh.write(text))
+
+    monkeypatch.setattr(cli_module, "_replacing", counted)
+    assert main(["plotdata", str(path), "--out", str(out)]) == 0, capsys.readouterr()
+    assert len(writes) == 7
+    assert "".join(writes) == out.read_text()
