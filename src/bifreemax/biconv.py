@@ -304,10 +304,10 @@ def max_stable_residual(F: BivariateCDF, n: int, norm: AffineNormalization,
 def _residual(F, n, norm: AffineNormalization) -> float:
     """max_stable_residual of a row source F; n is checked here.
 
-    Each block first reads F from the smallest first row of any later block's
-    reads, F's own and the power's, through its own last row: the read that
-    decodes and checks them, within which both then read F.  The widest
-    read is reserved first.
+    Each block first reads F from the first row of its reads, F's own and
+    the power's (no step index falls along xs, so no later block reads
+    before it), through its own last row: the read that decodes and checks
+    them, within which both then read F.  The widest read is reserved first.
     """
     H = _pulled_back(_nfold_rows(F, n), norm)
     xs, ys = _union_grid(F, H, "max_stable_residual")
@@ -316,9 +316,7 @@ def _residual(F, n, norm: AffineNormalization) -> float:
     # the rows of F that each block reads: a reader below the grid reads none
     steps = [_step_index(X.x_breaks, xs) for X in (H, F)]
     stops = [max(int(i[b.stop - 1]) for i in steps) + 1 for b in blocks]
-    firsts = [min(max(int(i[b.start]), 0) for i in steps if i[b.stop - 1] >= 0)
-              for b in blocks]
-    starts = np.minimum.accumulate(firsts[::-1])[::-1].tolist()
+    starts = [min(max(int(i[b.start]), 0) for i in steps) for b in blocks]
     F._reserve(max(stop - start for start, stop in zip(starts, stops)))
     scratch = _Scratch(xs.size, ys.size)
     residual = 0.0

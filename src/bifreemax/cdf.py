@@ -837,10 +837,10 @@ def _filled_rows(rows, xb, yb):
 class _JSONStream:
     """One JSON text read from a binary file as UTF-8, through a bounded text buffer.
 
-    The buffer holds the unread rest of the current value plus about
-    JSON_CHUNK_CHARS bytes of text, so a caller that takes an array one
-    element at a time never holds the whole text.  Every value is decoded by
-    the json module, so it is the object json.load would build for it.
+    The buffer holds the unread rest of the current value plus at most one
+    refill (JSON_CHUNK_CHARS bytes, or the rest's length if longer), so an
+    array taken one element at a time is never held whole.  Every value is
+    decoded by the json module: it is the object json.load would build.
     """
 
     def __init__(self, fh):
@@ -881,8 +881,6 @@ class _JSONStream:
             # an array ends at or after the first "]": read up to one before decoding
             while self.buf.find("]", self.pos) < 0 and not self.eof:
                 self._fill(max(JSON_CHUNK_CHARS, len(self.buf) - self.pos))
-        if len(self.buf) - self.pos < JSON_CHUNK_CHARS and not self.eof:
-            self._fill(JSON_CHUNK_CHARS)
         while True:
             try:
                 obj, end = _JSON_DECODER.raw_decode(self.buf, self.pos)

@@ -7,7 +7,6 @@ failure, oracle spread above tolerance), 2 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -33,7 +32,6 @@ from .cdf import (
     _union_grid,
     _write_bi_json,
     ecdf_rows,
-    load_bi_json,
     load_samples_tsv,
     load_uni_json,
     row_blocks,
@@ -51,7 +49,7 @@ from .oracle import (
     wedge_moment_closed_form,
     wedge_moment_limit,
 )
-from .rowstream import _RowStream, _Unstreamable
+from .rowstream import _one_pass
 
 
 def cmd_validate(args) -> int:
@@ -65,38 +63,6 @@ def cmd_validate(args) -> int:
         return 1
     print("OK")
     return 0
-
-
-def _one_pass(paths, eps: float, run):
-    """run(*F) for the grids in the files paths, each a _BiValidator F: checked as it is read.
-
-    Each F first reads a _RowStream, which reads its file in one pass.  If
-    a file is not one that the pass reads, or a pass meets any surprise
-    (_Unstreamable), whatever run wrote through cdf._replacing is gone, and
-    run runs once more on every grid loaded whole, in the order of paths.
-    run calls finish() of every F before its output replaces a file and
-    prints only after it.  An error in run reads every F to its end first,
-    in order, and then raises the first invalid F's violations, so a
-    malformed grid reports first, then an invalid one, as when the grids
-    were loaded and validated before run.
-    """
-    def attempt(grids):
-        inputs = [_BiValidator(X, eps) for X in grids]
-        try:
-            return run(*inputs)
-        except _Unstreamable:
-            raise
-        except Exception:
-            for X in [F for F in inputs if F.report()]:   # each input read to its end first
-                X.finish()
-            raise
-
-    try:
-        with contextlib.ExitStack() as files:
-            return attempt([files.enter_context(_RowStream(path)) for path in paths])
-    except _Unstreamable:
-        pass
-    return attempt([load_bi_json(path) for path in paths])
 
 
 def cmd_uniconv(args) -> int:
@@ -179,14 +145,8 @@ def cmd_root(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    try:
-        norm = AffineNormalization(args.a, args.b, args.c, args.d)
-    except CDFError:
-        load_bi_json(args.path)   # a malformed grid reports first
-        raise
-
     def run(F):
-        res = _residual(F, args.n, norm)
+        res = _residual(F, args.n, AffineNormalization(args.a, args.b, args.c, args.d))
         F.finish()
         print(f"{res:.10g}")
         return 0

@@ -5,14 +5,15 @@ bi``, ``nfold``, ``root``, ``stability`` and ``plotdata``, and both inputs
 of ``biconv``) as a ``_RowStream``: a row source whose rows are decoded from
 the file as the command reaches them, and never held whole.  It reads the
 file through ``cdf._JSONStream``, opened as load_bi_json opens it, so both
-read the same text.  The CLI validates the rows on that same pass through
-``cdf._BiValidator``, and loads a file that the pass does not read whole
-instead.  cli.py imports this module, so every CLI call imports it, whether
-it streams or not.
+read the same text.  ``_one_pass`` is the one read path of every grid
+input: it validates the rows on that same pass through ``cdf._BiValidator``,
+and loads a file that the pass does not read whole instead.  cli.py imports
+this module, so every CLI call imports it, whether it streams or not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -21,15 +22,49 @@ import numpy as np
 from . import cdf
 from .cdf import (
     CDFFormatError,
+    _BiValidator,
     _check_breaks,
     _float_row,
     _JSONStream,
     _RowSource,
+    load_bi_json,
 )
 
 
 class _Unstreamable(Exception):
     """A file that _RowStream does not read in one pass: its caller loads it whole."""
+
+
+def _one_pass(paths, eps: float, run):
+    """run(*F) for the grids in the files paths, each a _BiValidator F: checked as it is read.
+
+    Each F first reads a _RowStream, which reads its file in one pass.  If
+    a file is not one that the pass reads, or a pass meets any surprise
+    (_Unstreamable), whatever run wrote through cdf._replacing is gone, and
+    run runs once more on every grid loaded whole, in the order of paths.
+    run calls finish() of every F before its output replaces a file and
+    prints only after it.  An error in run reads every F to its end first,
+    in order, and then raises the first invalid F's violations, so a
+    malformed grid reports first, then an invalid one, as when the grids
+    were loaded and validated before run.
+    """
+    def attempt(grids):
+        inputs = [_BiValidator(X, eps) for X in grids]
+        try:
+            return run(*inputs)
+        except _Unstreamable:
+            raise
+        except Exception:
+            for X in [F for F in inputs if F.report()]:   # each input read to its end first
+                X.finish()
+            raise
+
+    try:
+        with contextlib.ExitStack() as files:
+            return attempt([files.enter_context(_RowStream(path)) for path in paths])
+    except _Unstreamable:
+        pass
+    return attempt([load_bi_json(path) for path in paths])
 
 
 _END = object()   # what next() gives for a generator that has ended

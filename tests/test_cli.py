@@ -512,8 +512,8 @@ class TestPlainNumbers:
         assert rows[1] == ["0.0", "1.0", "0.6"]
 
 
-def fresh_python(code, **env_changes):
-    """Run ``code`` in a fresh interpreter that imports bifreemax from this tree."""
+def fresh_run(args, **env_changes):
+    """Run a fresh interpreter with ``args``, importing bifreemax from this tree."""
     src = str(Path(bifreemax.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -522,8 +522,27 @@ def fresh_python(code, **env_changes):
             env.pop(name, None)
         else:
             env[name] = value
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_python(code, **env_changes):
+    """The stdout of ``code`` run by fresh_run, which must exit 0."""
+    done = fresh_run(["-c", code], **env_changes)
+    done.check_returncode()
+    return done.stdout
+
+
+def test_the_process_exits_with_the_code_of_main(tmp_path):
+    """``python -m bifreemax.cli`` exits 0 on a valid grid, 1 with its
+    violations on an invalid one and 2 with an error on a malformed one."""
+    path = tmp_path / "F.json"
+    outcomes = []
+    for cdf in ("[[0.3, 0.6], [0.5, 1.0]]", "[[0.7, 0.6], [0.5, 1.0]]", "[[0.3, 0.6], [0.5]]"):
+        path.write_text('{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": ' + cdf + "}")
+        done = fresh_run(["-m", "bifreemax.cli", "validate", str(path), "--kind", "bi"])
+        outcomes.append((done.returncode, done.stdout.split("\n")[0], done.stderr[:7]))
+    assert outcomes == [(0, "OK", ""), (1, "monotonicity violation along x at (1,0)", ""),
+                        (2, "", "error: ")]
 
 
 def test_import_loads_numpy_and_stdlib_only():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -14,7 +15,7 @@ import pytest
 from bifreemax import BivariateCDF, CDFFormatError, load_bi_json, save_bi_json
 from bifreemax import cdf as cdf_module
 from bifreemax.cli import main
-from helpers import load_bi_json_reference
+from helpers import load_bi_json_reference, random_bivariate_cdf
 
 GRID = {"x_breaks": [-1.5, 0.0, 2.0], "y_breaks": [0.25, 1.0],
         "cdf": [[0.0, 0.1], [0.2, 0.5], [0.3, 1.0]]}
@@ -273,6 +274,31 @@ def test_syntax_error_does_not_read_on(tmp_path, monkeypatch):
     assert str(spied.value) == str(got.value)
     assert opens == [(("rb",), {"buffering": 0})]
     assert Counted.bytes_read <= mid + 2 * cdf_module.JSON_CHUNK_CHARS
+
+
+@pytest.mark.parametrize("reader", ["load_bi_json", "cli-validate"])
+def test_the_buffer_holds_a_row_and_one_chunk(tmp_path, monkeypatch, capsys, reader):
+    """The reader refills only for a value that its buffer cuts, so the
+    buffer never holds more than one chunk past the rest of a row, and the
+    file is read once, a chunk per refill."""
+    path = tmp_path / "F.json"
+    save_bi_json(random_bivariate_cdf(np.random.default_rng(5), 512, 512), path)
+    text = path.read_text()
+    longest_row = max(map(len, re.findall(r"\[[^][]*\]", text[text.index('"cdf"'):])))
+    sizes, real = [], cdf_module._JSONStream._fill
+
+    def fill(self, size):
+        real(self, size)
+        sizes.append(len(self.buf))
+
+    monkeypatch.setattr(cdf_module._JSONStream, "_fill", fill)
+    if reader == "load_bi_json":
+        load_bi_json(path)
+    else:
+        assert main(["validate", str(path), "--kind", "bi"]) == 0
+        assert capsys.readouterr().out == "OK\n"
+    assert max(sizes) <= cdf_module.JSON_CHUNK_CHARS + longest_row
+    assert len(sizes) <= len(text) // cdf_module.JSON_CHUNK_CHARS + 2
 
 
 def test_crlf_syntax_error_names_the_files_own_offset(tmp_path, capsys):

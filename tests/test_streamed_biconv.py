@@ -21,7 +21,6 @@ from bifreemax import (
 )
 from bifreemax import cdf as cdf_module
 from bifreemax import rowstream
-from bifreemax import cli as cli_module
 from bifreemax.cli import main
 from helpers import sparse_bivariate_cdf
 from test_blocking import _biconv_stdout, _stream_cases
@@ -75,13 +74,13 @@ def compare(tmp_path, capsys):
 def whole_loads(monkeypatch):
     """The paths that CLI biconv loads whole: none when both inputs are streamed."""
     paths = []
-    real = cli_module.load_bi_json
+    real = rowstream.load_bi_json
 
     def spy(path):
         paths.append(str(path))
         return real(path)
 
-    monkeypatch.setattr(cli_module, "load_bi_json", spy)
+    monkeypatch.setattr(rowstream, "load_bi_json", spy)
     return paths
 
 

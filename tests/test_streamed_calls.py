@@ -130,13 +130,13 @@ def compare(tmp_path, capsys):
 def whole_loads(monkeypatch):
     """The paths that the CLI loads whole; a streamed grid is not one."""
     paths = []
-    real = cli_module.load_bi_json
+    real = rowstream.load_bi_json
 
     def spy(path):
         paths.append(str(path))
         return real(path)
 
-    monkeypatch.setattr(cli_module, "load_bi_json", spy)
+    monkeypatch.setattr(rowstream, "load_bi_json", spy)
     return paths
 
 
@@ -540,9 +540,11 @@ class TestStability:
         assert len(checks) <= 2 * len(list(cdf_module.row_blocks(512, 32)))
 
     @pytest.mark.parametrize("scale", [1.0, 0.0])
-    def test_a_malformed_grid_reports_before_a_bad_scale(self, tmp_path, capsys, scale):
-        """A malformed grid reports first, then a bad scale, then an invalid
-        grid, as when the grid was loaded whole before the scale was read."""
+    def test_a_malformed_grid_reports_before_a_bad_scale(self, whole_loads, tmp_path, capsys,
+                                                         scale):
+        """A malformed grid reports first, then an invalid grid, then a bad
+        scale, as a bad n does, and the grid is read in one pass, never
+        loaded whole: the scale is checked only where the grid is read."""
         path, norm = tmp_path / "F.json", (scale, 0.0, 1.0, 0.0)
         codes = []
         for text in (G_TEXT + "}", G_TEXT.replace("0.5]", "0.5x]") + "}",
@@ -550,13 +552,16 @@ class TestStability:
             path.write_text(text)
             try:
                 F = load_bi_json(path)
+                require_valid_bi(F)
                 want = (0, f"{max_stable_residual(F, 2, AffineNormalization(*norm)):.10g}\n", "")
             except CDFFormatError as exc:
                 want = (2, "", f"error: {exc}\n")
             except CDFError as exc:
                 want = (1, "", f"error: {exc}\n")
+            whole_loads.clear()
             code = main(["stability", str(path), "2", *map(repr, norm)])
             assert (code, *capsys.readouterr()) == want
+            assert code == 2 or whole_loads == []
             codes.append(code)
         assert codes == ([0, 2, 1] if scale else [1, 2, 1])
 
