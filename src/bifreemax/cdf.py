@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import errno
 import json
 import math
 import os
 import re
+import struct
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -42,6 +45,9 @@ MAX_CELLS = 2 ** 25
 
 #: Cells per row block of a grid kernel: 128 KiB per float64 scratch buffer.
 BLOCK_CELLS = 2 ** 14
+
+#: Fewest cells of a bivariate grid file for which its writer forks a worker to format rows.
+FORK_CELLS = 2 ** 18
 
 #: Bytes read per refill of the JSON reader's text buffer.
 JSON_CHUNK_CHARS = 2 ** 16
@@ -727,6 +733,10 @@ def _replacing(path):
             yield fh
         if not in_place:
             os.replace(tmp, real)
+    except OSError as exc:   # the row writer's worker names tmp alone: name path
+        if exc.filename != tmp or exc.filename2 is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -764,23 +774,113 @@ def _write_bi_json(F, fh):
     and finiteness) and before it is written.
 
     Rows go through the C encoder and are written one at a time, so the
-    matrix never exists as Python floats or as one block's text.  A caller
-    that stops early leaves fh unfinished, so this runs only inside _replacing.
+    matrix never exists as Python floats.  A caller that stops early leaves
+    fh unfinished, so this runs only inside _replacing.
+
+    Once the caller takes the first block of a grid of FORK_CELLS cells or
+    more, a worker forked by _fork_writer, where that is safe, writes the rows:
+    from the fork until the worker is reaped, it alone writes to fh, so the
+    text keeps its order.  A block is a view of the kernel's scratch, which the
+    next block overwrites, so it goes on the worker's pipe before that is fetched.
     """
     xb = _check_breaks(F.x_breaks, "x_breaks")
     yb = _check_breaks(F.y_breaks, "y_breaks")
     fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
              f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
-    for rows in row_blocks(xb.size, yb.size):
-        block = _checked_block(F, rows, yb.size)
-        yield rows, block
-        for i, text in enumerate(_rows_json(block), rows.start):
-            fh.write(", " + text if i else text)
-    fh.write("]}\n")
+    pid = 0   # the worker's, once forked; w is then its pipe's write end
+    try:
+        for rows in row_blocks(xb.size, yb.size):
+            block = _checked_block(F, rows, yb.size)
+            yield rows, block
+            if rows.start == 0 and xb.size * yb.size >= FORK_CELLS:
+                pid, w = _fork_writer(fh, yb.size)
+            if not pid:
+                fh.writelines(_rows_json(block, rows.start))
+            elif not _sent(w, block, rows.start):
+                break   # the worker has left: its status says why
+        if pid:
+            os.close(w)
+            status, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), 0
+            if status > 0:   # the errno of its failed write, raised as the serial writer does
+                raise OSError(status, os.strerror(status))
+            if status or rows.stop < xb.size:
+                raise OSError(errno.EIO, f"its row writer exited with status {status}", fh.name)
+        fh.write("]}\n")
+    finally:
+        if pid:   # an early stop or an error: the output is dropped
+            import signal   # here, as importing it costs a fresh call 1 ms
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(w)
 
 
-def _rows_json(block: np.ndarray):
-    """json.dumps of each row of a C-contiguous float64 block.
+def _fork_writer(fh, ncols: int):
+    """Fork a worker that writes to fh the rows that _sent puts on its pipe; return its
+    pid and the pipe's write end.  Return pid 0 where a fork is unsafe, gains nothing
+    or fails: a second thread, one CPU, no descriptor, a pipe the kernel will not
+    enlarge, no free process.  The worker leaves only through os._exit, with the errno
+    of a failed write, so it never flushes the parent's buffers or runs its cleanup."""
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else threading.active_count()
+    if not (threads == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return 0, None
+    import fcntl   # here, as it is not on every platform
+
+    fh.flush()
+    r, w = os.pipe()
+    try:   # in a 64 KiB pipe the parent waits on the worker, and gains nothing
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 2 ** 20)
+        fh.fileno()
+        pid = os.fork()
+    except (OSError, ValueError, AttributeError):   # fileno's io.UnsupportedOperation is both
+        os.close(r)
+        os.close(w)
+        return 0, None
+    if pid:
+        os.close(r)
+        return pid, w
+    code = errno.EIO
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            while head := pipe.read(16):
+                start, n = struct.unpack("<qq", head)   # n < 0: -n bytes of text
+                data = pipe.read(abs(n))
+                fh.writelines([data.decode()] if n < 0 else
+                              _rows_json(np.frombuffer(data).reshape(-1, ncols), start))
+        fh.flush()
+        code = 0
+    except OSError as exc:
+        code = exc.errno or code
+    finally:
+        os._exit(code)
+
+
+def _sent(w, block: np.ndarray, start: int) -> bool:
+    """Put block, rows start, ... of the grid, on the worker's pipe w: raw, or as
+    its text, formatted here while the pipe holds two blocks or more unread.
+    False if the worker has left."""
+    import fcntl
+    import termios
+
+    if struct.unpack("i", fcntl.ioctl(w, termios.FIONREAD, b"\0" * 4))[0] >= 2 * block.nbytes:
+        text = "".join(_rows_json(block, start)).encode()
+        data = memoryview(struct.pack("<qq", start, -len(text)) + text)
+    else:
+        data = memoryview(struct.pack("<qq", start, block.nbytes) + block.tobytes())
+    try:
+        while data:
+            data = data[os.write(w, data):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _rows_json(block: np.ndarray, start: int):
+    """json.dumps of each row of a C-contiguous float64 block, the rows start, start + 1,
+    ... of a table, each but row 0 after its ", " separator.
 
     A leading run of +0.0 (all bits zero; -0.0 is not one) is written as
     text without formatting: in a valid CDF each row's zeros are such a run.
@@ -789,8 +889,9 @@ def _rows_json(block: np.ndarray):
     ncols = block.shape[1]
     lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), ncols).tolist()
     zero_row = json.dumps([0.0] * ncols)
-    for row, k in zip(block, lead):
-        yield zero_row if k == ncols else "[" + "0.0, " * k + json.dumps(row[k:].tolist())[1:]
+    for i, (row, k) in enumerate(zip(block, lead), start):
+        text = zero_row if k == ncols else "[" + "0.0, " * k + json.dumps(row[k:].tolist())[1:]
+        yield ", " + text if i else text
 
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
