@@ -28,7 +28,6 @@ import math
 import os
 import re
 import struct
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -715,11 +714,13 @@ def _bad_file(what: str, path, exc: Exception) -> CDFFormatError:
 
 
 @contextlib.contextmanager
-def _replacing(path):
+def _replacing(path, inputs=()):
     """A text file that replaces path whole on success; on an error, path is left as it was.
 
-    Written beside os.path.realpath(path), so a symlink keeps its link, with a new file's
-    mode.  An existing path that is not a regular file, like /dev/null, is written in place.
+    Success is the last write, then finish() of each _BiValidator in inputs: each input
+    read to its end and found valid.  Written beside os.path.realpath(path), so a symlink
+    keeps its link, with a new file's mode.  An existing path that is not a regular file,
+    like /dev/null, is written in place.
     """
     real = os.path.realpath(path)
     tmp = f"{real}.{os.getpid()}.tmp"
@@ -731,12 +732,10 @@ def _replacing(path):
     try:
         with fh:
             yield fh
+            for F in inputs:
+                F.finish()
         if not in_place:
             os.replace(tmp, real)
-    except OSError as exc:   # the row writer's worker names tmp alone: name path
-        if exc.filename != tmp or exc.filename2 is not None:
-            raise
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -763,78 +762,77 @@ def load_uni_json(path) -> UnivariateCDF:
 def save_bi_json(F: BivariateCDF | GridRows, path) -> None:
     """Write the row source F as bivariate CDF JSON, the bytes of json.dump of the dict
     plus "\n"; path is replaced whole or left as it was."""
-    with _replacing(path) as fh:
-        for _ in _write_bi_json(F, fh):
-            pass
+    for _ in _write_bi_json(F, path):
+        pass
 
 
-def _write_bi_json(F, fh):
-    """Write F to fh as save_bi_json does, a row block at a time; yield each block
-    as (rows, block) after the checks BivariateCDF makes on a whole array (shape
-    and finiteness) and before it is written.
+def _write_bi_json(F, path, inputs=()):
+    """Write F to path through _replacing(path, inputs), as save_bi_json does, a row
+    block at a time; yield each block as (rows, block) after the checks BivariateCDF
+    makes on a whole array (shape and finiteness) and before it is written.
 
     Rows go through the C encoder and are written one at a time, so the
     matrix never exists as Python floats.  A caller that stops early leaves
-    fh unfinished, so this runs only inside _replacing.
+    path as it was, as does an invalid input.
 
     Once the caller takes the first block of a grid of FORK_CELLS cells or
     more, a worker forked by _fork_writer, where that is safe, writes the rows:
-    from the fork until the worker is reaped, it alone writes to fh, so the
+    from the fork until the worker is reaped, it alone writes to the file, so the
     text keeps its order.  A block is a view of the kernel's scratch, which the
     next block overwrites, so it goes on the worker's pipe before that is fetched.
     """
-    xb = _check_breaks(F.x_breaks, "x_breaks")
-    yb = _check_breaks(F.y_breaks, "y_breaks")
-    fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
-             f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
-    pid = 0   # the worker's, once forked; w is then its pipe's write end
-    try:
-        for rows in row_blocks(xb.size, yb.size):
-            block = _checked_block(F, rows, yb.size)
-            yield rows, block
-            if rows.start == 0 and xb.size * yb.size >= FORK_CELLS:
-                pid, w = _fork_writer(fh, yb.size)
-            if not pid:
-                fh.writelines(_rows_json(block, rows.start))
-            elif not _sent(w, block, rows.start):
-                break   # the worker has left: its status says why
-        if pid:
-            os.close(w)
-            status, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), 0
-            if status > 0:   # the errno of its failed write, raised as the serial writer does
-                raise OSError(status, os.strerror(status))
-            if status or rows.stop < xb.size:
-                raise OSError(errno.EIO, f"its row writer exited with status {status}", fh.name)
-        fh.write("]}\n")
-    finally:
-        if pid:   # an early stop or an error: the output is dropped
-            import signal   # here, as importing it costs a fresh call 1 ms
+    with _replacing(path, inputs) as fh:
+        xb = _check_breaks(F.x_breaks, "x_breaks")
+        yb = _check_breaks(F.y_breaks, "y_breaks")
+        fh.write(f'{{"x_breaks": {json.dumps(xb.tolist())}, '
+                 f'"y_breaks": {json.dumps(yb.tolist())}, "cdf": [')
+        pid = 0   # the worker's, once forked; w is then its pipe's write end
+        try:
+            for rows in row_blocks(xb.size, yb.size):
+                block = _checked_block(F, rows, yb.size)
+                yield rows, block
+                if rows.start == 0 and xb.size * yb.size >= FORK_CELLS:
+                    pid, w = _fork_writer(fh, yb.size)
+                if not pid:
+                    fh.writelines(_rows_json(block, rows.start))
+                elif not _sent(w, block, rows.start):
+                    break   # the worker has left: its status says why
+            if pid:
+                os.close(w)
+                status, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), 0
+                if status > 0:   # the errno of its failed write, raised as the serial writer does
+                    raise OSError(status, os.strerror(status))
+                if status or rows.stop < xb.size:
+                    raise OSError(errno.EIO, f"its row writer exited with status {status}",
+                                  os.fspath(path))
+            fh.write("]}\n")
+        finally:
+            if pid:   # an early stop or an error: the output is dropped
+                import signal   # here, as importing it costs a fresh call 1 ms
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(w)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(w)
 
 
 def _fork_writer(fh, ncols: int):
     """Fork a worker that writes to fh the rows that _sent puts on its pipe; return its
     pid and the pipe's write end.  Return pid 0 where a fork is unsafe, gains nothing
-    or fails: a second thread, one CPU, no descriptor, a pipe the kernel will not
-    enlarge, no free process.  The worker leaves only through os._exit, with the errno
-    of a failed write, so it never flushes the parent's buffers or runs its cleanup."""
-    tasks = "/proc/self/task"
-    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else threading.active_count()
-    if not (threads == 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        return 0, None
-    import fcntl   # here, as it is not on every platform
-
+    or fails: a second thread or no procfs, one CPU, no descriptor, a pipe the kernel
+    will not enlarge, no free process.  The worker leaves only through os._exit, with
+    a failed write's errno, so it never flushes the parent's buffers or runs cleanup."""
     fh.flush()
     r, w = os.pipe()
-    try:   # in a 64 KiB pipe the parent waits on the worker, and gains nothing
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 2 ** 20)
-        fh.fileno()
+    try:   # any failure here (no procfs, no affinity call, no fcntl) means no fork
+        import fcntl   # here, as it is not on every platform
+
+        # procfs sees native threads, like OpenBLAS's, which threading.active_count() misses
+        if len(os.listdir("/proc/self/task")) != 1 or len(os.sched_getaffinity(0)) < 2:
+            raise ValueError("a second thread, or one CPU")
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 2 ** 20)   # in 64 KiB the parent waits on the worker
+        fh.fileno()   # its io.UnsupportedOperation is an OSError and a ValueError
         pid = os.fork()
-    except (OSError, ValueError, AttributeError):   # fileno's io.UnsupportedOperation is both
+    except (OSError, ValueError, AttributeError, ImportError):
         os.close(r)
         os.close(w)
         return 0, None

@@ -82,12 +82,9 @@ def cmd_biconv(args) -> int:
         H = _power_rows(xs, ys, (F, G), scratch=scratch)
         m1, m2 = np.empty(xs.size), H.evaluate_grid(xs[-1:], ys)[0]
         psi = np.inf, -np.inf
-        with _replacing(args.out) as fh:
-            for rows, b in _write_bi_json(H, fh):   # gathers the last column and the psi range
-                m1[rows] = b[:, -1]
-                psi = psi_range(b, m2, scratch, *psi)
-            F.finish()
-            G.finish()
+        for rows, b in _write_bi_json(H, args.out, (F, G)):   # gathers the last column and psi
+            m1[rows] = b[:, -1]
+            psi = psi_range(b, m2, scratch, *psi)
         f1, g1 = (UnivariateCDF(X.x_breaks, X.column) for X in (F, G))   # the input marginals
         ok = np.all(np.abs(m1 - free_max_convolve(f1, g1, args.tol).values) <= args.tol)
         print(f"wrote {args.out}: grid {xs.size}x{ys.size}, "
@@ -104,10 +101,8 @@ def cmd_nfold(args) -> int:
     def run(F):
         H = _nfold_rows(F, args.n)
         mass = H.evaluate(H.x_breaks[-1], H.y_breaks[-1])
-        with _replacing(args.out) as fh:
-            for _ in _write_bi_json(H, fh):
-                pass
-            F.finish()
+        for _ in _write_bi_json(H, args.out, (F,)):
+            pass
         print(f"wrote {args.out}: {args.n}-fold power, total mass {mass!r}")
         return 0
 
@@ -123,18 +118,15 @@ def cmd_root(args) -> int:
         # the candidate, checked as it is written
         R = _BiValidator(_power_rows(F.x_breaks, F.y_breaks, (F,), 1, args.n), args.tol)
         try:
-            with _replacing(args.out) as fh:
-                for _ in _write_bi_json(R, fh):   # a block that shows a violation is not written
-                    if not R.clean:
-                        raise _NotDivisible
-                F.finish()
+            for _ in _write_bi_json(R, args.out, (F,)):   # a block with a violation is not written
+                if not R.clean:
+                    raise _NotDivisible
         except _NotDivisible:
             violations = R.report()   # which reads the rest of F too
-            F.finish()
         else:
             print(f"wrote {args.out}: valid {args.n}-th root candidate")
             return 0
-        with _replacing(args.out) as fh:
+        with _replacing(args.out, (F,)) as fh:
             fh.write(json.dumps({"divisibility_failure": violations}, indent=2) + "\n")
         print(f"not {args.n}-divisible; report written to {args.out}:")
         for v in violations:
@@ -186,7 +178,7 @@ def cmd_ecdf(args) -> int:
 def cmd_plotdata(args) -> int:
     def run(F):
         nx, ny = F.x_breaks.size, F.y_breaks.size
-        with _replacing(args.out) as fh:
+        with _replacing(args.out, (F,)) as fh:
             # one write per grid row: a format with each y's text, filled with x and the values
             line = "".join(f"%s\t{y!r}\t%r\n" for y in F.y_breaks.tolist())
             cells = [None] * (2 * ny)
@@ -195,7 +187,6 @@ def cmd_plotdata(args) -> int:
                     cells[0::2] = [repr(x)] * ny
                     cells[1::2] = row.tolist()
                     fh.write(line % tuple(cells))
-            F.finish()
         print(f"wrote {args.out}: {nx * ny} rows")
         return 0
 

@@ -42,11 +42,11 @@ def _one_pass(paths, eps: float, run):
     a file is not one that the pass reads, or a pass meets any surprise
     (_Unstreamable), whatever run wrote through cdf._replacing is gone, and
     run runs once more on every grid loaded whole, in the order of paths.
-    run calls finish() of every F before its output replaces a file and
-    prints only after it.  An error in run reads every F to its end first,
-    in order, and then raises the first invalid F's violations, so a
-    malformed grid reports first, then an invalid one, as when the grids
-    were loaded and validated before run.
+    A run that writes hands every F to cdf._replacing, which finishes each
+    before the output replaces a file; run prints only after it.  An error
+    in run reads every F to its end first, in order, and then raises the
+    first invalid F's violations, so a malformed grid reports first, then
+    an invalid one, as when the grids were loaded and validated before run.
     """
     def attempt(grids):
         inputs = [_BiValidator(X, eps) for X in grids]

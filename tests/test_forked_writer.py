@@ -163,7 +163,8 @@ def runs(tmp_path_factory):
     ("efbig", "efbig@1cpu").  save_bi_json writes special tables: at
     FORK_CELLS cells forked; forked while the worker sleeps at its start, so
     that the parent formats some blocks; with a second thread; on one CPU;
-    where the pipe may not grow to 1 MiB; and below FORK_CELLS cells.
+    where the pipe may not grow to 1 MiB; where /proc/self/task cannot be
+    listed; and below FORK_CELLS cells.
     """
     d = tmp_path_factory.mktemp("forked")
     rng = np.random.default_rng(31)
@@ -227,6 +228,16 @@ fcntl.fcntl = refusing
 done["small-pipe"] = outcome(save("at", "small-pipe"))
 fcntl.fcntl = fcntl_call
 done["one-cpu"] = outcome(save("at", "one-cpu"), one_cpu=True)
+listdir = os.listdir
+
+def no_procfs(path="."):   # as where /proc is not mounted
+    if path == "/proc/self/task":
+        raise FileNotFoundError(2, "No such file or directory", path)
+    return listdir(path)
+
+os.listdir = no_procfs
+done["no-procfs"] = outcome(save("at", "no-procfs"))
+os.listdir = listdir
 print(json.dumps(done))
 """)
     return done, out
@@ -304,3 +315,11 @@ def test_each_gate_keeps_the_bytes(runs):
     at = (out / "forked.json").read_bytes()
     for name in ("thread", "one-cpu", "small-pipe"):
         assert (out / f"{name}.json").read_bytes() == at, name
+
+
+def test_a_process_whose_threads_cannot_be_counted_does_not_fork(runs):
+    """Without /proc/self/task the writer cannot see native threads, so it
+    writes alone, the bytes of json.dumps."""
+    done, out = runs
+    assert done["no-procfs"]["forks"] == 0
+    assert (out / "no-procfs.json").read_text() == expected_text(special_table(512, 512))

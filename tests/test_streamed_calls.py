@@ -4,12 +4,10 @@ block at a time: the same exit code, stdout, stderr and ``--out`` bytes as
 loading the grid whole (or building the whole table), on every input."""
 
 import builtins
-import contextlib
 import json
 import os
 import threading
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from bifreemax import (
     validate_bi,
 )
 from bifreemax import cdf as cdf_module
-from bifreemax import cli as cli_module
 from bifreemax import rowstream
 from bifreemax.cdf import require_valid_bi
 from bifreemax.cli import main
@@ -626,14 +623,15 @@ def test_plotdata_writes_once_per_grid_row(monkeypatch, tmp_path, capsys):
     F = _cumulated(np.random.default_rng(80), 7, 5)
     path, out = tmp_path / "F.json", tmp_path / "F.tsv"
     save_bi_json(F, path)
-    writes, real = [], cli_module._replacing
+    writes = []
 
-    @contextlib.contextmanager
-    def counted(target):
-        with real(target) as fh:
-            yield SimpleNamespace(write=lambda text: writes.append(text) or fh.write(text))
+    def open_(file, mode="r", *args, **kwargs):   # the output file, with its writes counted
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            fh.write = lambda text, write=fh.write: writes.append(text) or write(text)
+        return fh
 
-    monkeypatch.setattr(cli_module, "_replacing", counted)
+    monkeypatch.setattr(cdf_module, "open", open_, raising=False)
     assert main(["plotdata", str(path), "--out", str(out)]) == 0, capsys.readouterr()
     assert len(writes) == 7
     assert "".join(writes) == out.read_text()
