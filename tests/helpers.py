@@ -1,11 +1,18 @@
-"""Shared random generators and reference implementations for the test suite."""
+"""Shared random generators, reference implementations, fresh-process runners
+and a pipe feeder for the test suite."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import bifreemax
 from bifreemax import BivariateCDF, CDFFormatError, ProjectionPairLaw, UnivariateCDF
 from bifreemax.cdf import EPS_CDF, MAX_LISTED
 
@@ -375,3 +382,43 @@ def dyadic_max_stable_cdf(theta, h, K=60):
     with np.errstate(divide="ignore", invalid="ignore"):
         cdf = np.where(num > 0.0, num / (1.0 + theta * h(u[:, None], u[None, :])), 0.0)
     return BivariateCDF(np.arange(K + 1.0), np.arange(K + 1.0), cdf)
+
+
+#: The bytes of an --out that exists before a call.
+OLD_OUT = b"old bytes\n"
+
+
+def fresh_run(args, **env_changes):
+    """Run a fresh interpreter with ``args``, importing the bifreemax that this
+    process imported: the checkout's or an installed one."""
+    package_dir = str(Path(bifreemax.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_dir, os.environ.get("PYTHONPATH")])))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_python(code, *argv, **env_changes):
+    """The stdout of ``code`` run by fresh_run with ``argv``, which must exit 0."""
+    done = fresh_run(["-c", code, *argv], **env_changes)
+    done.check_returncode()
+    return done.stdout
+
+
+def through_a_pipe(fifo, data, call):
+    """The result of ``call()``, made while a thread writes ``data`` to the
+    named pipe ``fifo``, which is made for the call and removed after it."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        result = call()
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    fifo.unlink()
+    return result

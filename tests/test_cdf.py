@@ -23,11 +23,13 @@ from bifreemax import (
     max_stable_residual,
     merge_grids,
     nth_root,
+    save_bi_json,
     validate_bi,
     validate_uni,
 )
 from bifreemax import cdf as cdf_module
 from bifreemax.cdf import EPS_CDF, MAX_LISTED, GridRows, require_valid_bi
+from bifreemax.cli import main
 from helpers import ecdf_brute_force, group_violations, random_bivariate_cdf
 
 
@@ -281,15 +283,20 @@ class TestBoundedReports:
                     listed[got] += 1
         assert min(listed.values()) > 400
 
-    def test_total_mass_tie_is_settled_exactly(self):
+    def test_total_mass_tie_is_settled_exactly(self, tmp_path, capsys):
         """A total mass whose distance from 1 rounds to eps but exceeds it
-        exactly is listed, like a tie of any other kind."""
+        exactly is listed, like a tie of any other kind, by the library and
+        by CLI ``validate --tol``."""
         eps, m = 0.75, 0.25 - 2.0 ** -55
         assert 1.0 - m == eps and Fraction(1) - Fraction(m) == Fraction(eps) + Fraction(2) ** -55
         assert validate_bi(BivariateCDF([0.0], [0.0], [[m]]), eps) == [
             f"total-mass violation: F(last,last) = {m!r} != 1"]
         assert validate_uni(UnivariateCDF([0.0], [m]), eps) == [
             f"total-mass violation: F(last break) = {m!r} != 1"]
+        path = tmp_path / "T.json"
+        save_bi_json(BivariateCDF([0.0], [0.0], [[m]]), path)
+        assert main(["validate", str(path), "--kind", "bi", "--tol", repr(eps)]) == 1
+        assert capsys.readouterr() == (f"total-mass violation: F(last,last) = {m!r} != 1\n", "")
 
     def test_ten_listed_in_full_eleven_summed_up(self):
         # row 2 raised above 1 in its first k columns

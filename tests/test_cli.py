@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -21,7 +18,7 @@ from bifreemax import cdf as cdf_module
 from bifreemax import oracle as oracle_module
 from bifreemax.cdf import MAX_LISTED
 from bifreemax.cli import build_parser, main
-from helpers import group_violations, random_bivariate_cdf
+from helpers import fresh_python, fresh_run, group_violations, random_bivariate_cdf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -510,26 +507,6 @@ class TestPlainNumbers:
         assert "np." not in out and "total mass 1.0" in out
         rows = [line.split("\t") for line in plot.read_text().splitlines()]
         assert rows[1] == ["0.0", "1.0", "0.6"]
-
-
-def fresh_run(args, **env_changes):
-    """Run a fresh interpreter with ``args``, importing bifreemax from this tree."""
-    src = str(Path(bifreemax.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for name, value in env_changes.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
-
-def fresh_python(code, **env_changes):
-    """The stdout of ``code`` run by fresh_run, which must exit 0."""
-    done = fresh_run(["-c", code], **env_changes)
-    done.check_returncode()
-    return done.stdout
 
 
 def test_the_process_exits_with_the_code_of_main(tmp_path):

@@ -18,8 +18,7 @@ import pytest
 
 from bifreemax import BivariateCDF, nfold, save_bi_json
 from bifreemax.cdf import FORK_CELLS, row_blocks
-from helpers import random_breaks, sparse_bivariate_cdf
-from test_cli import fresh_python
+from helpers import fresh_python, random_breaks, sparse_bivariate_cdf
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")

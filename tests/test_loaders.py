@@ -4,9 +4,7 @@ import io
 import itertools
 import json
 import math
-import os
 import re
-import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +13,7 @@ import pytest
 from bifreemax import BivariateCDF, CDFFormatError, load_bi_json, save_bi_json
 from bifreemax import cdf as cdf_module
 from bifreemax.cli import main
-from helpers import load_bi_json_reference, random_bivariate_cdf
+from helpers import load_bi_json_reference, random_bivariate_cdf, through_a_pipe
 
 GRID = {"x_breaks": [-1.5, 0.0, 2.0], "y_breaks": [0.25, 1.0],
         "cdf": [[0.0, 0.1], [0.2, 0.5], [0.3, 1.0]]}
@@ -321,15 +319,8 @@ def test_crlf_syntax_error_names_the_files_own_offset(tmp_path, capsys):
         err = capsys.readouterr().err
         return err.removeprefix("error: ").removesuffix("\n").replace(str(source), "F")
 
-    messages = {str(got.value).replace(str(path), "F"), cli_message(path)}
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
-    writer.start()
-    try:
-        messages.add(cli_message(fifo))
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    messages = {str(got.value).replace(str(path), "F"), cli_message(path),
+                through_a_pipe(fifo, path.read_bytes(), lambda: cli_message(fifo))}
     assert messages == {f"bad bivariate CDF file F: {want.value.msg} at char {want.value.pos}"}
 
 

@@ -8,18 +8,19 @@ the source imports at run time: no call of the CLI loads ``numpy.ma``."""
 
 import ast
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bifreemax
 from bifreemax import BivariateCDF, UnivariateCDF, save_bi_json, save_uni_json
 from bifreemax.cdf import _unique
+from helpers import fresh_python
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bifreemax"
+#: The package under test: the checkout's src/, or the installed copy.
+SRC = Path(bifreemax.__file__).parent
 
 
 def foreign_imports(tree):
@@ -214,12 +215,9 @@ def test_no_call_imports_numpy_ma(tmp_path):
             "from bifreemax.cli import main\n"
             "codes = [main(call) for call in json.loads(sys.argv[1])]\n"
             "print(json.dumps([with_numpy, codes, 'numpy.ma' in sys.modules]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env,
-                         capture_output=True, text=True, check=True)
-    with_numpy, codes, loaded = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0] * len(calls), run.stdout
+    stdout = fresh_python(code, json.dumps(calls))
+    with_numpy, codes, loaded = json.loads(stdout.splitlines()[-1])
+    assert codes == [0] * len(calls), stdout
     if with_numpy:
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert not loaded

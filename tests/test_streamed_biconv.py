@@ -4,7 +4,6 @@ on every input, and memory of blocks, with no input held."""
 
 import builtins
 import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +21,7 @@ from bifreemax import (
 from bifreemax import cdf as cdf_module
 from bifreemax import rowstream
 from bifreemax.cli import main
-from helpers import sparse_bivariate_cdf
+from helpers import OLD_OUT, sparse_bivariate_cdf, through_a_pipe
 from test_blocking import _biconv_stdout, _stream_cases
 from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
 
@@ -46,27 +45,29 @@ def library_outcome(f, g, out, shown_out, tol=EPS_CDF):
 
 
 def cli_outcome(f, g, out, capsys):
-    """The same four things for ``biconv f g --out out``; out must not exist."""
+    """The same four things for ``biconv f g --out out``; out must exist."""
     code = main(["biconv", str(f), str(g), "--out", str(out)])
     captured = capsys.readouterr()
-    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+    return code, captured.out, captured.err, out.read_bytes()
 
 
 @pytest.fixture
 def compare(tmp_path, capsys):
-    """compare(f, g): assert the CLI gives the library's outcome, leaves no
-    temporary file, and return the outcome."""
+    """compare(f, g): assert the CLI gives the library's outcome, replaces an
+    existing --out only where the library writes one, and leaves no
+    temporary file; return the library's outcome."""
     ref, out = tmp_path / "ref.json", tmp_path / "out.json"
 
     def run(f, g):
         want = library_outcome(f, g, ref, out)
         ref.unlink(missing_ok=True)
+        out.write_bytes(OLD_OUT)
         before = sorted(tmp_path.iterdir())
         got = cli_outcome(f, g, out, capsys)
-        out.unlink(missing_ok=True)
-        assert got == want
+        assert got == (*want[:3], OLD_OUT if want[3] is None else want[3])
         assert sorted(tmp_path.iterdir()) == before
-        return got
+        out.unlink()
+        return want
     return run
 
 
@@ -228,30 +229,23 @@ def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkey
 
 
 def test_g_from_a_pipe(compare, whole_loads, tmp_path, capsys):
-    """A pipe is not streamed: G is loaded whole, with the same output."""
-    f, g, fifo = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "g.fifo"
+    """A pipe is not streamed: G, or F, is loaded whole with the other
+    input, with the same output."""
+    f, g, fifo = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "in.fifo"
     F, G = list(_stream_cases())[-1]
     save_bi_json(F, f)
     save_bi_json(G, g)
-    _, want_out, _, want_bytes = compare(f, g)   # the same G from its file
-    whole_loads.clear()
-    os.mkfifo(fifo)
-
-    def feed():
-        with open(fifo, "wb") as fh:
-            fh.write(g.read_bytes())
-
-    writer = threading.Thread(target=feed)
-    writer.start()
+    _, want_out, _, want_bytes = compare(f, g)   # the same inputs from their files
     out = tmp_path / "out.json"
-    try:
-        code = main(["biconv", str(f), str(fifo), "--out", str(out)])
-    finally:
-        writer.join(timeout=10)
-    assert code == 0
-    assert whole_loads == [str(f), str(fifo)]
-    assert capsys.readouterr().out == want_out
-    assert out.read_bytes() == want_bytes
+    for inputs, piped in (([f, fifo], g), ([fifo, g], f)):
+        whole_loads.clear()
+        code = through_a_pipe(fifo, piped.read_bytes(), lambda: main(
+            ["biconv", *map(str, inputs), "--out", str(out)]))
+        assert code == 0
+        assert whole_loads == list(map(str, inputs))
+        assert capsys.readouterr().out == want_out
+        assert out.read_bytes() == want_bytes
+        out.unlink()
 
 
 def test_invalid_f_with_a_malformed_g_exits_2(compare, tmp_path):

@@ -6,7 +6,6 @@ loading the grid whole (or building the whole table), on every input."""
 import builtins
 import json
 import os
-import threading
 import tracemalloc
 
 import numpy as np
@@ -30,7 +29,7 @@ from bifreemax import cdf as cdf_module
 from bifreemax import rowstream
 from bifreemax.cdf import require_valid_bi
 from bifreemax.cli import main
-from helpers import ecdf_reference, random_bivariate_cdf
+from helpers import OLD_OUT, ecdf_reference, random_bivariate_cdf, through_a_pipe
 from test_blocking import seeded_pairs
 from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
 
@@ -106,20 +105,22 @@ def whole_outcome(command, path, n, out, shown, tol=EPS_CDF):
 @pytest.fixture
 def compare(tmp_path, capsys):
     """compare(command, path, n): assert the CLI gives the whole-array
-    outcome and leaves no temporary file; return the outcome."""
+    outcome, replaces an existing --out only where that writes one, and
+    leaves no temporary file; return the outcome."""
     ref, out = tmp_path / "ref.out", tmp_path / "cli.out"
 
     def run(command, path, n=2):
         want = whole_outcome(command, path, n, ref, out)
         ref.unlink(missing_ok=True)
+        out.write_bytes(OLD_OUT)
         before = sorted(tmp_path.iterdir())
         code = main(argv(command, path, n, out))
         captured = capsys.readouterr()
-        got = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
-        out.unlink(missing_ok=True)
-        assert got == want
+        got = (code, captured.out, captured.err, out.read_bytes())
+        assert got == (*want[:3], OLD_OUT if want[3] is None else want[3])
         assert sorted(tmp_path.iterdir()) == before
-        return got
+        out.unlink()
+        return want
     return run
 
 
@@ -284,19 +285,8 @@ def test_grid_from_a_pipe(compare, whole_loads, tmp_path, capsys, command, n):
     save_bi_json(nfold(random_bivariate_cdf(np.random.default_rng(72), 9, corner_mass=0.6), 2),
                  path)
     want = compare(command, path, n)   # the same grid from its file
-    os.mkfifo(fifo)
-
-    def feed():
-        with open(fifo, "wb") as fh:
-            fh.write(path.read_bytes())
-
-    writer = threading.Thread(target=feed)
-    writer.start()
     out = tmp_path / "cli.out"
-    try:
-        code = main(argv(command, fifo, n, out))
-    finally:
-        writer.join(timeout=10)
+    code = through_a_pipe(fifo, path.read_bytes(), lambda: main(argv(command, fifo, n, out)))
     assert whole_loads == [str(fifo)]
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == want[:3]
@@ -541,8 +531,9 @@ class TestStability:
                                                          scale):
         """A malformed grid reports first, then an invalid grid, then a bad
         scale, as a bad n does, and the grid is read in one pass, never
-        loaded whole: the scale is checked only where the grid is read."""
-        path, norm = tmp_path / "F.json", (scale, 0.0, 1.0, 0.0)
+        loaded whole: the scale is checked only where the grid is read.  From
+        a pipe, loaded whole, the outcome is the same, naming the pipe."""
+        path, fifo, norm = tmp_path / "F.json", tmp_path / "F.fifo", (scale, 0.0, 1.0, 0.0)
         codes = []
         for text in (G_TEXT + "}", G_TEXT.replace("0.5]", "0.5x]") + "}",
                      G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}"):
@@ -560,6 +551,12 @@ class TestStability:
             assert (code, *capsys.readouterr()) == want
             assert code == 2 or whole_loads == []
             codes.append(code)
+            whole_loads.clear()
+            code = through_a_pipe(fifo, path.read_bytes(),
+                                  lambda: main(["stability", str(fifo), "2", *map(repr, norm)]))
+            err = want[2].replace(str(path), str(fifo))
+            assert (code, *capsys.readouterr()) == (*want[:2], err)
+            assert whole_loads == [str(fifo)]
         assert codes == ([0, 2, 1] if scale else [1, 2, 1])
 
     def test_holds_no_grid(self, monkeypatch, tmp_path, capsys):
