@@ -384,10 +384,6 @@ def dyadic_max_stable_cdf(theta, h, K=60):
     return BivariateCDF(np.arange(K + 1.0), np.arange(K + 1.0), cdf)
 
 
-#: The bytes of an --out that exists before a call.
-OLD_OUT = b"old bytes\n"
-
-
 def fresh_run(args, **env_changes):
     """Run a fresh interpreter with ``args``, importing the bifreemax that this
     process imported: the checkout's or an installed one."""

@@ -29,7 +29,7 @@ from bifreemax import cdf as cdf_module
 from bifreemax import rowstream
 from bifreemax.cdf import require_valid_bi
 from bifreemax.cli import main
-from helpers import OLD_OUT, ecdf_reference, random_bivariate_cdf, through_a_pipe
+from helpers import ecdf_reference, random_bivariate_cdf, through_a_pipe
 from test_blocking import seeded_pairs
 from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
 
@@ -104,23 +104,31 @@ def whole_outcome(command, path, n, out, shown, tol=EPS_CDF):
 
 @pytest.fixture
 def compare(tmp_path, capsys):
-    """compare(command, path, n): assert the CLI gives the whole-array
-    outcome, replaces an existing --out only where that writes one, and
-    leaves no temporary file; return the outcome."""
+    """compare(command, path, n, rerun=True): assert the CLI gives the
+    whole-array outcome and leaves no temporary file, and, with rerun, that
+    a call that writes no file keeps an existing --out byte for byte; return
+    the outcome."""
     ref, out = tmp_path / "ref.out", tmp_path / "cli.out"
 
-    def run(command, path, n=2):
+    def run(command, path, n=2, rerun=True):
         want = whole_outcome(command, path, n, ref, out)
         ref.unlink(missing_ok=True)
-        out.write_bytes(OLD_OUT)
         before = sorted(tmp_path.iterdir())
-        code = main(argv(command, path, n, out))
+        args = argv(command, path, n, out)
+        code = main(args)
         captured = capsys.readouterr()
-        got = (code, captured.out, captured.err, out.read_bytes())
-        assert got == (*want[:3], OLD_OUT if want[3] is None else want[3])
+        got = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        assert got == want
         assert sorted(tmp_path.iterdir()) == before
-        out.unlink()
-        return want
+        if rerun and want[3] is None and "--out" in args:
+            out.write_bytes(b"old bytes\n")
+            before = sorted(tmp_path.iterdir())
+            code = main(args)
+            assert (code, *capsys.readouterr(), out.read_bytes()) == (*want[:3], b"old bytes\n")
+            assert sorted(tmp_path.iterdir()) == before
+            out.unlink()
+        return got
     return run
 
 
@@ -151,7 +159,7 @@ def test_every_loader_document(compare, monkeypatch, tmp_path, chunk, command, n
     codes = set()
     for text in [*DOCUMENTS.values(), *ORDER_DOCUMENTS.values()]:
         path.write_text(text)
-        codes.add(compare(command, path, n)[0])
+        codes.add(compare(command, path, n, rerun=chunk == CHUNKS[-1])[0])
     assert codes == {0, 1, 2}
 
 
@@ -183,7 +191,7 @@ def test_seeded_grids_at_every_block_size(compare, whole_loads, monkeypatch, tmp
     codes = set()
     for F in _grids():
         save_bi_json(F, path)
-        codes.add(compare(command, path, n)[0])
+        codes.add(compare(command, path, n, rerun=cells == BLOCK_CELLS[-1])[0])
         assert whole_loads == []   # every grid was read in one pass
     assert codes == {0, 1}
 
