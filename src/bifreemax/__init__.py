@@ -17,16 +17,18 @@ _EXPORTS = {
         "UnivariateCDF",
         "affine_transform",
         "ecdf_from_samples",
-        "load_bi_json",
-        "load_samples_tsv",
-        "load_uni_json",
         "marginals",
         "merge_grids",
         "merge_uni_grids",
-        "save_bi_json",
-        "save_uni_json",
         "validate_bi",
         "validate_uni",
+    ),
+    "gridio": (
+        "load_bi_json",
+        "load_samples_tsv",
+        "load_uni_json",
+        "save_bi_json",
+        "save_uni_json",
     ),
     "extremal": (
         "free_max_convolve",

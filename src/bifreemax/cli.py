@@ -27,19 +27,15 @@ from .cdf import (
     CDFFormatError,
     UnivariateCDF,
     _BiValidator,
-    _replacing,
     _Scratch,
     _union_grid,
-    _write_bi_json,
     ecdf_rows,
-    load_samples_tsv,
-    load_uni_json,
     row_blocks,
-    save_bi_json,
-    save_uni_json,
     validate_uni,
 )
 from .extremal import free_max_convolve, free_min_convolve
+from .gridio import (_one_pass, _replacing, _write_bi_json, load_samples_tsv, load_uni_json,
+                     save_bi_json, save_uni_json)
 from .biconv import _nfold_rows, _power_rows, _residual, bifree_max_convolve, psi_range
 from .oracle import (
     InvalidLawError,
@@ -49,7 +45,6 @@ from .oracle import (
     wedge_moment_closed_form,
     wedge_moment_limit,
 )
-from .rowstream import _one_pass
 
 
 def cmd_validate(args) -> int:

@@ -33,7 +33,7 @@ from bifreemax import (
 from bifreemax import biconv as biconv_module
 from bifreemax import cdf as cdf_module
 from bifreemax import cli as cli_module
-from bifreemax import rowstream as rowstream_module
+from bifreemax import gridio
 from bifreemax.biconv import _nfold_rows, _power_rows
 from bifreemax.cdf import MAX_LISTED, GridRows
 from bifreemax.cli import main
@@ -443,10 +443,12 @@ class TestOnePassValidation:
             validate_bi(X)
             assert reads == [(39, 40), *blocks]
         # a saved file, read by the CLI through a _RowStream; root's candidate
-        # is read the same way, and reads its input on the same pass
+        # is read the same way, and reads its input on the same pass.  Which
+        # rows a read asks for shows nowhere outside the stream: the file is
+        # read forward in chunks whatever they are
         streamed = []
-        real_stream = rowstream_module._RowStream.block
-        monkeypatch.setattr(rowstream_module._RowStream, "block",
+        real_stream = gridio._RowStream.block
+        monkeypatch.setattr(gridio._RowStream, "block",
                             lambda self, r: streamed.append((r.start, r.stop))
                             or real_stream(self, r))
         real_power = cli_module._power_rows

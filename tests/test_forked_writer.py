@@ -1,4 +1,4 @@
-"""The forked row writer of bivariate grid files (cdf._write_bi_json).
+"""The forked row writer of bivariate grid files (gridio._write_bi_json).
 
 From FORK_CELLS cells on, a single-threaded process that may run on two
 CPUs forks one worker that writes the output's rows, and formats a block
@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from bifreemax import BivariateCDF, nfold, save_bi_json
-from bifreemax.cdf import FORK_CELLS, row_blocks
+from bifreemax.cdf import row_blocks
+from bifreemax.gridio import FORK_CELLS
 from helpers import fresh_python, random_breaks, sparse_bivariate_cdf
 
 pytestmark = pytest.mark.skipif(
@@ -31,19 +32,20 @@ NX, NY = 519, 512
 PRELUDE = """
 import contextlib, io, json, os, time
 import bifreemax.cli as cli   # sets OPENBLAS_NUM_THREADS before numpy loads
-from bifreemax import cdf
+from bifreemax import gridio
 
 forks, formatted, child_hook = [], [], [None]
 os.register_at_fork(before=lambda: forks.append(1))
 os.register_at_fork(after_in_child=lambda: child_hook[0] and child_hook[0]())
-parent, rows_json = os.getpid(), cdf._rows_json
+parent, rows_json = os.getpid(), gridio._rows_json
 
+# which process formatted a block shows in no byte of the output: hooked by name
 def counting(block, start):   # blocks formatted in this process, not in its worker
     if os.getpid() == parent:
         formatted.append(start)
     return rows_json(block, start)
 
-cdf._rows_json = counting
+gridio._rows_json = counting
 
 def outcome(call, one_cpu=False, hook=None):
     '''call(), pinned to one CPU or not, with hook run in each forked child:

@@ -1,5 +1,6 @@
 """File loaders: the streaming JSON loader against json.load, and malformed input."""
 
+import builtins
 import io
 import itertools
 import json
@@ -12,8 +13,10 @@ import pytest
 
 from bifreemax import BivariateCDF, CDFFormatError, load_bi_json, save_bi_json
 from bifreemax import cdf as cdf_module
+from bifreemax import gridio
 from bifreemax.cli import main
 from helpers import load_bi_json_reference, random_bivariate_cdf, through_a_pipe
+from observe import Reads
 
 GRID = {"x_breaks": [-1.5, 0.0, 2.0], "y_breaks": [0.25, 1.0],
         "cdf": [[0.0, 0.1], [0.2, 0.5], [0.3, 1.0]]}
@@ -75,7 +78,7 @@ def _documents():
 
 
 DOCUMENTS = _documents()
-CHUNKS = [1, 2, 7, 64, cdf_module.JSON_CHUNK_CHARS]
+CHUNKS = [1, 2, 7, 64, gridio.JSON_CHUNK_CHARS]
 
 
 def _outcome(loader, path):
@@ -89,7 +92,7 @@ def _outcome(loader, path):
 
 @pytest.fixture(params=CHUNKS, ids=lambda k: f"chunk{k}")
 def chunk(request, monkeypatch):
-    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", request.param)
+    monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", request.param)
     return request.param
 
 
@@ -226,9 +229,9 @@ def test_error_message_does_not_depend_on_the_chunk(chunk, tmp_path, monkeypatch
         texts += [DOCUMENTS[name][:end] for end in range(len(DOCUMENTS[name]))]
     for text in texts:
         path.write_text(text)
-        monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", 2 ** 16)   # the whole text
+        monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", 2 ** 16)   # the whole text
         want = _error(path)
-        monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", chunk)
         assert _error(path) == want, text
 
 
@@ -260,18 +263,20 @@ def test_syntax_error_does_not_read_on(tmp_path, monkeypatch):
             Counted.bytes_read += len(data)
             return data
 
-    opens = []
+    opens, real_open = [], builtins.open
 
     def open_(file, *args, **kwargs):
+        if str(file) != str(path):
+            return real_open(file, *args, **kwargs)
         opens.append((args, kwargs))
         return Counted(file, "rb")
 
-    monkeypatch.setattr(cdf_module, "open", open_, raising=False)
+    monkeypatch.setattr(builtins, "open", open_)
     with pytest.raises(CDFFormatError) as spied:
         load_bi_json(path)
     assert str(spied.value) == str(got.value)
     assert opens == [(("rb",), {"buffering": 0})]
-    assert Counted.bytes_read <= mid + 2 * cdf_module.JSON_CHUNK_CHARS
+    assert Counted.bytes_read <= mid + 2 * gridio.JSON_CHUNK_CHARS
 
 
 @pytest.mark.parametrize("reader", ["load_bi_json", "cli-validate"])
@@ -283,20 +288,18 @@ def test_the_buffer_holds_a_row_and_one_chunk(tmp_path, monkeypatch, capsys, rea
     save_bi_json(random_bivariate_cdf(np.random.default_rng(5), 512, 512), path)
     text = path.read_text()
     longest_row = max(map(len, re.findall(r"\[[^][]*\]", text[text.index('"cdf"'):])))
-    sizes, real = [], cdf_module._JSONStream._fill
-
-    def fill(self, size):
-        real(self, size)
-        sizes.append(len(self.buf))
-
-    monkeypatch.setattr(cdf_module._JSONStream, "_fill", fill)
+    assert longest_row < gridio.JSON_CHUNK_CHARS   # so a refill is one chunk
+    reads = Reads(monkeypatch)
     if reader == "load_bi_json":
         load_bi_json(path)
     else:
         assert main(["validate", str(path), "--kind", "bi"]) == 0
         assert capsys.readouterr().out == "OK\n"
-    assert max(sizes) <= cdf_module.JSON_CHUNK_CHARS + longest_row
-    assert len(sizes) <= len(text) // cdf_module.JSON_CHUNK_CHARS + 2
+    # the reads of the pass: a refill reads one chunk, and the file once
+    [sizes] = [sizes for p, buffering, sizes, *_ in reads.opens
+               if p == str(path) and buffering == 0]
+    assert max(sizes) <= gridio.JSON_CHUNK_CHARS and sum(sizes) == len(text)
+    assert len(sizes) <= len(text) // gridio.JSON_CHUNK_CHARS + 2
 
 
 def test_crlf_syntax_error_names_the_files_own_offset(tmp_path, capsys):

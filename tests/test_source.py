@@ -1,10 +1,12 @@
 """Checks on the source of the package, made on its syntax tree with the
 standard library alone: no import of a module outside the package, numpy
 and the standard library, no unused ``from ... import`` name, no
-module-level private name that nothing reads, no file opened for writing
-outside the one writer, ``cdf._replacing``, and no validation verdict raised
-outside ``cdf.require_valid_uni`` and ``cdf._BiValidator.finish``.  And what
-the source imports at run time: no call of the CLI loads ``numpy.ma``."""
+module-level private name that nothing reads, no file opened outside
+``gridio`` nor for writing outside its one writer, ``gridio._replacing``, no
+file or OS module imported by the numerics, ``cdf``, and no validation verdict
+raised outside ``cdf.require_valid_uni`` and ``cdf._BiValidator.finish``.  And
+what the source imports at run time: no call of the CLI loads ``numpy.ma``,
+and ``gridio`` imports ``cdf``, not the other way round."""
 
 import ast
 import json
@@ -23,17 +25,26 @@ from helpers import fresh_python
 SRC = Path(bifreemax.__file__).parent
 
 
-def foreign_imports(tree):
-    """Modules imported anywhere in the tree, inside functions too, that are
-    neither relative, nor numpy, nor in the standard library."""
-    allowed = sys.stdlib_module_names | {"numpy"}
+#: Modules that the numerics, cdf.py, do not import: files and the OS are gridio's.
+FILE_MODULES = {"codecs", "contextlib", "errno", "json", "os", "re", "struct", "fcntl",
+                "termios", "signal"}
+
+
+def imports(tree):
+    """Modules imported anywhere in the tree, inside functions too, but relative ones."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module)
-    return [name for name in found if name.split(".")[0] not in allowed]
+    return found
+
+
+def foreign_imports(tree):
+    """The imports that are neither relative, nor numpy, nor in the standard library."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    return [name for name in imports(tree) if name.split(".")[0] not in allowed]
 
 
 def unused_imports(tree):
@@ -77,15 +88,15 @@ def _may_write(call):
     return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
 
 
-def write_opens(tree):
-    """(function, line) of each open() call that can write, with the innermost
-    enclosing function's name (None at module level)."""
+def open_calls(tree, writing=False):
+    """(function, line) of each open() call, or with writing of each that can
+    write, with the innermost enclosing function's name (None at module level)."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "open" and _may_write(child)):
+                    and child.func.id == "open" and not (writing and not _may_write(child))):
                 found.append((function, child.lineno))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else function)
@@ -128,7 +139,8 @@ def test_the_checks_find_what_they_look_for():
                      "    def g():\n"
                      "        return open(p, 'r+')\n")
     assert unused_imports(tree) == ["sep"]
-    assert write_opens(tree) == [("f", 5), ("f", 5), ("f", 5), ("g", 7)]
+    assert open_calls(tree, writing=True) == [("f", 5), ("f", 5), ("f", 5), ("g", 7)]
+    assert open_calls(tree) == [("f", 5)] * 5 + [("g", 7)]
 
 
 def test_the_raise_check_finds_what_it_looks_for():
@@ -176,7 +188,10 @@ def test_every_private_name_is_read():
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
 def test_imports_only_numpy_and_the_standard_library(path):
-    assert foreign_imports(ast.parse(path.read_text())) == []
+    tree = ast.parse(path.read_text())
+    assert foreign_imports(tree) == []
+    if path.name == "cdf.py":
+        assert FILE_MODULES.isdisjoint(name.split(".")[0] for name in imports(tree))
 
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
@@ -185,9 +200,12 @@ def test_no_unused_from_import(path):
 
 
 def test_only_the_writer_opens_a_file_for_writing():
-    found = {(path.name, function) for path in _modules()
-             for function, _ in write_opens(ast.parse(path.read_text()))}
-    assert found == {("cdf.py", "_replacing")}
+    trees = {path.name: ast.parse(path.read_text()) for path in _modules()}
+    found = {(name, function) for name, tree in trees.items()
+             for function, _ in open_calls(tree, writing=True)}
+    assert found == {("gridio.py", "_replacing")}
+    # and every open, for reading too, is in gridio
+    assert {name for name, tree in trees.items() if open_calls(tree)} == {"gridio.py"}
 
 
 def test_only_two_functions_raise_a_validation_verdict():
@@ -221,6 +239,26 @@ def test_no_call_imports_numpy_ma(tmp_path):
     if with_numpy:
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert not loaded
+
+
+@pytest.mark.parametrize("first", ["gridio", "cdf"])
+def test_gridio_imports_cdf_and_cdf_forwards_the_file_functions(first):
+    """Whichever module a process imports first, cdf imports no gridio of its own,
+    and cdf forwards the five file functions to gridio, and nothing else."""
+    code = (f"import sys, bifreemax.{first}\n"
+            "alone = 'bifreemax.gridio' not in sys.modules\n"
+            "import bifreemax.cdf as cdf, bifreemax.gridio as gridio\n"
+            "names = ('load_bi_json', 'load_samples_tsv', 'load_uni_json', 'save_bi_json',\n"
+            "         'save_uni_json')\n"
+            "same = [getattr(cdf, name) is getattr(gridio, name) for name in names]\n"
+            "try:\n"
+            "    cdf.JSON_CHUNK_CHARS\n"
+            "except AttributeError:\n"
+            "    knob = False\n"
+            "else:\n"
+            "    knob = True\n"
+            "print(alone, all(same), knob)\n")
+    assert fresh_python(code).split() == [str(first == "cdf"), "True", "False"]
 
 
 def test_unique_has_the_bits_of_numpy():

@@ -2,7 +2,6 @@
 same exit code, stdout, stderr and output bytes as loading both inputs whole,
 on every input, and memory of blocks, with no input held."""
 
-import builtins
 import os
 import tracemalloc
 
@@ -19,9 +18,10 @@ from bifreemax import (
     save_bi_json,
 )
 from bifreemax import cdf as cdf_module
-from bifreemax import rowstream
+from bifreemax import gridio
 from bifreemax.cli import main
 from helpers import sparse_bivariate_cdf, through_a_pipe
+from observe import Reads
 from test_blocking import _biconv_stdout, _stream_cases
 from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
 
@@ -77,35 +77,28 @@ def compare(tmp_path, capsys):
 
 
 @pytest.fixture
-def whole_loads(monkeypatch):
-    """The paths that CLI biconv loads whole: none when both inputs are streamed."""
-    paths = []
-    real = rowstream.load_bi_json
-
-    def spy(path):
-        paths.append(str(path))
-        return real(path)
-
-    monkeypatch.setattr(rowstream, "load_bi_json", spy)
-    return paths
+def reads(monkeypatch):
+    """The reads of CLI biconv; reads.whole_loads() are the paths it loads whole:
+    none when both inputs are streamed."""
+    return Reads(monkeypatch)
 
 
 @pytest.mark.parametrize("cells", [1, 7, 64, cdf_module.BLOCK_CELLS])
-def test_seeded_pairs_at_every_block_size(compare, whole_loads, monkeypatch, tmp_path, cells):
+def test_seeded_pairs_at_every_block_size(compare, reads, monkeypatch, tmp_path, cells):
     monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     f, g = tmp_path / "f.json", tmp_path / "g.json"
     for F, G in _stream_cases():
         save_bi_json(F, f)
         save_bi_json(G, g)
         for pair in ((f, g), (g, f)):
-            whole_loads.clear()
+            reads.clear()
             assert compare(*pair)[0] == 0
-            assert whole_loads == []   # F and G were read in one pass
+            assert reads.whole_loads() == []   # F and G were read in one pass
 
 
 def _every_loader_document(compare, monkeypatch, tmp_path, chunk, as_f):
     """Each loader document as G, or as F, beside F_FOR_DOCUMENTS."""
-    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", chunk)
     doc, other = tmp_path / "doc.json", tmp_path / "other.json"
     save_bi_json(F_FOR_DOCUMENTS, other)
     codes = set()
@@ -137,13 +130,13 @@ def test_g_is_read_a_block_and_a_row_at_a_time(monkeypatch, tmp_path, cells):
     kernel's reads of an input on the union grid cross its row blocks."""
     monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     excess = []
-    real = rowstream._RowStream.block
+    real = gridio._RowStream.block
 
-    def spy(self, rows):
+    def spy(self, rows):   # the rows a read asks for show nowhere outside the stream
         excess.append(rows.stop - rows.start - cdf_module._block_rows(self.ny))
         return real(self, rows)
 
-    monkeypatch.setattr(rowstream._RowStream, "block", spy)
+    monkeypatch.setattr(gridio._RowStream, "block", spy)
     f, g, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "h.json"
     rng = np.random.default_rng(5)
     for nf in (3, 40):   # with 3 rows in F, a union-grid block reads several rows of G
@@ -187,18 +180,18 @@ LAYOUT_IDS = ["saved", "key-after-cdf", "second-cdf", "second-cdf-ragged", "trai
 
 
 @pytest.mark.parametrize("text, streamed, cells", LAYOUTS, ids=LAYOUT_IDS)
-def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells):
+def test_layouts(compare, reads, monkeypatch, tmp_path, text, streamed, cells):
     if cells is not None:
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     f, g = tmp_path / "f.json", tmp_path / "g.json"
     save_bi_json(F_FOR_DOCUMENTS, f)
     g.write_text(text)
     compare(f, g)
-    assert (whole_loads == []) == streamed
+    assert (reads.whole_loads() == []) == streamed
 
 
 @pytest.mark.parametrize("text, streamed, cells", LAYOUTS, ids=LAYOUT_IDS)
-def test_layouts_as_f(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells):
+def test_layouts_as_f(compare, reads, monkeypatch, tmp_path, text, streamed, cells):
     """The same layouts as F, beside a G on another grid."""
     if cells is not None:
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
@@ -206,35 +199,35 @@ def test_layouts_as_f(compare, whole_loads, monkeypatch, tmp_path, text, streame
     f.write_text(text)
     save_bi_json(F_FOR_DOCUMENTS, g)
     compare(f, g)
-    assert (whole_loads == []) == streamed
+    assert (reads.whole_loads() == []) == streamed
 
 
 @pytest.mark.parametrize("chunk", [1, 8, 32])
-def test_last_row_longer_than_the_buffer(compare, whole_loads, monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+def test_last_row_longer_than_the_buffer(compare, reads, monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", chunk)
     rng = np.random.default_rng(71)
     f, g = tmp_path / "f.json", tmp_path / "g.json"
     save_bi_json(sparse_bivariate_cdf(rng, 5, 60, 0.3), f)
     save_bi_json(sparse_bivariate_cdf(rng, 4, 60, 0.3, offset=0.05), g)
     assert len(g.read_text().rsplit("[", 1)[1]) > 16 * chunk
     assert compare(f, g)[0] == 0
-    assert whole_loads == []
+    assert reads.whole_loads() == []
 
 
-def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkeypatch,
-                                                     tmp_path):
+def test_a_tail_that_is_not_the_last_row_falls_back(compare, monkeypatch, tmp_path):
     """A tail row that differs from the row the pass ends on drops the
     streamed output and loads G whole."""
-    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    f, g, halved = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "halved"
     save_bi_json(F_FOR_DOCUMENTS, f)
     g.write_text(G_TEXT + "}\n")
-    real = rowstream._tail_row
-    monkeypatch.setattr(rowstream, "_tail_row", lambda path, ny: real(path, ny) * 0.5)
+    halved.write_text(G_TEXT.replace("[0.5, 1.0]]", "[0.25, 0.5]]") + "}\n")
+    # G changed before its tail read
+    reads = Reads(monkeypatch, tail=lambda path: halved if str(path) == str(g) else path)
     assert compare(f, g)[0] == 0
-    assert whole_loads == [str(f), str(g)]
+    assert reads.whole_loads() == [str(f), str(g)]
 
 
-def test_g_from_a_pipe(compare, whole_loads, tmp_path, capsys):
+def test_g_from_a_pipe(compare, reads, tmp_path, capsys):
     """A pipe is not streamed: G, or F, is loaded whole with the other
     input, with the same output."""
     f, g, fifo = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "in.fifo"
@@ -244,11 +237,11 @@ def test_g_from_a_pipe(compare, whole_loads, tmp_path, capsys):
     _, want_out, _, want_bytes = compare(f, g)   # the same inputs from their files
     out = tmp_path / "out.json"
     for inputs, piped in (([f, fifo], g), ([fifo, g], f)):
-        whole_loads.clear()
+        reads.clear()
         code = through_a_pipe(fifo, piped.read_bytes(), lambda: main(
             ["biconv", *map(str, inputs), "--out", str(out)]))
         assert code == 0
-        assert whole_loads == list(map(str, inputs))
+        assert reads.whole_loads() == list(map(str, inputs))
         assert capsys.readouterr().out == want_out
         assert out.read_bytes() == want_bytes
         out.unlink()
@@ -327,51 +320,22 @@ class TestOnePass:
         return d, F
 
     @staticmethod
-    def assert_read_once_plus_its_tail(files, monkeypatch, whole_loads, name):
+    def assert_read_once_plus_its_tail(files, reads, name):
         d, _ = files
         path = str(d / name)
-        reads = []   # for each open of path: its buffering and the bytes read
-        real_open = builtins.open
-
-        class Counted:
-            def __init__(self, fh, count):
-                self.fh, self.count = fh, count
-
-            def read(self, *args):
-                data = self.fh.read(*args)
-                self.count[1] += len(data)
-                return data
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        def open_(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if str(file) != path:
-                return fh
-            reads.append([kwargs.get("buffering", -1), 0])
-            return Counted(fh, reads[-1])
-
-        monkeypatch.setattr(builtins, "open", open_)
         call = ["biconv", str(d / "f.json"), str(d / "g.json"), "--out", str(d / "h.json")]
         assert main(call) == 0
-        assert whole_loads == []
+        assert reads.whole_loads() == []
         # one unbuffered pass over every byte, and a tail read of one buffer
-        (buffering, passed), (_, tail) = reads
+        (buffering, passed), (_, tail) = reads.of(path)
         assert buffering == 0 and passed == os.path.getsize(path)
-        assert 0 < tail <= cdf_module.JSON_CHUNK_CHARS < os.path.getsize(path)
+        assert 0 < tail <= gridio.JSON_CHUNK_CHARS < os.path.getsize(path)
 
-    def test_f_is_read_once_plus_its_tail(self, files, monkeypatch, whole_loads):
-        self.assert_read_once_plus_its_tail(files, monkeypatch, whole_loads, "f.json")
+    def test_f_is_read_once_plus_its_tail(self, files, reads):
+        self.assert_read_once_plus_its_tail(files, reads, "f.json")
 
-    def test_g_is_read_once_plus_its_tail(self, files, monkeypatch, whole_loads):
-        self.assert_read_once_plus_its_tail(files, monkeypatch, whole_loads, "g.json")
+    def test_g_is_read_once_plus_its_tail(self, files, reads):
+        self.assert_read_once_plus_its_tail(files, reads, "g.json")
 
     def test_biconv_holds_no_input(self, files, capsys):
         """biconv peaks at its streams' buffers and blocks: below half of one

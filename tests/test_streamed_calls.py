@@ -26,10 +26,11 @@ from bifreemax import (
     validate_bi,
 )
 from bifreemax import cdf as cdf_module
-from bifreemax import rowstream
+from bifreemax import gridio
 from bifreemax.cdf import require_valid_bi
 from bifreemax.cli import main
 from helpers import ecdf_reference, random_bivariate_cdf, through_a_pipe
+from observe import Reads
 from test_blocking import seeded_pairs
 from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
 
@@ -133,17 +134,10 @@ def compare(tmp_path, capsys):
 
 
 @pytest.fixture
-def whole_loads(monkeypatch):
-    """The paths that the CLI loads whole; a streamed grid is not one."""
-    paths = []
-    real = rowstream.load_bi_json
-
-    def spy(path):
-        paths.append(str(path))
-        return real(path)
-
-    monkeypatch.setattr(rowstream, "load_bi_json", spy)
-    return paths
+def reads(monkeypatch):
+    """The CLI's reads of its files; reads.whole_loads() are the paths it loads
+    whole, and a streamed grid is not one."""
+    return Reads(monkeypatch)
 
 
 COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata", 2),
@@ -154,7 +148,7 @@ COMMAND_IDS = [f"{c}-{n}" for c, n in COMMANDS]
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
 def test_every_loader_document(compare, monkeypatch, tmp_path, chunk, command, n):
-    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", chunk)
     path = tmp_path / "F.json"
     codes = set()
     for text in [*DOCUMENTS.values(), *ORDER_DOCUMENTS.values()]:
@@ -184,7 +178,7 @@ def _grids():
 
 @pytest.mark.parametrize("cells", BLOCK_CELLS)
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
-def test_seeded_grids_at_every_block_size(compare, whole_loads, monkeypatch, tmp_path,
+def test_seeded_grids_at_every_block_size(compare, reads, monkeypatch, tmp_path,
                                           cells, command, n):
     monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     path = tmp_path / "F.json"
@@ -192,7 +186,7 @@ def test_seeded_grids_at_every_block_size(compare, whole_loads, monkeypatch, tmp
     for F in _grids():
         save_bi_json(F, path)
         codes.add(compare(command, path, n, rerun=cells == BLOCK_CELLS[-1])[0])
-        assert whole_loads == []   # every grid was read in one pass
+        assert reads.whole_loads() == []   # every grid was read in one pass
     assert codes == {0, 1}
 
 
@@ -236,58 +230,54 @@ ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
         "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf", "one-row-second-cdf",
         "one-row-extra-row", "utf-8-key-first"])
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
-def test_layouts(compare, whole_loads, monkeypatch, tmp_path, text, streamed, cells, command, n):
+def test_layouts(compare, reads, monkeypatch, tmp_path, text, streamed, cells, command, n):
     if cells is not None:
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
     path = tmp_path / "F.json"
     path.write_text(text)
     compare(command, path, n)
-    assert (whole_loads == []) == streamed
+    assert (reads.whole_loads() == []) == streamed
 
 
-def test_a_tail_with_no_row(whole_loads, monkeypatch, tmp_path, capsys):
+def test_a_tail_with_no_row(monkeypatch, tmp_path, capsys):
     """A tail with no "[" before its "]]}" has no last row.  After the header
     parse has met the "[" of cdf, that is a file rewritten during the read:
     the pass falls back to the whole load, which gives the loader's message."""
     path = tmp_path / "F.json"
     path.write_text("]]}\n")
     with pytest.raises(CDFFormatError, match="the file has no last row"):
-        rowstream._tail_row(path, 2)
+        gridio._tail_row(path, 2)
     with pytest.raises(CDFFormatError) as loaded:
         load_bi_json(path)
     path.write_text(G_TEXT + "}\n")
-    real, raised = rowstream._tail_row, []
 
-    def tail_row(p, ny):
+    def rewritten(p):   # the file as the tail read finds it
         path.write_text("]]}\n")
-        try:
-            return real(p, ny)
-        except CDFFormatError as exc:
-            raised.append(str(exc))
-            raise
+        return p
 
-    monkeypatch.setattr(rowstream, "_tail_row", tail_row)
+    reads = Reads(monkeypatch, tail=rewritten)
     assert main(["validate", str(path), "--kind", "bi"]) == 2
     assert capsys.readouterr() == ("", f"error: {loaded.value}\n")
-    assert raised == ["the file has no last row"]
-    assert whole_loads == [str(path)]
+    # the pass met the "[" of cdf; its tail read found the rewritten file whole
+    assert reads.of(path) == [(0, len(G_TEXT) + 2), (-1, 4), (0, 4)]
+    assert reads.whole_loads() == [str(path)]
 
 
 @pytest.mark.parametrize("chunk", [1, 8, 32])
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
-def test_last_row_longer_than_the_buffer(compare, whole_loads, monkeypatch, tmp_path,
+def test_last_row_longer_than_the_buffer(compare, reads, monkeypatch, tmp_path,
                                          chunk, command, n):
-    monkeypatch.setattr(cdf_module, "JSON_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(gridio, "JSON_CHUNK_CHARS", chunk)
     path = tmp_path / "F.json"
     square = nfold(random_bivariate_cdf(np.random.default_rng(71), 60, 60, corner_mass=0.6), 2)
     save_bi_json(square, path)
     assert len(path.read_text().rsplit("[", 1)[1]) > 16 * chunk
     assert compare(command, path, n)[0] == 0
-    assert whole_loads == []
+    assert reads.whole_loads() == []
 
 
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
-def test_grid_from_a_pipe(compare, whole_loads, tmp_path, capsys, command, n):
+def test_grid_from_a_pipe(compare, reads, tmp_path, capsys, command, n):
     """A pipe is not streamed: the grid is loaded whole, with the same outcome."""
     path, fifo = tmp_path / "F.json", tmp_path / "F.fifo"
     save_bi_json(nfold(random_bivariate_cdf(np.random.default_rng(72), 9, corner_mass=0.6), 2),
@@ -295,7 +285,7 @@ def test_grid_from_a_pipe(compare, whole_loads, tmp_path, capsys, command, n):
     want = compare(command, path, n)   # the same grid from its file
     out = tmp_path / "cli.out"
     code = through_a_pipe(fifo, path.read_bytes(), lambda: main(argv(command, fifo, n, out)))
-    assert whole_loads == [str(fifo)]
+    assert reads.whole_loads() == [str(fifo)]
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == want[:3]
     assert (out.read_bytes() if out.exists() else None) == want[3]
@@ -312,19 +302,17 @@ def test_an_invalid_grid_reports_before_a_bad_n(compare, tmp_path, command, bad_
         assert code == 1 and message in err
 
 
-def test_a_tail_that_is_not_the_last_row_falls_back(compare, whole_loads, monkeypatch,
-                                                     tmp_path):
+def test_a_tail_that_is_not_the_last_row_falls_back(compare, monkeypatch, tmp_path):
     """A tail row that differs from the row the pass ends on drops the
     temporary output and loads the grid whole."""
-    path = tmp_path / "F.json"
+    path, halved = tmp_path / "F.json", tmp_path / "halved"
     path.write_text(G_TEXT + "}\n")
-    from bifreemax import rowstream
-    real = rowstream._tail_row
-    monkeypatch.setattr(rowstream, "_tail_row", lambda p, ny: real(p, ny) * 0.5)
+    halved.write_text(G_TEXT.replace("[0.5, 1.0]]", "[0.25, 0.5]]") + "}\n")
+    reads = Reads(monkeypatch, tail=lambda p: halved)   # the file changed before its tail read
     for command, n in COMMANDS:
-        whole_loads.clear()
+        reads.clear()
         compare(command, path, n)
-        assert whole_loads == [str(path)]
+        assert reads.whole_loads() == [str(path)]
 
 
 def _item_1_law():
@@ -365,43 +353,14 @@ class TestOneDecode:
 
     @pytest.mark.parametrize("command, n", [*COMMANDS, ("root", 3)],
                              ids=[*COMMAND_IDS, "root-report"])
-    def test_read_once_plus_its_tail(self, path, monkeypatch, whole_loads, command, n):
-        reads = []   # for each open of path: its buffering and the bytes read
-        real_open = builtins.open
-
-        class Counted:
-            def __init__(self, fh, count):
-                self.fh, self.count = fh, count
-
-            def read(self, *args):
-                data = self.fh.read(*args)
-                self.count[1] += len(data)
-                return data
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        def open_(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if str(file) != str(path):
-                return fh
-            reads.append([kwargs.get("buffering", -1), 0])
-            return Counted(fh, reads[-1])
-
-        monkeypatch.setattr(builtins, "open", open_)
+    def test_read_once_plus_its_tail(self, path, reads, command, n):
         code = main(argv(command, path, n, path.with_name("out")))
         assert code == (1 if n == 3 and command == "root" else 0)
-        assert whole_loads == []
+        assert reads.whole_loads() == []
         # one unbuffered pass over every byte, and a tail read of one buffer
-        (buffering, passed), (_, tail) = reads
+        (buffering, passed), (_, tail) = reads.of(path)
         assert buffering == 0 and passed == os.path.getsize(path)
-        assert 0 < tail <= cdf_module.JSON_CHUNK_CHARS < os.path.getsize(path)
+        assert 0 < tail <= gridio.JSON_CHUNK_CHARS < os.path.getsize(path)
 
 
 def _samples():
@@ -478,23 +437,18 @@ class TestStability:
             yield float(a), float(b), float(c), float(d)
 
     @pytest.mark.parametrize("cells", [1, 4096])
-    def test_stdout_is_the_residual_of_the_whole_grid(self, whole_loads, monkeypatch, tmp_path,
+    def test_stdout_is_the_residual_of_the_whole_grid(self, reads, monkeypatch, tmp_path,
                                                      capsys, cells):
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
-        decoded, windows = [0], []
-        real_row, real_decode = rowstream._float_row, rowstream._RowStream._decode
+        windows = []
+        real_decode = gridio._RowStream._decode
 
-        def float_row(value):
-            decoded[0] += 1
-            return real_row(value)
-
-        def decode(self, rows):
+        def decode(self, rows):   # the stream's window is seen nowhere outside it
             real_decode(self, rows)
             if not any(w is self.window for w in windows):
                 windows.append(self.window)
 
-        monkeypatch.setattr(rowstream, "_float_row", float_row)
-        monkeypatch.setattr(rowstream._RowStream, "_decode", decode)
+        monkeypatch.setattr(gridio._RowStream, "_decode", decode)
         rng = np.random.default_rng(76)
         path = tmp_path / "F.json"
         grids = [BivariateCDF([0.5], [0.5], [[1.0]]),
@@ -505,17 +459,19 @@ class TestStability:
             save_bi_json(F, path)
             for norm in self.normalizations(F, rng):
                 want = max_stable_residual(load_bi_json(path), 3, AffineNormalization(*norm))
-                whole_loads.clear()
-                decoded[0], windows[:] = 0, []
+                reads.clear()
+                windows[:] = []
                 assert main(["stability", str(path), "3", *map(repr, norm)]) == 0
                 assert capsys.readouterr() == (f"{want:.10g}\n", "")
-                assert whole_loads == []
-                # every row once, plus the tail row; one window, at the widest read
-                assert decoded[0] == F.x_breaks.size + 1
+                assert reads.whole_loads() == []
+                # every byte once, plus one read of the tail; one window, at the widest read
+                (buffering, passed), (tail_buffering, tail) = reads.of(path)
+                assert (buffering, passed, tail_buffering) == (0, os.path.getsize(path), -1)
+                assert tail > 0
                 assert len(windows) == 1
 
     @pytest.mark.parametrize("norm", [(1.04, -0.3), (1.46, 0.1), (2.0, 0.5)])
-    def test_checks_whole_blocks(self, whole_loads, monkeypatch, tmp_path, capsys, norm):
+    def test_checks_whole_blocks(self, reads, monkeypatch, tmp_path, capsys, norm):
         """The validator rounds each read of the grid up to the end of a row
         block within its span, the widest read and the row before it, so a
         read that starts far behind its last row still checks to a block's
@@ -531,11 +487,11 @@ class TestStability:
                             lambda self, lo, stop: checks.append(lo) or real(self, lo, stop))
         assert main(["stability", str(path), "2", *map(repr, norm * 2)]) == 0
         assert capsys.readouterr() == (f"{want:.10g}\n", "")
-        assert whole_loads == []
+        assert reads.whole_loads() == []
         assert len(checks) <= 2 * len(list(cdf_module.row_blocks(512, 32)))
 
     @pytest.mark.parametrize("scale", [1.0, 0.0])
-    def test_a_malformed_grid_reports_before_a_bad_scale(self, whole_loads, tmp_path, capsys,
+    def test_a_malformed_grid_reports_before_a_bad_scale(self, reads, tmp_path, capsys,
                                                          scale):
         """A malformed grid reports first, then an invalid grid, then a bad
         scale, as a bad n does, and the grid is read in one pass, never
@@ -554,17 +510,17 @@ class TestStability:
                 want = (2, "", f"error: {exc}\n")
             except CDFError as exc:
                 want = (1, "", f"error: {exc}\n")
-            whole_loads.clear()
+            reads.clear()
             code = main(["stability", str(path), "2", *map(repr, norm)])
             assert (code, *capsys.readouterr()) == want
-            assert code == 2 or whole_loads == []
+            assert code == 2 or reads.whole_loads() == []
             codes.append(code)
-            whole_loads.clear()
+            reads.clear()
             code = through_a_pipe(fifo, path.read_bytes(),
                                   lambda: main(["stability", str(fifo), "2", *map(repr, norm)]))
             err = want[2].replace(str(path), str(fifo))
             assert (code, *capsys.readouterr()) == (*want[:2], err)
-            assert whole_loads == [str(fifo)]
+            assert reads.whole_loads() == [str(fifo)]
         assert codes == ([0, 2, 1] if scale else [1, 2, 1])
 
     def test_holds_no_grid(self, monkeypatch, tmp_path, capsys):
@@ -594,7 +550,7 @@ def test_a_read_inside_the_window_allocates_no_copy_of_its_rows(monkeypatch, tmp
     F = _cumulated(np.random.default_rng(78), 1200, 128)
     path = tmp_path / "F.json"
     save_bi_json(F, path)
-    with rowstream._RowStream(str(path)) as rows:
+    with gridio._RowStream(str(path)) as rows:
         rows._reserve(1003)
         assert rows.block(slice(0, 1000)).tobytes() == F.cdf[:1000].tobytes()
         # inside the window, then past its end, which moves 852 rows by 150
@@ -616,7 +572,7 @@ def test_a_read_behind_the_window_raises(tmp_path):
     F = _cumulated(np.random.default_rng(79), 30, 8)
     path = tmp_path / "F.json"
     save_bi_json(F, path)
-    with rowstream._RowStream(str(path)) as rows:
+    with gridio._RowStream(str(path)) as rows:
         for read in (slice(0, 5), slice(20, 25)):
             assert rows.block(read).tobytes() == F.cdf[read].tobytes()
         with pytest.raises(RuntimeError, match="a row stream is read in increasing order"):
@@ -628,15 +584,15 @@ def test_plotdata_writes_once_per_grid_row(monkeypatch, tmp_path, capsys):
     F = _cumulated(np.random.default_rng(80), 7, 5)
     path, out = tmp_path / "F.json", tmp_path / "F.tsv"
     save_bi_json(F, path)
-    writes = []
+    writes, real_open = [], builtins.open
 
     def open_(file, mode="r", *args, **kwargs):   # the output file, with its writes counted
-        fh = open(file, mode, *args, **kwargs)
+        fh = real_open(file, mode, *args, **kwargs)
         if "w" in mode:
             fh.write = lambda text, write=fh.write: writes.append(text) or write(text)
         return fh
 
-    monkeypatch.setattr(cdf_module, "open", open_, raising=False)
+    monkeypatch.setattr(builtins, "open", open_)
     assert main(["plotdata", str(path), "--out", str(out)]) == 0, capsys.readouterr()
     assert len(writes) == 7
     assert "".join(writes) == out.read_text()
