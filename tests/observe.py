@@ -54,9 +54,10 @@ class Reads:
                 if p == str(path)]
 
     def whole_loads(self):
-        """The paths that CLI calls loaded whole, in order: each unbuffered open that
-        the read of its file's tail does not follow at once, but a pass that stopped
-        before its tail read, whose file the call opens again."""
+        """The paths that CLI calls loaded whole, in order.  An unbuffered open is a
+        pass if the call's next open reads the same file's tail, or if the call opens
+        the file unbuffered again (a pass that stopped before its tail read); every
+        other unbuffered open is a whole load."""
         opens = [(path, buffering != 0, call) for path, buffering, _, call in self.opens
                  if call]
         return [path for k, (path, buffered, call) in enumerate(opens) if not buffered
