@@ -54,15 +54,17 @@ class Reads:
                 if p == str(path)]
 
     def whole_loads(self):
-        """The paths that CLI calls loaded whole, in order.  An unbuffered open is a
-        pass if the call's next open reads the same file's tail, or if the call opens
-        the file unbuffered again (a pass that stopped before its tail read); every
-        other unbuffered open is a whole load."""
+        """The paths that CLI calls loaded whole, in order.  Only a call's first
+        unbuffered open of a path can be a pass: it is one if the call's next open
+        reads the same file's tail, or if the call opens the file unbuffered again
+        (a pass that stopped before its tail read).  Every other unbuffered open,
+        and every later one of the same path in the call, is a whole load."""
         opens = [(path, buffering != 0, call) for path, buffering, _, call in self.opens
                  if call]
         return [path for k, (path, buffered, call) in enumerate(opens) if not buffered
-                and opens[k + 1:k + 2] != [(path, True, call)]
-                and (path, False, call) not in opens[k + 1:]]
+                and ((path, False, call) in opens[:k]
+                     or (opens[k + 1:k + 2] != [(path, True, call)]
+                         and (path, False, call) not in opens[k + 1:]))]
 
 
 class _Counted:

@@ -151,14 +151,19 @@ def test_load_peaks_near_the_array(tmp_path):
     assert peak <= 2 * F.cdf.nbytes + 4 * 2 ** 20
 
 
-def test_load_peaks_at_the_array_plus_the_buffer(tmp_path):
-    """With the breaks first, as save_bi_json writes them, the rows are held once."""
+def test_load_peaks_at_the_array_plus_the_buffer(tmp_path, monkeypatch):
+    """With the breaks first, as save_bi_json writes them, the rows are held once:
+    while the grid's cells are within MAX_CELLS, read at the load, not before."""
     n = 512
     rng = np.random.default_rng(3)
     path = tmp_path / "F.json"
     save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
     F, peak = _load_peak(path)
     assert peak <= F.cdf.nbytes + 2 ** 20
+    monkeypatch.setattr(cdf_module, "MAX_CELLS", n * n - 1)   # the rows come as a list
+    G, list_peak = _load_peak(path)
+    assert G.cdf.tobytes() == F.cdf.tobytes()
+    assert list_peak >= 2 * F.cdf.nbytes
 
 
 # Key orders and documents that fill the preallocated array, leave it, or must not make it.
@@ -289,12 +294,23 @@ def test_the_buffer_holds_a_row_and_one_chunk(tmp_path, monkeypatch, capsys, rea
     text = path.read_text()
     longest_row = max(map(len, re.findall(r"\[[^][]*\]", text[text.index('"cdf"'):])))
     assert longest_row < gridio.JSON_CHUNK_CHARS   # so a refill is one chunk
+    # The buffer's length shows nowhere outside the reader (a chunk of it is
+    # lost in the memory tests' slack), so this hook stays on _fill by name.
+    buffers, real = [], gridio._JSONStream._fill
+
+    def fill(self, size):
+        real(self, size)
+        buffers.append(len(self.buf))
+
+    monkeypatch.setattr(gridio._JSONStream, "_fill", fill)
     reads = Reads(monkeypatch)
     if reader == "load_bi_json":
         load_bi_json(path)
     else:
         assert main(["validate", str(path), "--kind", "bi"]) == 0
         assert capsys.readouterr().out == "OK\n"
+    assert max(buffers) <= gridio.JSON_CHUNK_CHARS + longest_row
+    assert len(buffers) <= len(text) // gridio.JSON_CHUNK_CHARS + 2
     # the reads of the pass: a refill reads one chunk, and the file once
     [sizes] = [sizes for p, buffering, sizes, *_ in reads.opens
                if p == str(path) and buffering == 0]

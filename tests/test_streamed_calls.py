@@ -440,14 +440,19 @@ class TestStability:
     def test_stdout_is_the_residual_of_the_whole_grid(self, reads, monkeypatch, tmp_path,
                                                      capsys, cells):
         monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
-        windows = []
-        real_decode = gridio._RowStream._decode
+        decoded, windows = [0], []
+        real_row, real_decode = gridio._float_row, gridio._RowStream._decode
+
+        def float_row(value):   # a row decoded twice from bytes read once shows nowhere outside
+            decoded[0] += 1
+            return real_row(value)
 
         def decode(self, rows):   # the stream's window is seen nowhere outside it
             real_decode(self, rows)
             if not any(w is self.window for w in windows):
                 windows.append(self.window)
 
+        monkeypatch.setattr(gridio, "_float_row", float_row)
         monkeypatch.setattr(gridio._RowStream, "_decode", decode)
         rng = np.random.default_rng(76)
         path = tmp_path / "F.json"
@@ -460,14 +465,16 @@ class TestStability:
             for norm in self.normalizations(F, rng):
                 want = max_stable_residual(load_bi_json(path), 3, AffineNormalization(*norm))
                 reads.clear()
-                windows[:] = []
+                decoded[0], windows[:] = 0, []
                 assert main(["stability", str(path), "3", *map(repr, norm)]) == 0
                 assert capsys.readouterr() == (f"{want:.10g}\n", "")
                 assert reads.whole_loads() == []
-                # every byte once, plus one read of the tail; one window, at the widest read
+                # every byte once, plus one read of the tail; every row decoded once,
+                # plus the tail row; one window, at the widest read
                 (buffering, passed), (tail_buffering, tail) = reads.of(path)
                 assert (buffering, passed, tail_buffering) == (0, os.path.getsize(path), -1)
                 assert tail > 0
+                assert decoded[0] == F.x_breaks.size + 1
                 assert len(windows) == 1
 
     @pytest.mark.parametrize("norm", [(1.04, -0.3), (1.46, 0.1), (2.0, 0.5)])
