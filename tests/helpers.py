@@ -1,6 +1,8 @@
-"""Shared random generators, reference implementations, fresh-process runners
-and a pipe feeder for the test suite."""
+"""Shared random generators, reference implementations, grid documents, the
+one-pass harness's commands with their whole-load outcome, fresh-process
+runners and a pipe feeder for the test suite."""
 
+import itertools
 import json
 import os
 import re
@@ -13,8 +15,23 @@ from pathlib import Path
 import numpy as np
 
 import bifreemax
-from bifreemax import BivariateCDF, CDFFormatError, ProjectionPairLaw, UnivariateCDF
-from bifreemax.cdf import EPS_CDF, MAX_LISTED
+from bifreemax import (
+    AffineNormalization,
+    BivariateCDF,
+    CDFError,
+    CDFFormatError,
+    ProjectionPairLaw,
+    UnivariateCDF,
+    bifree_max_convolve,
+    load_bi_json,
+    max_stable_residual,
+    nfold,
+    nth_root,
+    save_bi_json,
+    validate_bi,
+)
+from bifreemax import gridio
+from bifreemax.cdf import EPS_CDF, MAX_LISTED, require_valid_bi
 
 
 def random_breaks(rng, size):
@@ -296,6 +313,27 @@ def sparse_bivariate_cdf(rng, nx, ny, zero_share, offset=0.0):
     return BivariateCDF(offset + random_breaks(rng, nx), offset + random_breaks(rng, ny), cdf)
 
 
+def seeded_pairs(seed, count=25):
+    """Pairs of sparse CDFs on offset grids of 3 to 24 rows and columns."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield tuple(sparse_bivariate_cdf(rng, *rng.integers(3, 25, 2),
+                                         rng.uniform(0.0, 0.8), rng.uniform(-2.0, 2.0))
+                    for _ in range(2))
+
+
+def stream_cases():
+    """Pairs for biconv: products, point masses, 1xn and nx1 grids, random pairs."""
+    u, v = np.array([0.8, 0.9, 1.0]), np.array([0.7, 0.95, 1.0])
+    product = BivariateCDF([0, 1, 2], [0, 1, 2], u[:, None] * v[None, :])
+    point = BivariateCDF([0.5], [0.5], [[1.0]])
+    row = BivariateCDF([0.0], [0.0, 1.0, 2.0], [[0.25, 0.5, 1.0]])
+    col = BivariateCDF([0.0, 1.5, 2.0], [0.0], [[0.25], [0.75], [1.0]])
+    yield from [(product, product), (point, point), (point, product), (row, row),
+                (col, col), (row, col)]
+    yield from seeded_pairs(51, 8)
+
+
 # Whole-array forms of the grid kernels, as they were before the kernels ran
 # in row blocks: the references the blocked kernels must match byte for byte.
 
@@ -382,6 +420,198 @@ def dyadic_max_stable_cdf(theta, h, K=60):
     with np.errstate(divide="ignore", invalid="ignore"):
         cdf = np.where(num > 0.0, num / (1.0 + theta * h(u[:, None], u[None, :])), 0.0)
     return BivariateCDF(np.arange(K + 1.0), np.arange(K + 1.0), cdf)
+
+
+# Grid documents for the loaders and the CLI's one-pass reader: each loader
+# reads each at each buffer size in CHUNKS.
+
+GRID = {"x_breaks": [-1.5, 0.0, 2.0], "y_breaks": [0.25, 1.0],
+        "cdf": [[0.0, 0.1], [0.2, 0.5], [0.3, 1.0]]}
+EXTREMES = {"x_breaks": [-0.0, 5e-324, 1e-7], "y_breaks": [1e-7, 1 - 2 ** -53],
+            "cdf": [[-0.0, 5e-324], [1e-7, 1 - 2 ** -53], [0.5, 1.0]]}
+SPLICED = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": '
+
+
+def _dumps(obj, **kw):
+    return json.dumps(obj, **kw) + "\n"
+
+
+def _documents():
+    docs = {}
+    for order in itertools.permutations(GRID):
+        docs["order-" + "-".join(order)] = _dumps({k: GRID[k] for k in order})
+    docs["indent-2"] = _dumps(GRID, indent=2)
+    docs["compact"] = json.dumps(GRID, separators=(",", ":"))
+    docs["crlf-tabs"] = _dumps(GRID, indent="\t").replace("\n", "\r\n")
+    docs["extra-keys"] = _dumps({"meta": {"note": "}],:", "n": [1, None, True]},
+                                 **GRID, "zz": "x"})
+    # 2-, 3- and 4-byte UTF-8 characters, which reads of 1, 2 and 7 bytes split
+    docs["utf-8"] = _dumps({"é€𝔽": ["é€𝔽", 1], **GRID, "𝔽€é": "é€𝔽"}, ensure_ascii=False)
+    # a number at the top of a value can be cut anywhere by the buffer: 1.|5, 1e|-7
+    docs["scalar-values"] = _dumps({"a": 12.5e-1, "b": -1.5e+10, "c": 1234, "d": True,
+                                    **GRID, "e": None, "f": -0.0, "g": 1e-7})
+    docs["duplicate-cdf"] = _dumps(GRID)[:-2] + ', "cdf": [[1, 1], [1, 1], [1, 1.0]]}'
+    docs["duplicate-cdf-bad-first"] = '{"cdf": [[1], [2, 3]], ' + _dumps(GRID)[1:]
+    docs["escaped-key"] = _dumps(GRID).replace('"cdf"', '"\\u0063df"')
+    docs["integers-and-bools"] = SPLICED + "[[0, false], [1, true]]}"
+    docs["1x1"] = _dumps({"x_breaks": [3.0], "y_breaks": [4.0], "cdf": [[1.0]]})
+    docs["extremes"] = _dumps(EXTREMES)
+    docs["long-decimals"] = SPLICED + "[[0.1000000000000000055511151231257827, 1e-7], [12.5e-1, 1E0]]}"
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        docs["cdf-" + literal] = SPLICED + f"[[0, {literal}], [1, 1]]}}"
+        docs["breaks-" + literal] = _dumps(GRID).replace("2.0]", literal + "]")
+    docs["ragged"] = SPLICED + "[[0, 1], [1]]}"
+    docs["scalar-row"] = SPLICED + "[[0, 1], 1]}"
+    docs["null-in-row"] = SPLICED + "[[0, null], [1, 1]]}"
+    docs["string-in-row"] = SPLICED + '[[0, "1"], [1, 1]]}'
+    docs["3-d"] = SPLICED + "[[[0], [1]], [[1], [1]]]}"
+    docs["empty-cdf"] = SPLICED + "[]}"
+    docs["empty-rows"] = SPLICED + "[[], []]}"
+    docs["cdf-not-array"] = SPLICED + "1}"
+    docs["missing-key"] = _dumps({"x_breaks": [0], "cdf": [[1]]})
+    docs["empty-object"] = "{}"
+    docs["trailing-comma"] = SPLICED + "[[0, 1], [1, 1],]}"
+    docs["key-not-string"] = '{1: 2}'
+    for name, top in {"list": "[1, 2]", "string": '"x"', "number": "3", "null": "null",
+                      "empty": "", "blank": " \n"}.items():
+        docs["top-" + name] = top
+    docs["trailing-data"] = _dumps(GRID) + "x"
+    docs["trailing-object"] = _dumps(GRID) + "{}"
+    docs["trailing-bracket"] = _dumps(GRID).strip() + "]"
+    docs["bad-number"] = SPLICED + "[[0, 1.], [1, 1]]}"
+    docs["bad-exponent"] = SPLICED + "[[0, 1e], [1, 1]]}"
+    docs["number-then-letter"] = SPLICED + "[[0, 1x], [1, 1]]}"
+    return docs
+
+
+DOCUMENTS = _documents()
+CHUNKS = [1, 2, 7, 64, gridio.JSON_CHUNK_CHARS]
+
+
+# Key orders and documents that fill the preallocated array, leave it, or must not make it.
+ORDER_DOCUMENTS = {
+    "cdf-first": '{"cdf": [[0, 0.5], [0.5, 1]], "x_breaks": [0, 1], "y_breaks": [0, 1]}',
+    "cdf-between": '{"x_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]], "y_breaks": [0, 1]}',
+    "x-repeated-shorter": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
+                          '"cdf": [[0, 0.5], [0.5, 1]], "x_breaks": [0, 1]}',
+    "x-repeated-longer": SPLICED + '[[0, 0.5], [0.5, 0.5], [0.5, 1]], "x_breaks": [0, 1, 2]}',
+    "fewer-rows": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
+    "no-rows": SPLICED + "[]}",
+    "more-rows": SPLICED + "[[0, 0.5], [0.5, 1], [0.5, 1]]}",
+    "middle-row-short": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
+                        '"cdf": [[0, 0.5], [0.5], [0.5, 1]]}',
+    "middle-row-long": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
+                       '"cdf": [[0, 0.5], [0.5, 0.5, 0.5], [0.5, 1]]}',
+    "string-rows": SPLICED + '[["0", "0.5"], ["0.5", "1"]]}',
+    "bool-rows": SPLICED + "[[false, false], [true, true]]}",
+    "null-rows": SPLICED + "[[0, 0.5], [null, 1]]}",
+    "x-string": '{"x_breaks": "01", "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
+    "x-number": '{"x_breaks": 2, "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
+}
+
+
+# The one-pass harness's commands: each CLI call that reads a grid, and the
+# whole-load outcome that its one pass must give.
+
+#: The normalization (a, b, c, d) of the stability calls that every command makes.
+NORM = (1.5, 0.25, 0.75, -0.5)
+
+#: Each CLI command that reads a grid, with its n: in the biconv rows the grid
+#: under test is F or G, beside another input.
+COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata", 2),
+            ("stability", 1), ("stability", 3), ("biconv-F", None), ("biconv-G", None)]
+
+
+def inputs(command, path, other):
+    """The input paths of command's call on the grid at path; biconv's other input is other."""
+    return {"biconv-F": [path, other], "biconv-G": [other, path]}.get(command, [path])
+
+
+def argv(command, paths, n, out):
+    """The CLI call of command on paths, writing to out."""
+    files = [str(p) for p in paths]
+    if command == "validate":
+        return ["validate", *files, "--kind", "bi"]
+    if command == "stability":
+        return ["stability", *files, str(n), *map(repr, NORM)]
+    if command in ("nfold", "root"):
+        files.append(str(n))
+    return [command.partition("-")[0], *files, "--out", str(out)]
+
+
+def biconv_stdout(F, G, H, out, tol=EPS_CDF):
+    """What ``biconv`` printed when it held H: the marginal check on H's last
+    column and the psi range of the whole array."""
+    last = H.y_breaks[-1:]
+    h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
+                    + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
+    ok = np.array_equal(H.cdf[:, -1], h1)
+    text = (f"wrote {out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
+            f"total mass {float(H.cdf[-1, -1])!r}, marginal check {'OK' if ok else 'FAILED'}\n")
+    psi = psi_reference(H.cdf)
+    finite = psi[np.isfinite(psi)]
+    if finite.size and max(finite.max() - 1.0, 1.0 - finite.min()) <= tol:
+        text += "psi == 1 (product output)\n"
+    return text
+
+
+def _validate(F, n, out, shown, tol):
+    violations = validate_bi(F, tol)
+    return int(bool(violations)), "".join(v + "\n" for v in violations or ["OK"])
+
+
+def _nfold(F, n, out, shown, tol):
+    H = nfold(F, n, tol)
+    save_bi_json(H, out)
+    return 0, f"wrote {shown}: {n}-fold power, total mass {float(H.cdf[-1, -1])!r}\n"
+
+
+def _root(F, n, out, shown, tol):
+    res = nth_root(F, n, tol)
+    if res.ok:
+        save_bi_json(res.candidate, out)
+        return 0, f"wrote {shown}: valid {n}-th root candidate\n"
+    out.write_text(json.dumps({"divisibility_failure": res.violations}, indent=2) + "\n")
+    lines = "".join(f"  {v}\n" for v in res.violations)
+    return 1, f"not {n}-divisible; report written to {shown}:\n" + lines
+
+
+def _plotdata(F, n, out, shown, tol):
+    require_valid_bi(F, tol)
+    with open(out, "w") as fh:
+        for x, row in zip(F.x_breaks.tolist(), F.cdf.tolist()):
+            for y, v in zip(F.y_breaks.tolist(), row):
+                fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
+    return 0, f"wrote {shown}: {F.cdf.size} rows\n"
+
+
+def _stability(F, n, out, shown, tol):
+    return 0, f"{max_stable_residual(F, n, AffineNormalization(*NORM), tol):.10g}\n"
+
+
+def _biconv(F, G, n, out, shown, tol):
+    H = bifree_max_convolve(F, G, tol)
+    save_bi_json(H, out)
+    return 0, biconv_stdout(F, G, H, shown, tol)
+
+
+#: The whole-array form of each command: the library call on the loaded
+#: inputs, writing to out and giving (exit code, stdout).
+_WHOLE = {"validate": _validate, "nfold": _nfold, "root": _root, "plotdata": _plotdata,
+          "stability": _stability, "biconv-F": _biconv, "biconv-G": _biconv}
+
+
+def outcome(command, paths, n, out, shown, tol=EPS_CDF):
+    """Exit code, stdout, stderr and output bytes of loading every input whole
+    with load_bi_json, in order, and then the library call, or of their error,
+    as the CLI reports them with ``--out shown``."""
+    try:
+        code, stdout = _WHOLE[command](*map(load_bi_json, paths), n, out, shown, tol)
+    except (CDFFormatError, OSError) as exc:
+        return 2, "", f"error: {exc}\n", None
+    except (CDFError, ValueError) as exc:
+        return 1, "", f"error: {exc}\n", None
+    return code, stdout, "", out.read_bytes() if out.exists() else None
 
 
 def fresh_run(args, **env_changes):

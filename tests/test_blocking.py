@@ -38,6 +38,7 @@ from bifreemax.biconv import _nfold_rows, _power_rows
 from bifreemax.cdf import MAX_LISTED, GridRows
 from bifreemax.cli import main
 from helpers import (
+    biconv_stdout,
     boundary_bivariate_cdf,
     boundary_univariate_values,
     convolve_reference,
@@ -47,19 +48,12 @@ from helpers import (
     psi_reference,
     random_bivariate_cdf,
     residual_reference,
+    seeded_pairs,
     sparse_bivariate_cdf,
+    stream_cases,
     validate_bi_reference,
     validate_uni_reference,
 )
-
-
-def seeded_pairs(seed, count=25):
-    """Pairs of sparse CDFs on offset grids of 3 to 24 rows and columns."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield tuple(sparse_bivariate_cdf(rng, *rng.integers(3, 25, 2),
-                                         rng.uniform(0.0, 0.8), rng.uniform(-2.0, 2.0))
-                    for _ in range(2))
 
 
 @pytest.fixture(params=["one row", "ragged"])
@@ -614,34 +608,6 @@ class TestStreamedWriter:
         assert list(tmp_path.iterdir()) == []
 
 
-def _biconv_stdout(F, G, H, out, tol=EPS_CDF):
-    """What ``biconv`` printed when it held H: the marginal check on H's last
-    column and the psi range of the whole array."""
-    last = H.y_breaks[-1:]
-    h1 = np.maximum(0.0, F.evaluate_grid(H.x_breaks, last)[:, 0]
-                    + G.evaluate_grid(H.x_breaks, last)[:, 0] - 1.0)
-    ok = np.array_equal(H.cdf[:, -1], h1)
-    text = (f"wrote {out}: grid {H.x_breaks.size}x{H.y_breaks.size}, "
-            f"total mass {float(H.cdf[-1, -1])!r}, marginal check {'OK' if ok else 'FAILED'}\n")
-    psi = psi_reference(H.cdf)
-    finite = psi[np.isfinite(psi)]
-    if finite.size and max(finite.max() - 1.0, 1.0 - finite.min()) <= tol:
-        text += "psi == 1 (product output)\n"
-    return text
-
-
-def _stream_cases():
-    """Pairs for biconv: products, point masses, 1xn and nx1 grids, random pairs."""
-    u, v = np.array([0.8, 0.9, 1.0]), np.array([0.7, 0.95, 1.0])
-    product = BivariateCDF([0, 1, 2], [0, 1, 2], u[:, None] * v[None, :])
-    point = BivariateCDF([0.5], [0.5], [[1.0]])
-    row = BivariateCDF([0.0], [0.0, 1.0, 2.0], [[0.25, 0.5, 1.0]])
-    col = BivariateCDF([0.0, 1.5, 2.0], [0.0], [[0.25], [0.75], [1.0]])
-    yield from [(product, product), (point, point), (point, product), (row, row),
-                (col, col), (row, col)]
-    yield from seeded_pairs(51, 8)
-
-
 class TestStreamedCli:
     """biconv and nfold stream their output: the same file and stdout as
     writing the library result."""
@@ -649,7 +615,7 @@ class TestStreamedCli:
     def test_biconv(self, blocks, monkeypatch, tmp_path, capsys):
         f, g, out = (tmp_path / f"{name}.json" for name in "fgh")
         stdouts = []
-        for F, G in _stream_cases():
+        for F, G in stream_cases():
             H = bifree_max_convolve(F, G)
             save_bi_json(F, f)
             save_bi_json(G, g)
@@ -657,7 +623,7 @@ class TestStreamedCli:
             assert main(["biconv", str(f), str(g), "--out", str(out)]) == 0
             assert out.read_bytes() == _json_bytes(H)
             stdouts.append(capsys.readouterr().out)
-            assert stdouts[-1] == _biconv_stdout(F, G, H, out)
+            assert stdouts[-1] == biconv_stdout(F, G, H, out)
         assert "psi == 1" in stdouts[0] and "psi == 1" not in stdouts[-1]
 
     def test_biconv_marginal_check_reads_the_inputs(self, monkeypatch, tmp_path, capsys):
@@ -683,7 +649,7 @@ class TestStreamedCli:
 
     def test_nfold(self, blocks, monkeypatch, tmp_path, capsys):
         f, out = tmp_path / "f.json", tmp_path / "h.json"
-        for F in {id(F): F for pair in _stream_cases() for F in pair}.values():
+        for F in {id(F): F for pair in stream_cases() for F in pair}.values():
             save_bi_json(F, f)
             for n in (1, 2, 3):
                 H = nfold(F, n)
@@ -877,7 +843,8 @@ def test_missing_output_directory_is_named(writer_argv, tmp_path, capsys, case):
 
 
 class TestStreamedCliMemory:
-    """With the output streamed, the CLI never holds it."""
+    """A CLI call never holds its output, and a call that reads its grids in
+    one pass holds none of them."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -885,43 +852,47 @@ class TestStreamedCliMemory:
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
+        """The saved grids, by file name, and the bytes of each one's array."""
         rng = np.random.default_rng(53)
         F = sparse_bivariate_cdf(rng, 512, 512, 0.2)
-        # breaks interleaved with F's: the union grid is 1024 x 1024
-        G = BivariateCDF(F.x_breaks + 0.05, F.y_breaks + 0.05,
-                         sparse_bivariate_cdf(rng, 512, 512, 0.2).cdf)
+        grids = {"f.json": F,
+                 # breaks interleaved with F's: the union grid is 1024 x 1024
+                 "g.json": BivariateCDF(F.x_breaks + 0.05, F.y_breaks + 0.05,
+                                        sparse_bivariate_cdf(rng, 512, 512, 0.2).cdf),
+                 # marginals above 1/2 make the square root of the 2-fold power valid
+                 "div.json": nfold(random_bivariate_cdf(rng, 512, 512, corner_mass=0.6), 2),
+                 "wide.json": sparse_bivariate_cdf(rng, 1024, 512, 0.0)}
         d = tmp_path_factory.mktemp("streamed")
-        save_bi_json(F, d / "f.json")
-        save_bi_json(G, d / "g.json")
-        # marginals above 1/2 make the square root of the 2-fold power valid
-        save_bi_json(nfold(random_bivariate_cdf(rng, 512, 512, corner_mass=0.6), 2),
-                     d / "div.json")
-        return d, F
+        for name, X in grids.items():
+            save_bi_json(X, d / name)
+        return d, {name: X.cdf.nbytes for name, X in grids.items()}
 
-    def test_biconv_peaks_below_its_output(self, files):
-        d, _ = files
-        code, peak = _peak_bytes(lambda: main(["biconv", str(d / "f.json"), str(d / "g.json"),
-                                               "--out", str(d / "h.json")]))
-        assert code == 0
-        # the whole output, 1024 x 1024 float64, would be 8.4 MB on top of the inputs
-        assert peak < 1024 * 1024 * 8
-
-    @pytest.mark.parametrize("argv, exit_code", [
-        (["validate", "f.json", "--kind", "bi"], 0),
-        (["nfold", "f.json", "3", "--out", "h.json"], 0),
-        (["root", "div.json", "2", "--out", "root.json"], 0),
-        (["root", "f.json", "2", "--out", "report.json"], 1),
-        (["plotdata", "f.json", "--out", "plot.tsv"], 0),
-    ], ids=["validate", "nfold", "root-candidate", "root-report", "plotdata"])
-    def test_streamed_call_holds_no_grid(self, files, argv, exit_code, capsys):
-        """A call that reads its grid in one pass peaks at the loader's buffer
-        and blocks: below half of its input's array, and holds no output."""
-        d, F = files
+    @pytest.mark.parametrize("argv, exit_code, share", [
+        (["validate", "f.json", "--kind", "bi"], 0, 0.5),
+        (["nfold", "f.json", "3", "--out", "h.json"], 0, 0.5),
+        (["root", "div.json", "2", "--out", "root.json"], 0, 0.5),
+        (["root", "f.json", "2", "--out", "report.json"], 1, 0.5),
+        (["plotdata", "f.json", "--out", "plot.tsv"], 0, 0.5),
+        (["biconv", "f.json", "g.json", "--out", "h.json"], 0, 0.5),
+        (["stability", "wide.json", "2", "1", "0", "1", "0"], 0, 0.25),
+        (["stability", "f.json", "2", "2", "0.5", "2", "0.5"], 0, 1.5),
+    ], ids=["validate", "nfold", "root-candidate", "root-report", "plotdata", "biconv",
+            "stability", "stability-window"])
+    def test_streamed_call_holds_no_grid(self, files, argv, exit_code, share, capsys):
+        """A call peaks at the loader's buffers and blocks: below half of its
+        first input's array, and it holds no output; root never holds its
+        candidate.  stability holds the rows between the grid's own row x and
+        the power's rows near a*x + b: at the identity normalization those of
+        one read, below a quarter of the array, and at (2, 0.5) most of the
+        grid, which it holds once, not twice."""
+        d, nbytes = files
         call = [str(d / a) if a.endswith((".json", ".tsv")) else a for a in argv]
         main(call)   # the first call in a process also imports what numpy loads lazily
         code, peak = _peak_bytes(lambda: main(call))
         assert code == exit_code, capsys.readouterr()
-        assert peak < 0.5 * F.cdf.nbytes
+        assert peak < share * nbytes[argv[1]]
+        if argv[0] == "root":   # the candidate or the report was written
+            assert ("divisibility_failure" in (d / argv[-1]).read_text()) == bool(exit_code)
 
     def test_ecdf_holds_no_table(self, tmp_path):
         """ecdf writes its table a row block at a time and never holds it."""
@@ -933,21 +904,3 @@ class TestStreamedCliMemory:
         code, peak = _peak_bytes(lambda: main(call))
         assert code == 0
         assert peak < 0.25 * 600 * 600 * 8
-
-    @pytest.mark.parametrize("argv, exit_code", [
-        (["validate", "f.json", "--kind", "bi"], 0),
-        (["stability", "f.json", "2", "2", "0.5", "2", "0.5"], 0),
-        (["root", "div.json", "2", "--out", "root.json"], 0),
-        (["root", "f.json", "2", "--out", "report.json"], 1),
-    ], ids=["validate", "stability", "root-candidate", "root-report"])
-    def test_call_holds_its_input_once(self, files, argv, exit_code, capsys):
-        """A call on a saved file peaks at its input plus the loader's buffer and
-        blocks, not at the input twice; root never holds its candidate."""
-        d, F = files
-        call = [str(d / a) if a.endswith(".json") else a for a in argv]
-        main(call)   # the first call in a process also imports what numpy loads lazily
-        code, peak = _peak_bytes(lambda: main(call))
-        assert code == exit_code, capsys.readouterr()
-        assert peak < 1.5 * F.cdf.nbytes
-        if argv[0] == "root":   # the candidate or the report was written
-            assert ("divisibility_failure" in (d / argv[-1]).read_text()) == bool(exit_code)

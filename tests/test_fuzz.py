@@ -1,6 +1,7 @@
 """Seeded malformed input: byte mutations of saved files through every
-subcommand that reads a file exit 0, 1 or 2 with no traceback, and an error
-is one stderr line."""
+subcommand that reads a file exit 0, 1 or 2 with no traceback, an error is one
+stderr line, and every command that reads a grid gives the outcome of loading
+its inputs whole."""
 
 import functools
 
@@ -10,7 +11,7 @@ import pytest
 from bifreemax import BivariateCDF, UnivariateCDF, save_bi_json, save_uni_json
 from bifreemax import cli as cli_module
 from bifreemax.cli import main
-from test_streamed_biconv import library_outcome
+from helpers import COMMANDS, argv, inputs, outcome
 
 #: Bytes an insertion or a replacement puts in: JSON's syntax, digits, and
 #: what JSON does not allow.
@@ -41,46 +42,45 @@ def saved(tmp_path_factory):
     return d
 
 
-def run(capsys, argv):
-    """main(argv) as a fresh process would end: its exit code, stdout and stderr,
-    with the traceback of any exception that escapes."""
+def run(capsys, args, out):
+    """main(args) as a fresh process would end: its exit code, stdout, stderr and
+    the bytes it left at out, with the traceback of any exception that escapes."""
+    out.unlink(missing_ok=True)
     try:
-        code = main(argv)
+        code = main(args)
     except BaseException as exc:   # a traceback: argparse's SystemExit too
-        pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+        pytest.fail(f"{args}: {type(exc).__name__}: {exc}")
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
 
 
 @pytest.mark.parametrize("kind", ["bi", "uni"])
 def test_mutated_files(saved, tmp_path, monkeypatch, capsys, kind):
     # one parser for every call: building it is most of a small call's time
     monkeypatch.setattr(cli_module, "build_parser", functools.cache(cli_module.build_parser))
-    bi, uni = str(saved / "bi.json"), str(saved / "uni.json")
-    bad, out = tmp_path / f"bad-{kind}.json", tmp_path / "out"
+    bi, uni = saved / "bi.json", str(saved / "uni.json")
+    bad, out, ref = tmp_path / f"bad-{kind}.json", tmp_path / "out", tmp_path / "ref"
+    # validate --kind bi is a row of COMMANDS
+    others = [["uniconv", str(bad), uni, "--out", str(out)],
+              *([["validate", str(bad), "--kind", "uni"]] if kind == "uni" else [])]
     calls = 0
     for text in mutations((saved / f"{kind}.json").read_bytes(), 82 + (kind == "uni"), MUTATIONS):
         bad.write_bytes(text)
-        m = str(bad)
-        for argv in (["validate", m, "--kind", kind],
-                     ["uniconv", m, uni, "--out", str(out)],
-                     ["biconv", m, bi, "--out", str(out)],
-                     ["nfold", m, "2", "--out", str(out)],
-                     ["root", m, "2", "--out", str(out)],
-                     ["stability", m, "2", "1", "0", "1", "0"],
-                     ["plotdata", m, "--out", str(out)]):
-            code, stdout, stderr = run(capsys, argv)
-            assert code in (0, 1, 2), argv
+        results = [(args, run(capsys, args, out)) for args in others]
+        # every command that reads a grid, against loading its inputs whole
+        for command, n in COMMANDS:
+            paths = inputs(command, bad, bi)
+            want = outcome(command, paths, n, ref, out)
+            ref.unlink(missing_ok=True)
+            args = argv(command, paths, n, out)
+            results.append((args, run(capsys, args, out)))
+            assert results[-1][1] == want, (args, text)
+        for args, (code, stdout, stderr, _) in results:
+            assert code in (0, 1, 2), args
             assert "Traceback" not in stdout + stderr
             # validate and root report a failed check on stdout, with no stderr
-            domain = code == 1 and argv[0] in ("validate", "root") and stdout
+            domain = code == 1 and args[0] in ("validate", "root") and stdout
             if code and not domain:
-                assert stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, stderr)
-            calls += 1
-        # as G, the bytes of the library calls, or their error
-        out.unlink(missing_ok=True)
-        want = library_outcome(bi, bad, tmp_path / "ref", out)
-        (tmp_path / "ref").unlink(missing_ok=True)
-        code, stdout, stderr = run(capsys, ["biconv", bi, m, "--out", str(out)])
-        assert (code, stdout, stderr, out.read_bytes() if out.exists() else None) == want
-    assert calls == 7 * MUTATIONS
+                assert stderr.count("\n") == 1 and stderr.endswith("\n"), (args, stderr)
+        calls += len(results)
+    assert calls == (len(COMMANDS) + len(others)) * MUTATIONS

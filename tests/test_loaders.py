@@ -2,7 +2,6 @@
 
 import builtins
 import io
-import itertools
 import json
 import math
 import re
@@ -15,70 +14,15 @@ from bifreemax import BivariateCDF, CDFFormatError, load_bi_json, save_bi_json
 from bifreemax import cdf as cdf_module
 from bifreemax import gridio
 from bifreemax.cli import main
-from helpers import load_bi_json_reference, random_bivariate_cdf, through_a_pipe
+from helpers import (
+    CHUNKS,
+    DOCUMENTS,
+    ORDER_DOCUMENTS,
+    load_bi_json_reference,
+    random_bivariate_cdf,
+    through_a_pipe,
+)
 from observe import Reads
-
-GRID = {"x_breaks": [-1.5, 0.0, 2.0], "y_breaks": [0.25, 1.0],
-        "cdf": [[0.0, 0.1], [0.2, 0.5], [0.3, 1.0]]}
-EXTREMES = {"x_breaks": [-0.0, 5e-324, 1e-7], "y_breaks": [1e-7, 1 - 2 ** -53],
-            "cdf": [[-0.0, 5e-324], [1e-7, 1 - 2 ** -53], [0.5, 1.0]]}
-SPLICED = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": '
-
-
-def _dumps(obj, **kw):
-    return json.dumps(obj, **kw) + "\n"
-
-
-def _documents():
-    docs = {}
-    for order in itertools.permutations(GRID):
-        docs["order-" + "-".join(order)] = _dumps({k: GRID[k] for k in order})
-    docs["indent-2"] = _dumps(GRID, indent=2)
-    docs["compact"] = json.dumps(GRID, separators=(",", ":"))
-    docs["crlf-tabs"] = _dumps(GRID, indent="\t").replace("\n", "\r\n")
-    docs["extra-keys"] = _dumps({"meta": {"note": "}],:", "n": [1, None, True]},
-                                 **GRID, "zz": "x"})
-    # 2-, 3- and 4-byte UTF-8 characters, which reads of 1, 2 and 7 bytes split
-    docs["utf-8"] = _dumps({"é€𝔽": ["é€𝔽", 1], **GRID, "𝔽€é": "é€𝔽"}, ensure_ascii=False)
-    # a number at the top of a value can be cut anywhere by the buffer: 1.|5, 1e|-7
-    docs["scalar-values"] = _dumps({"a": 12.5e-1, "b": -1.5e+10, "c": 1234, "d": True,
-                                    **GRID, "e": None, "f": -0.0, "g": 1e-7})
-    docs["duplicate-cdf"] = _dumps(GRID)[:-2] + ', "cdf": [[1, 1], [1, 1], [1, 1.0]]}'
-    docs["duplicate-cdf-bad-first"] = '{"cdf": [[1], [2, 3]], ' + _dumps(GRID)[1:]
-    docs["escaped-key"] = _dumps(GRID).replace('"cdf"', '"\\u0063df"')
-    docs["integers-and-bools"] = SPLICED + "[[0, false], [1, true]]}"
-    docs["1x1"] = _dumps({"x_breaks": [3.0], "y_breaks": [4.0], "cdf": [[1.0]]})
-    docs["extremes"] = _dumps(EXTREMES)
-    docs["long-decimals"] = SPLICED + "[[0.1000000000000000055511151231257827, 1e-7], [12.5e-1, 1E0]]}"
-    for literal in ("NaN", "Infinity", "-Infinity"):
-        docs["cdf-" + literal] = SPLICED + f"[[0, {literal}], [1, 1]]}}"
-        docs["breaks-" + literal] = _dumps(GRID).replace("2.0]", literal + "]")
-    docs["ragged"] = SPLICED + "[[0, 1], [1]]}"
-    docs["scalar-row"] = SPLICED + "[[0, 1], 1]}"
-    docs["null-in-row"] = SPLICED + "[[0, null], [1, 1]]}"
-    docs["string-in-row"] = SPLICED + '[[0, "1"], [1, 1]]}'
-    docs["3-d"] = SPLICED + "[[[0], [1]], [[1], [1]]]}"
-    docs["empty-cdf"] = SPLICED + "[]}"
-    docs["empty-rows"] = SPLICED + "[[], []]}"
-    docs["cdf-not-array"] = SPLICED + "1}"
-    docs["missing-key"] = _dumps({"x_breaks": [0], "cdf": [[1]]})
-    docs["empty-object"] = "{}"
-    docs["trailing-comma"] = SPLICED + "[[0, 1], [1, 1],]}"
-    docs["key-not-string"] = '{1: 2}'
-    for name, top in {"list": "[1, 2]", "string": '"x"', "number": "3", "null": "null",
-                      "empty": "", "blank": " \n"}.items():
-        docs["top-" + name] = top
-    docs["trailing-data"] = _dumps(GRID) + "x"
-    docs["trailing-object"] = _dumps(GRID) + "{}"
-    docs["trailing-bracket"] = _dumps(GRID).strip() + "]"
-    docs["bad-number"] = SPLICED + "[[0, 1.], [1, 1]]}"
-    docs["bad-exponent"] = SPLICED + "[[0, 1e], [1, 1]]}"
-    docs["number-then-letter"] = SPLICED + "[[0, 1x], [1, 1]]}"
-    return docs
-
-
-DOCUMENTS = _documents()
-CHUNKS = [1, 2, 7, 64, gridio.JSON_CHUNK_CHARS]
 
 
 def _outcome(loader, path):
@@ -164,28 +108,6 @@ def test_load_peaks_at_the_array_plus_the_buffer(tmp_path, monkeypatch):
     G, list_peak = _load_peak(path)
     assert G.cdf.tobytes() == F.cdf.tobytes()
     assert list_peak >= 2 * F.cdf.nbytes
-
-
-# Key orders and documents that fill the preallocated array, leave it, or must not make it.
-ORDER_DOCUMENTS = {
-    "cdf-first": '{"cdf": [[0, 0.5], [0.5, 1]], "x_breaks": [0, 1], "y_breaks": [0, 1]}',
-    "cdf-between": '{"x_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]], "y_breaks": [0, 1]}',
-    "x-repeated-shorter": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
-                          '"cdf": [[0, 0.5], [0.5, 1]], "x_breaks": [0, 1]}',
-    "x-repeated-longer": SPLICED + '[[0, 0.5], [0.5, 0.5], [0.5, 1]], "x_breaks": [0, 1, 2]}',
-    "fewer-rows": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
-    "no-rows": SPLICED + "[]}",
-    "more-rows": SPLICED + "[[0, 0.5], [0.5, 1], [0.5, 1]]}",
-    "middle-row-short": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
-                        '"cdf": [[0, 0.5], [0.5], [0.5, 1]]}',
-    "middle-row-long": '{"x_breaks": [0, 1, 2], "y_breaks": [0, 1], '
-                       '"cdf": [[0, 0.5], [0.5, 0.5, 0.5], [0.5, 1]]}',
-    "string-rows": SPLICED + '[["0", "0.5"], ["0.5", "1"]]}',
-    "bool-rows": SPLICED + "[[false, false], [true, true]]}",
-    "null-rows": SPLICED + "[[0, 0.5], [null, 1]]}",
-    "x-string": '{"x_breaks": "01", "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
-    "x-number": '{"x_breaks": 2, "y_breaks": [0, 1], "cdf": [[0, 0.5], [0.5, 1]]}',
-}
 
 
 def _exact_outcome(loader, path):

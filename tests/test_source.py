@@ -6,7 +6,8 @@ module-level private name that nothing reads, no file opened outside
 file or OS module imported by the numerics, ``cdf``, and no validation verdict
 raised outside ``cdf.require_valid_uni`` and ``cdf._BiValidator.finish``.  And
 what the source imports at run time: no call of the CLI loads ``numpy.ma``,
-and ``gridio`` imports ``cdf``, not the other way round."""
+and ``gridio`` imports ``cdf``, not the other way round.  And of the tests:
+no test module imports another."""
 
 import ast
 import json
@@ -39,6 +40,11 @@ def imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module)
     return found
+
+
+def imported_test_modules(tree):
+    """The imports of a test module, ``test_*``, anywhere in the tree."""
+    return [name for name in imports(tree) if name.split(".")[0].startswith("test_")]
 
 
 def foreign_imports(tree):
@@ -166,6 +172,19 @@ def test_the_import_check_finds_what_it_looks_for():
                      "    import numpydoc\n"
                      "    return brentq\n")
     assert foreign_imports(tree) == ["scipy", "scipy.optimize", "numpydoc"]
+
+
+def test_no_test_module_imports_another():
+    """What two test modules share is in helpers.py or observe.py."""
+    tree = ast.parse("import os, test_a\n"
+                     "from helpers import outcome\n"
+                     "def f():\n"
+                     "    from test_b.c import d\n"
+                     "    return d\n")
+    assert imported_test_modules(tree) == ["test_a", "test_b.c"]
+    found = {path.name: imported_test_modules(ast.parse(path.read_text()))
+             for path in sorted(Path(__file__).parent.rglob("*.py"))}
+    assert {name: modules for name, modules in found.items() if modules} == {}
 
 
 def test_the_dead_name_check_finds_what_it_looks_for():

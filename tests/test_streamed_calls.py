@@ -1,10 +1,12 @@
-"""CLI ``validate --kind bi``, ``nfold``, ``root``, ``stability`` and
-``plotdata`` read their grid in one pass, and ``ecdf`` writes its table a row
-block at a time: the same exit code, stdout, stderr and ``--out`` bytes as
-loading the grid whole (or building the whole table), on every input."""
+"""Every CLI command that reads a grid reads each of its grid inputs in one
+pass, and ``ecdf`` writes its table a row block at a time: the same exit code,
+stdout, stderr and ``--out`` bytes as loading every input whole (or building
+the whole table), on every input.  The shared tests run once for each row of
+``helpers.COMMANDS``: ``validate --kind bi``, ``nfold``, ``root``,
+``plotdata``, ``stability``, and ``biconv`` with the grid under test as its F
+or as its G."""
 
 import builtins
-import json
 import os
 import tracemalloc
 
@@ -12,7 +14,6 @@ import numpy as np
 import pytest
 
 from bifreemax import (
-    EPS_CDF,
     AffineNormalization,
     BivariateCDF,
     CDFError,
@@ -29,93 +30,54 @@ from bifreemax import cdf as cdf_module
 from bifreemax import gridio
 from bifreemax.cdf import require_valid_bi
 from bifreemax.cli import main
-from helpers import ecdf_reference, random_bivariate_cdf, through_a_pipe
+from helpers import (
+    CHUNKS,
+    COMMANDS,
+    DOCUMENTS,
+    ORDER_DOCUMENTS,
+    argv,
+    ecdf_reference,
+    inputs,
+    outcome,
+    random_bivariate_cdf,
+    seeded_pairs,
+    sparse_bivariate_cdf,
+    stream_cases,
+    through_a_pipe,
+)
 from observe import Reads
-from test_blocking import seeded_pairs
-from test_loaders import CHUNKS, DOCUMENTS, ORDER_DOCUMENTS
 
 BLOCK_CELLS = [1, 7, 64, cdf_module.BLOCK_CELLS]
+COMMAND_IDS = [c if n is None else f"{c}-{n}" for c, n in COMMANDS]
 
-
-def _validate(F, n, out, shown, tol):
-    violations = validate_bi(F, tol)
-    return int(bool(violations)), "".join(v + "\n" for v in violations or ["OK"])
-
-
-def _nfold(F, n, out, shown, tol):
-    H = nfold(F, n, tol)
-    save_bi_json(H, out)
-    return 0, f"wrote {shown}: {n}-fold power, total mass {float(H.cdf[-1, -1])!r}\n"
-
-
-def _root(F, n, out, shown, tol):
-    res = nth_root(F, n, tol)
-    if res.ok:
-        save_bi_json(res.candidate, out)
-        return 0, f"wrote {shown}: valid {n}-th root candidate\n"
-    out.write_text(json.dumps({"divisibility_failure": res.violations}, indent=2) + "\n")
-    lines = "".join(f"  {v}\n" for v in res.violations)
-    return 1, f"not {n}-divisible; report written to {shown}:\n" + lines
-
-
-def _plotdata(F, n, out, shown, tol):
-    require_valid_bi(F, tol)
-    with open(out, "w") as fh:
-        for x, row in zip(F.x_breaks.tolist(), F.cdf.tolist()):
-            for y, v in zip(F.y_breaks.tolist(), row):
-                fh.write(f"{x!r}\t{y!r}\t{v!r}\n")
-    return 0, f"wrote {shown}: {F.cdf.size} rows\n"
-
-
-#: The normalization (a, b, c, d) of the stability calls that every command makes.
-NORM = (1.5, 0.25, 0.75, -0.5)
-
-
-def _stability(F, n, out, shown, tol):
-    return 0, f"{max_stable_residual(F, n, AffineNormalization(*NORM), tol):.10g}\n"
-
-
-#: The whole-array form of each streamed command: load_bi_json, then the
-#: library call, writing to out and giving (exit code, stdout).
-WHOLE = {"validate": _validate, "nfold": _nfold, "root": _root, "plotdata": _plotdata,
-         "stability": _stability}
-
-
-def argv(command, path, n, out):
-    if command == "validate":
-        return ["validate", str(path), "--kind", "bi"]
-    if command == "plotdata":
-        return ["plotdata", str(path), "--out", str(out)]
-    if command == "stability":
-        return ["stability", str(path), str(n), *map(repr, NORM)]
-    return [command, str(path), str(n), "--out", str(out)]
-
-
-def whole_outcome(command, path, n, out, shown, tol=EPS_CDF):
-    """Exit code, stdout, stderr and output bytes of the whole-array path,
-    or of its error, as the CLI reports them with ``--out shown``."""
-    try:
-        code, stdout = WHOLE[command](load_bi_json(path), n, out, shown, tol)
-    except (CDFFormatError, OSError) as exc:
-        return 2, "", f"error: {exc}\n", None
-    except (CDFError, ValueError) as exc:
-        return 1, "", f"error: {exc}\n", None
-    return code, stdout, "", out.read_bytes() if out.exists() else None
+#: The other input of a biconv row, beside a document as F or as G: a valid
+#: grid that is not the document's.
+F_FOR_DOCUMENTS = BivariateCDF([-1.0, 0.5], [0.5, 2.0], [[0.1, 0.3], [0.4, 1.0]])
 
 
 @pytest.fixture
-def compare(tmp_path, capsys):
-    """compare(command, path, n, rerun=True): assert the CLI gives the
-    whole-array outcome and leaves no temporary file, and, with rerun, that
-    a call that writes no file keeps an existing --out byte for byte; return
-    the outcome."""
+def other(tmp_path):
+    """F_FOR_DOCUMENTS's file."""
+    path = tmp_path / "other.json"
+    save_bi_json(F_FOR_DOCUMENTS, path)
+    return path
+
+
+@pytest.fixture
+def compare(tmp_path, capsys, other):
+    """compare(command, path, n, beside=other, rerun=True): assert that the CLI
+    call of command on the grid at path, beside another input in the biconv
+    rows, gives the whole-load outcome and leaves no temporary file, and, with
+    rerun, that a call that writes no file keeps an existing --out byte for
+    byte; return the outcome."""
     ref, out = tmp_path / "ref.out", tmp_path / "cli.out"
 
-    def run(command, path, n=2, rerun=True):
-        want = whole_outcome(command, path, n, ref, out)
+    def run(command, path, n=2, beside=other, rerun=True):
+        paths = inputs(command, path, beside)
+        want = outcome(command, paths, n, ref, out)
         ref.unlink(missing_ok=True)
         before = sorted(tmp_path.iterdir())
-        args = argv(command, path, n, out)
+        args = argv(command, paths, n, out)
         code = main(args)
         captured = capsys.readouterr()
         got = (code, captured.out, captured.err, out.read_bytes() if out.exists() else None)
@@ -138,11 +100,6 @@ def reads(monkeypatch):
     """The CLI's reads of its files; reads.whole_loads() are the paths it loads
     whole, and a streamed grid is not one."""
     return Reads(monkeypatch)
-
-
-COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata", 2),
-            ("stability", 1), ("stability", 3)]
-COMMAND_IDS = [f"{c}-{n}" for c, n in COMMANDS]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -180,14 +137,19 @@ def _grids():
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
 def test_seeded_grids_at_every_block_size(compare, reads, monkeypatch, tmp_path,
                                           cells, command, n):
+    """Each of _grids(), or for biconv each pair of stream_cases(), its first
+    grid as F in the biconv-F row and as G in the biconv-G row."""
     monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
-    path = tmp_path / "F.json"
+    path, beside = tmp_path / "F.json", tmp_path / "G.json"
+    biconv = command.startswith("biconv")
     codes = set()
-    for F in _grids():
+    for F, G in stream_cases() if biconv else ((F, None) for F in _grids()):
         save_bi_json(F, path)
-        codes.add(compare(command, path, n, rerun=cells == BLOCK_CELLS[-1])[0])
+        if biconv:
+            save_bi_json(G, beside)
+        codes.add(compare(command, path, n, beside, rerun=cells == BLOCK_CELLS[-1])[0])
         assert reads.whole_loads() == []   # every grid was read in one pass
-    assert codes == {0, 1}
+    assert codes == ({0} if biconv else {0, 1})
 
 
 def test_root_cases_are_all_there(tmp_path):
@@ -202,8 +164,6 @@ def test_root_cases_are_all_there(tmp_path):
 
 
 G_TEXT = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": [[0.25, 0.5], [0.5, 1.0]]'
-
-
 ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
 
 
@@ -211,9 +171,13 @@ ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
     (G_TEXT + "}\n", True, None),
     (G_TEXT + ', "note": "after cdf"}', False, None),
     (G_TEXT + ', "cdf": [[0.2, 0.5], [0.5, 1.0]]}', False, None),
+    (G_TEXT + ', "cdf": [[0.2], [0.5, 1.0]]}', False, None),
     (G_TEXT + "}\n{}", False, None),
     (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0], [0.5, 1.0]]") + "}", False, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1.0 ]]") + " \t\r\n}\r\n", True, None),
+    (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 1e400]]") + "}", False, None),
     (G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}", True, None),   # invalid: exit 1
+    (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5, 0.75]") + "}", False, None),
     (G_TEXT.replace("[[0.25, 0.5]", "[[0.25, 0.5x]") + "}", False, None),   # malformed and invalid
     # the last row is a block of its own, and on a 1 x 2 grid the only one:
     # the pass still decodes it and checks that the file ends there
@@ -225,7 +189,8 @@ ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
     (ROW_TEXT + ', "cdf": [[0.25, 1.0]]}', False, 1),
     (ROW_TEXT.replace("]]", "], [0.5, 1.0]]") + "}", False, 1),
     ('{"é€𝔽": ["é€𝔽", 1], ' + G_TEXT[1:] + "}\n", True, None),
-], ids=["saved", "key-after-cdf", "second-cdf", "trailing-object", "extra-row", "invalid",
+], ids=["saved", "key-after-cdf", "second-cdf", "second-cdf-ragged", "trailing-object",
+        "extra-row", "white-space", "overflow-in-last-row", "invalid", "long-first-row",
         "bad-number-first-row", "key-after-cdf-row-blocks", "second-cdf-row-blocks",
         "extra-row-row-blocks", "one-row-saved", "one-row-key-after-cdf", "one-row-second-cdf",
         "one-row-extra-row", "utf-8-key-first"])
@@ -277,15 +242,17 @@ def test_last_row_longer_than_the_buffer(compare, reads, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("command, n", COMMANDS, ids=COMMAND_IDS)
-def test_grid_from_a_pipe(compare, reads, tmp_path, capsys, command, n):
-    """A pipe is not streamed: the grid is loaded whole, with the same outcome."""
+def test_grid_from_a_pipe(compare, reads, other, tmp_path, capsys, command, n):
+    """A pipe is not streamed: the grid is loaded whole, with biconv's other
+    input, and the outcome is the same."""
     path, fifo = tmp_path / "F.json", tmp_path / "F.fifo"
     save_bi_json(nfold(random_bivariate_cdf(np.random.default_rng(72), 9, corner_mass=0.6), 2),
                  path)
     want = compare(command, path, n)   # the same grid from its file
     out = tmp_path / "cli.out"
-    code = through_a_pipe(fifo, path.read_bytes(), lambda: main(argv(command, fifo, n, out)))
-    assert reads.whole_loads() == [str(fifo)]
+    paths = inputs(command, fifo, other)
+    code = through_a_pipe(fifo, path.read_bytes(), lambda: main(argv(command, paths, n, out)))
+    assert reads.whole_loads() == list(map(str, paths))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == want[:3]
     assert (out.read_bytes() if out.exists() else None) == want[3]
@@ -302,17 +269,92 @@ def test_an_invalid_grid_reports_before_a_bad_n(compare, tmp_path, command, bad_
         assert code == 1 and message in err
 
 
-def test_a_tail_that_is_not_the_last_row_falls_back(compare, monkeypatch, tmp_path):
+def test_a_tail_that_is_not_the_last_row_falls_back(compare, other, monkeypatch, tmp_path):
     """A tail row that differs from the row the pass ends on drops the
-    temporary output and loads the grid whole."""
+    temporary output and loads every input whole."""
     path, halved = tmp_path / "F.json", tmp_path / "halved"
     path.write_text(G_TEXT + "}\n")
     halved.write_text(G_TEXT.replace("[0.5, 1.0]]", "[0.25, 0.5]]") + "}\n")
-    reads = Reads(monkeypatch, tail=lambda p: halved)   # the file changed before its tail read
+    # the file changed before its tail read
+    reads = Reads(monkeypatch, tail=lambda p: halved if str(p) == str(path) else p)
     for command, n in COMMANDS:
         reads.clear()
         compare(command, path, n)
-        assert reads.whole_loads() == [str(path)]
+        assert reads.whole_loads() == list(map(str, inputs(command, path, other)))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_g_is_read_a_block_and_a_row_at_a_time(monkeypatch, tmp_path, cells):
+    """A read of either input's stream spans at most one row block and the
+    row before it, so the stream's window never grows, also where the
+    kernel's reads of an input on the union grid cross its row blocks."""
+    monkeypatch.setattr(cdf_module, "BLOCK_CELLS", cells)
+    excess = []
+    real = gridio._RowStream.block
+
+    def spy(self, rows):   # the rows a read asks for show nowhere outside the stream
+        excess.append(rows.stop - rows.start - cdf_module._block_rows(self.ny))
+        return real(self, rows)
+
+    monkeypatch.setattr(gridio._RowStream, "block", spy)
+    f, g, out = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "h.json"
+    rng = np.random.default_rng(5)
+    for nf in (3, 40):   # with 3 rows in F, a union-grid block reads several rows of G
+        save_bi_json(sparse_bivariate_cdf(rng, nf, 4, 0.2), f)
+        save_bi_json(sparse_bivariate_cdf(rng, 40, 4, 0.2, offset=0.05), g)
+        assert main(["biconv", str(f), str(g), "--out", str(out)]) == 0
+    assert max(excess) == 1
+
+
+def test_invalid_f_with_a_malformed_g_exits_2(compare, tmp_path):
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    save_bi_json(BivariateCDF([0, 1], [0, 1], [[0.5, 0.9], [0.9, 1.0]]), f)
+    for text in (G_TEXT + "}x", G_TEXT[:-3]):
+        g.write_text(text)
+        code, _, err, _ = compare("biconv-F", f, beside=g)
+        assert code == 2 and str(g) in err
+
+
+def test_grid_over_the_budget_reports_an_invalid_g_first(compare, monkeypatch, tmp_path):
+    """Over MAX_CELLS, an invalid G still reports first, as when it is loaded whole."""
+    monkeypatch.setattr(cdf_module, "MAX_CELLS", 8)   # the union grid is 4 x 4
+    g = tmp_path / "g.json"
+    errors = []
+    for last in ("[0.5, 1.0]]", "[0.5, 0.75]]"):
+        g.write_text(G_TEXT.replace("[0.5, 1.0]]", last) + "}")
+        code, _, err, _ = compare("biconv-G", g)
+        assert code == 1
+        errors.append(err)
+    assert "budget" in errors[0] and "invalid CDF" in errors[1]
+
+
+#: F_FOR_DOCUMENTS's text and G_TEXT's, and a fault of each; their union grid is 4 x 4.
+F_TEXT = '{"x_breaks": [-1.0, 0.5], "y_breaks": [0.5, 2.0], "cdf": [[0.1, 0.3], [0.4, 1.0]]}'
+FAULTS = {"F": {"none": F_TEXT, "malformed": F_TEXT.replace("0.3]", "0.3x]"),
+                "invalid": F_TEXT.replace("0.4, 1.0", "0.4, 0.875")},
+          "G": {"none": G_TEXT + "}",
+                "malformed": G_TEXT.replace("0.5], [0.5", "0.5x], [0.5") + "}",
+                "invalid": G_TEXT.replace("[0.5, 1.0]]", "[0.5, 0.75]]") + "}"}}
+
+
+@pytest.mark.parametrize("over_budget", [False, True], ids=["within-budget", "over-budget"])
+@pytest.mark.parametrize("g_fault", ["none", "malformed", "invalid"])
+@pytest.mark.parametrize("f_fault", ["none", "malformed", "invalid"])
+def test_report_order(compare, monkeypatch, tmp_path, f_fault, g_fault, over_budget):
+    """Of a malformed F, a malformed G, an invalid F, an invalid G and a grid
+    over MAX_CELLS, the first in that order reports, as when both inputs are
+    loaded whole and then validated, whichever of them the passes meet first."""
+    if over_budget:
+        monkeypatch.setattr(cdf_module, "MAX_CELLS", 8)
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    f.write_text(FAULTS["F"][f_fault])
+    g.write_text(FAULTS["G"][g_fault])
+    order = [(f_fault == "malformed", 2, str(f)), (g_fault == "malformed", 2, str(g)),
+             (f_fault == "invalid", 1, "F(last,last) = 0.875 "),
+             (g_fault == "invalid", 1, "F(last,last) = 0.75 "), (over_budget, 1, "budget")]
+    want_code, want_text = next(((c, t) for hit, c, t in order if hit), (0, ""))
+    code, _, err, _ = compare("biconv-F", f, beside=g)
+    assert code == want_code and want_text in err
 
 
 def _item_1_law():
@@ -342,19 +384,22 @@ def test_root_verdict_at_n_2_to_the_20(tmp_path):
 
 
 class TestOneDecode:
-    """Each streamed call decodes its file once, plus a read of its tail."""
+    """Each streamed call decodes its file once, plus a read of its tail, as
+    biconv's F and as its G too."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         rng = np.random.default_rng(73)
         path = tmp_path_factory.mktemp("one-decode") / "F.json"
         save_bi_json(nfold(random_bivariate_cdf(rng, 200, 150, corner_mass=0.6), 2), path)
+        save_bi_json(F_FOR_DOCUMENTS, path.with_name("other.json"))
         return path
 
     @pytest.mark.parametrize("command, n", [*COMMANDS, ("root", 3)],
                              ids=[*COMMAND_IDS, "root-report"])
     def test_read_once_plus_its_tail(self, path, reads, command, n):
-        code = main(argv(command, path, n, path.with_name("out")))
+        paths = inputs(command, path, path.with_name("other.json"))
+        code = main(argv(command, paths, n, path.with_name("out")))
         assert code == (1 if n == 3 and command == "root" else 0)
         assert reads.whole_loads() == []
         # one unbuffered pass over every byte, and a tail read of one buffer
@@ -529,24 +574,6 @@ class TestStability:
             assert (code, *capsys.readouterr()) == (*want[:2], err)
             assert reads.whole_loads() == [str(fifo)]
         assert codes == ([0, 2, 1] if scale else [1, 2, 1])
-
-    def test_holds_no_grid(self, monkeypatch, tmp_path, capsys):
-        """At the identity normalization, the rows between the two reads are
-        those of one read: the call peaks at the stream's buffer and blocks."""
-        monkeypatch.setattr(cdf_module, "BLOCK_CELLS", 4096)
-        F = _cumulated(np.random.default_rng(77), 1024, 512)
-        path = tmp_path / "F.json"
-        save_bi_json(F, path)
-        call = ["stability", str(path), "2", "1", "0", "1", "0"]
-        main(call)   # the first call in a process also imports what numpy loads lazily
-        tracemalloc.start()
-        try:
-            code = main(call)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0, capsys.readouterr()
-        assert peak < 0.25 * F.cdf.nbytes
 
 
 def test_a_read_inside_the_window_allocates_no_copy_of_its_rows(monkeypatch, tmp_path):
