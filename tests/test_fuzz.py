@@ -61,12 +61,12 @@ def test_mutated_files(saved, tmp_path, monkeypatch, capsys, kind):
     bi, uni = saved / "bi.json", str(saved / "uni.json")
     bad, out, ref = tmp_path / f"bad-{kind}.json", tmp_path / "out", tmp_path / "ref"
     # validate --kind bi is a row of COMMANDS
-    others = [["uniconv", str(bad), uni, "--out", str(out)],
-              *([["validate", str(bad), "--kind", "uni"]] if kind == "uni" else [])]
+    other_calls = [["uniconv", str(bad), uni, "--out", str(out)],
+                   *([["validate", str(bad), "--kind", "uni"]] if kind == "uni" else [])]
     calls = 0
     for text in mutations((saved / f"{kind}.json").read_bytes(), 82 + (kind == "uni"), MUTATIONS):
         bad.write_bytes(text)
-        results = [(args, run(capsys, args, out)) for args in others]
+        results = [(args, run(capsys, args, out)) for args in other_calls]
         # every command that reads a grid, against loading its inputs whole
         for command, n in COMMANDS:
             paths = inputs(command, bad, bi)
@@ -83,4 +83,4 @@ def test_mutated_files(saved, tmp_path, monkeypatch, capsys, kind):
             if code and not domain:
                 assert stderr.count("\n") == 1 and stderr.endswith("\n"), (args, stderr)
         calls += len(results)
-    assert calls == (len(COMMANDS) + len(others)) * MUTATIONS
+    assert calls == (len(COMMANDS) + len(other_calls)) * MUTATIONS
