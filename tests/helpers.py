@@ -522,6 +522,14 @@ COMMANDS = [("validate", 2), ("nfold", 1), ("nfold", 3), ("root", 2), ("plotdata
             ("stability", 1), ("stability", 3), ("biconv-F", None), ("biconv-G", None)]
 
 
+#: The other input of a biconv row, beside a document as F or as G: a valid
+#: grid that is not the document's.
+F_FOR_DOCUMENTS = BivariateCDF([-1.0, 0.5], [0.5, 2.0], [[0.1, 0.3], [0.4, 1.0]])
+
+#: A valid 2 x 2 grid's text, less its closing brace.
+G_TEXT = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": [[0.25, 0.5], [0.5, 1.0]]'
+
+
 def inputs(command, path, other):
     """The input paths of command's call on the grid at path; biconv's other input is other."""
     return {"biconv-F": [path, other], "biconv-G": [other, path]}.get(command, [path])

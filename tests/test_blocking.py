@@ -867,6 +867,24 @@ class TestStreamedCliMemory:
             save_bi_json(X, d / name)
         return d, {name: X.cdf.nbytes for name, X in grids.items()}
 
+    @staticmethod
+    def peak(files, argv, exit_code, capsys):
+        """The peak allocation of a second call of argv on the saved files,
+        after its exit code and, for root, the file it wrote are checked."""
+        d, _ = files
+        call = [str(d / a) if a.endswith((".json", ".tsv")) else a for a in argv]
+        main(call)   # the first call in a process also imports what numpy loads lazily
+        code, peak = _peak_bytes(lambda: main(call))
+        assert code == exit_code, capsys.readouterr()
+        if argv[0] == "root":   # the candidate or the report was written
+            assert ("divisibility_failure" in (d / argv[-1]).read_text()) == bool(exit_code)
+        return peak
+
+    def test_biconv_peaks_below_its_output(self, files, capsys):
+        peak = self.peak(files, ["biconv", "f.json", "g.json", "--out", "h.json"], 0, capsys)
+        # the whole output, 1024 x 1024 float64, would be 8.4 MB on top of the inputs
+        assert peak < 1024 * 1024 * 8
+
     @pytest.mark.parametrize("argv, exit_code, share", [
         (["validate", "f.json", "--kind", "bi"], 0, 0.5),
         (["nfold", "f.json", "3", "--out", "h.json"], 0, 0.5),
@@ -875,24 +893,27 @@ class TestStreamedCliMemory:
         (["plotdata", "f.json", "--out", "plot.tsv"], 0, 0.5),
         (["biconv", "f.json", "g.json", "--out", "h.json"], 0, 0.5),
         (["stability", "wide.json", "2", "1", "0", "1", "0"], 0, 0.25),
-        (["stability", "f.json", "2", "2", "0.5", "2", "0.5"], 0, 1.5),
     ], ids=["validate", "nfold", "root-candidate", "root-report", "plotdata", "biconv",
-            "stability", "stability-window"])
+            "stability"])
     def test_streamed_call_holds_no_grid(self, files, argv, exit_code, share, capsys):
         """A call peaks at the loader's buffers and blocks: below half of its
         first input's array, and it holds no output; root never holds its
         candidate.  stability holds the rows between the grid's own row x and
         the power's rows near a*x + b: at the identity normalization those of
-        one read, below a quarter of the array, and at (2, 0.5) most of the
-        grid, which it holds once, not twice."""
-        d, nbytes = files
-        call = [str(d / a) if a.endswith((".json", ".tsv")) else a for a in argv]
-        main(call)   # the first call in a process also imports what numpy loads lazily
-        code, peak = _peak_bytes(lambda: main(call))
-        assert code == exit_code, capsys.readouterr()
-        assert peak < share * nbytes[argv[1]]
-        if argv[0] == "root":   # the candidate or the report was written
-            assert ("divisibility_failure" in (d / argv[-1]).read_text()) == bool(exit_code)
+        one read, below a quarter of the array."""
+        assert self.peak(files, argv, exit_code, capsys) < share * files[1][argv[1]]
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["validate", "f.json", "--kind", "bi"], 0),
+        (["stability", "f.json", "2", "2", "0.5", "2", "0.5"], 0),
+        (["root", "div.json", "2", "--out", "root.json"], 0),
+        (["root", "f.json", "2", "--out", "report.json"], 1),
+    ], ids=["validate", "stability", "root-candidate", "root-report"])
+    def test_call_holds_its_input_once(self, files, argv, exit_code, capsys):
+        """A call peaks at its input plus the loader's buffer and blocks, not
+        at the input twice: stability at (2, 0.5) holds most of the grid, the
+        rows between row x and the power's rows near 2x + 0.5, once."""
+        assert self.peak(files, argv, exit_code, capsys) < 1.5 * files[1][argv[1]]
 
     def test_ecdf_holds_no_table(self, tmp_path):
         """ecdf writes its table a row block at a time and never holds it."""

@@ -34,6 +34,8 @@ from helpers import (
     CHUNKS,
     COMMANDS,
     DOCUMENTS,
+    F_FOR_DOCUMENTS,
+    G_TEXT,
     ORDER_DOCUMENTS,
     argv,
     ecdf_reference,
@@ -49,11 +51,6 @@ from observe import Reads
 
 BLOCK_CELLS = [1, 7, 64, cdf_module.BLOCK_CELLS]
 COMMAND_IDS = [c if n is None else f"{c}-{n}" for c, n in COMMANDS]
-
-#: The other input of a biconv row, beside a document as F or as G: a valid
-#: grid that is not the document's.
-F_FOR_DOCUMENTS = BivariateCDF([-1.0, 0.5], [0.5, 2.0], [[0.1, 0.3], [0.4, 1.0]])
-
 
 @pytest.fixture
 def other(tmp_path):
@@ -163,7 +160,6 @@ def test_root_cases_are_all_there(tmp_path):
     assert outcomes == {"invalid", "divisible", "not divisible"}
 
 
-G_TEXT = '{"x_breaks": [0, 1], "y_breaks": [0, 1], "cdf": [[0.25, 0.5], [0.5, 1.0]]'
 ROW_TEXT = '{"x_breaks": [0], "y_breaks": [0, 1], "cdf": [[0.5, 1.0]]'
 
 
