@@ -7,6 +7,7 @@ failure, oracle spread above tolerance), 2 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -218,6 +219,7 @@ def _add_floats(p: argparse.ArgumentParser, names) -> None:
     p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
 
+@functools.cache   # main() in one process parses with one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bifreemax",

@@ -1,6 +1,6 @@
 """Shared random generators, reference implementations, grid documents, the
 one-pass harness's commands with their whole-load outcome, fresh-process
-runners and a pipe feeder for the test suite."""
+runners, a pipe feeder and the peak-memory probe for the test suite."""
 
 import itertools
 import json
@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -656,3 +657,26 @@ def through_a_pipe(fifo, data, call):
     assert not writer.is_alive()
     fifo.unlink()
     return result
+
+
+def peak(call, warm_up=None):
+    """``call()`` and the peak of what it allocates, by tracemalloc, which no
+    other place in the suite starts; an exception it raises carries the peak
+    as ``.peak``.  ``warm_up()`` runs untraced first, for numpy's first-call
+    allocations and what numpy imports lazily, and the traced call must then
+    import no module."""
+    if warm_up is not None:
+        warm_up()
+    modules = set(sys.modules)
+    tracemalloc.start()
+    try:
+        result = call()
+        top = tracemalloc.get_traced_memory()[1]
+    except Exception as exc:
+        exc.peak = tracemalloc.get_traced_memory()[1]
+        raise
+    finally:
+        tracemalloc.stop()
+    if warm_up is not None:
+        assert set(sys.modules) <= modules, sorted(set(sys.modules) - modules)
+    return result, top

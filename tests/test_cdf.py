@@ -1,6 +1,5 @@
 import itertools
 import re
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from bifreemax import (
 from bifreemax import cdf as cdf_module
 from bifreemax.cdf import EPS_CDF, MAX_LISTED, GridRows, require_valid_bi
 from bifreemax.cli import main
-from helpers import ecdf_brute_force, group_violations, random_bivariate_cdf
+from helpers import ecdf_brute_force, group_violations, peak, random_bivariate_cdf
 
 
 class TestUnivariateCDF:
@@ -546,28 +545,17 @@ class TestEcdf:
     def test_memory_is_linear_in_the_output(self):
         # 3000 distinct points: the cubic reference would need 27 GB here
         pts = np.random.default_rng(22).normal(size=(3000, 2))
-        tracemalloc.start()
-        try:
-            F = ecdf_from_samples(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        F, top = peak(lambda: ecdf_from_samples(pts))
         assert F.cdf.shape == (3000, 3000)
-        assert peak <= 4 * F.cdf.nbytes
+        assert top <= 4 * F.cdf.nbytes
 
     def test_counts_become_the_cdf_in_place(self):
         # the counts and the CDF are one array, not an int64 table and its quotient;
         # the first call in a process also imports what numpy loads lazily
         pts = np.random.default_rng(23).normal(size=(800, 2))
-        ecdf_from_samples(pts[:2])
-        tracemalloc.start()
-        try:
-            F = ecdf_from_samples(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        F, top = peak(lambda: ecdf_from_samples(pts), warm_up=lambda: ecdf_from_samples(pts[:2]))
         assert F.cdf.shape == (800, 800)
-        assert peak <= F.cdf.nbytes + 2 ** 20
+        assert top <= F.cdf.nbytes + 2 ** 20
 
 
 class TestCellBudget:

@@ -3,13 +3,10 @@ subcommand that reads a file exit 0, 1 or 2 with no traceback, an error is one
 stderr line, and every command that reads a grid gives the outcome of loading
 its inputs whole."""
 
-import functools
-
 import numpy as np
 import pytest
 
 from bifreemax import BivariateCDF, UnivariateCDF, save_bi_json, save_uni_json
-from bifreemax import cli as cli_module
 from bifreemax.cli import main
 from helpers import COMMANDS, argv, inputs, outcome
 
@@ -55,9 +52,7 @@ def run(capsys, args, out):
 
 
 @pytest.mark.parametrize("kind", ["bi", "uni"])
-def test_mutated_files(saved, tmp_path, monkeypatch, capsys, kind):
-    # one parser for every call: building it is most of a small call's time
-    monkeypatch.setattr(cli_module, "build_parser", functools.cache(cli_module.build_parser))
+def test_mutated_files(saved, tmp_path, capsys, kind):
     bi, uni = saved / "bi.json", str(saved / "uni.json")
     bad, out, ref = tmp_path / f"bad-{kind}.json", tmp_path / "out", tmp_path / "ref"
     # validate --kind bi is a row of COMMANDS

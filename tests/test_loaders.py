@@ -5,7 +5,6 @@ import io
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from helpers import (
     DOCUMENTS,
     ORDER_DOCUMENTS,
     load_bi_json_reference,
+    peak,
     random_bivariate_cdf,
     through_a_pipe,
 )
@@ -86,13 +86,8 @@ def test_load_peaks_near_the_array(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "F.json"
     save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
-    tracemalloc.start()
-    try:
-        F = load_bi_json(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * F.cdf.nbytes + 4 * 2 ** 20
+    F, top = peak(lambda: load_bi_json(path))
+    assert top <= 2 * F.cdf.nbytes + 4 * 2 ** 20
 
 
 def test_load_peaks_at_the_array_plus_the_buffer(tmp_path, monkeypatch):
@@ -102,10 +97,10 @@ def test_load_peaks_at_the_array_plus_the_buffer(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     path = tmp_path / "F.json"
     save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
-    F, peak = _load_peak(path)
-    assert peak <= F.cdf.nbytes + 2 ** 20
+    F, top = peak(lambda: load_bi_json(path))
+    assert top <= F.cdf.nbytes + 2 ** 20
     monkeypatch.setattr(cdf_module, "MAX_CELLS", n * n - 1)   # the rows come as a list
-    G, list_peak = _load_peak(path)
+    G, list_peak = peak(lambda: load_bi_json(path))
     assert G.cdf.tobytes() == F.cdf.tobytes()
     assert list_peak >= 2 * F.cdf.nbytes
 
@@ -134,7 +129,7 @@ def test_breaks_over_the_budget_do_not_preallocate(tmp_path):
     path.write_text(f'{{"x_breaks": {breaks}, "y_breaks": {breaks}, "cdf": [[1.0]]}}')
     want = _exact_outcome(load_bi_json_reference, path)
     with pytest.raises(CDFFormatError) as got:
-        _load_peak(path)
+        peak(lambda: load_bi_json(path))
     assert str(got.value) == want
     assert got.value.peak < 2 ** 20
 
@@ -168,7 +163,7 @@ def test_syntax_error_does_not_read_on(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     path = tmp_path / "F.json"
     save_bi_json(BivariateCDF(np.arange(n), np.arange(n), rng.uniform(0, 1, (n, n))), path)
-    _, valid_peak = _load_peak(path)
+    _, valid_peak = peak(lambda: load_bi_json(path))
     text = path.read_text()
     mid = text.index(", ", len(text) // 2)
     text = text[:mid] + "x" + text[mid:]
@@ -176,7 +171,7 @@ def test_syntax_error_does_not_read_on(tmp_path, monkeypatch):
     with pytest.raises(json.JSONDecodeError) as want:
         json.loads(text)
     with pytest.raises(CDFFormatError) as got:
-        _load_peak(path)
+        peak(lambda: load_bi_json(path))
     assert str(got.value).endswith(f"{want.value.msg} at char {want.value.pos}")
     assert want.value.pos == mid
     assert got.value.peak <= valid_peak
@@ -263,18 +258,6 @@ def test_crlf_syntax_error_names_the_files_own_offset(tmp_path, capsys):
     messages = {str(got.value).replace(str(path), "F"), cli_message(path),
                 through_a_pipe(fifo, path.read_bytes(), lambda: cli_message(fifo))}
     assert messages == {f"bad bivariate CDF file F: {want.value.msg} at char {want.value.pos}"}
-
-
-def _load_peak(path):
-    """load_bi_json(path) and its tracemalloc peak; an error carries it as .peak."""
-    tracemalloc.start()
-    try:
-        return load_bi_json(path), tracemalloc.get_traced_memory()[1]
-    except CDFFormatError as exc:
-        exc.peak = tracemalloc.get_traced_memory()[1]
-        raise
-    finally:
-        tracemalloc.stop()
 
 
 class TestMalformedInputExit2:

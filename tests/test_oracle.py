@@ -41,6 +41,11 @@ class TestProjectionPairLaw:
             ProjectionPairLaw(0.6, 0.7, 0.2)  # r < p + q - 1
         with pytest.raises(InvalidLawError):
             ProjectionPairLaw(1.2, 0.5, 0.5)
+        # a law within 1e-12 of a bound is accepted, and no further out
+        for r in (0.5 + 1e-11, -1e-11):
+            with pytest.raises(InvalidLawError):
+                ProjectionPairLaw(0.5, 0.5, r)
+        ProjectionPairLaw(0.5, 0.5, 0.5 + 5e-13)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_joint_trace_rejected(self, r):

@@ -8,7 +8,6 @@ or as its G."""
 
 import builtins
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from helpers import (
     ecdf_reference,
     inputs,
     outcome,
+    peak,
     random_bivariate_cdf,
     seeded_pairs,
     sparse_bivariate_cdf,
@@ -585,15 +585,10 @@ def test_a_read_inside_the_window_allocates_no_copy_of_its_rows(monkeypatch, tmp
         assert rows.block(slice(0, 1000)).tobytes() == F.cdf[:1000].tobytes()
         # inside the window, then past its end, which moves 852 rows by 150
         for read in (slice(1, 1002), slice(150, 1004)):
-            tracemalloc.start()
-            try:
-                got = rows.block(read)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            got, top = peak(lambda: rows.block(read))
             assert got.tobytes() == F.cdf[read].tobytes()
             # decoding the new rows may refill the text buffer; no more
-            assert peak < 0.5 * F.cdf[read].nbytes
+            assert top < 0.5 * F.cdf[read].nbytes
 
 
 def test_a_read_behind_the_window_raises(tmp_path):
